@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from vinefab import GrowthState, clearance, sweep_samples, tip_pose_at
+from vinefab import GrowthState, growth_trace, sweep_samples
 from vinefab.formats import read_chain, read_scene, write_growth_trace
 
 HERE = os.path.dirname(__file__)
@@ -23,16 +23,14 @@ total = chain.total_length
 print(f"chain: {chain.n} links, {total:.0f} mm, radius {chain.radius} mm")
 print(f"scene: {len(scene.spheres)} spheres, {len(scene.boxes)} boxes\n")
 
-trace = []
+everted = np.linspace(0.0, total, 31).tolist()
+tips, clearances = growth_trace(chain, everted, scene, step=1.0)
+trace = list(zip(everted, tips, clearances))
 print("everted_mm   tip (x, y, z) mm              clearance_mm")
-for everted in np.linspace(0.0, total, 31):
-    state = GrowthState(chain, float(everted))
-    tip = tip_pose_at(state).translation
-    result = clearance(state, scene, step=1.0)
-    trace.append((float(everted), tip, result.clearance))
-    if int(everted) % 60 == 0:
-        print(f"{everted:10.1f}   ({tip[0]:7.1f}, {tip[1]:7.1f}, "
-              f"{tip[2]:7.1f})   {result.clearance:10.2f}")
+for length, tip, clr in trace:
+    if int(length) % 60 == 0:
+        print(f"{length:10.1f}   ({tip[0]:7.1f}, {tip[1]:7.1f}, "
+              f"{tip[2]:7.1f})   {clr:10.2f}")
 
 write_growth_trace(trace, os.path.join(OUT, "growth_trace.csv"))
 
@@ -44,7 +42,7 @@ else:
     print("the body clears every obstacle along the whole growth")
 
 # the swept body itself: centerline samples carrying the tube radius
-body = sweep_samples(GrowthState(chain, total), step=25.0)
-print(f"swept body at full eversion: {body.centers.shape[0]} samples, "
-      f"radius {body.radius} mm")
+_, centers = sweep_samples(GrowthState(chain, total), step=25.0)
+print(f"swept body at full eversion: {centers.shape[0]} samples, "
+      f"radius {chain.radius} mm")
 print(f"wrote {os.path.join(OUT, 'growth_trace.csv')}")

@@ -11,7 +11,7 @@ from .fabrication import (DEFAULT_LOOP_GAP_MM, FabricationPlan, GapModel,
 from .geometry import (DHChain, DHLink, RigidPose, canonicalize_polyline,
                        dh_to_polyline, fk_chain, polyline_to_dh)
 from .growth import (Box, ClearanceResult, GrowthState, ObstacleScene, Sphere,
-                     SweptBody, centerline_points, clearance, sweep_samples,
+                     centerline_points, clearance, growth_trace, sweep_samples,
                      tip_pose_at)
 from .measurement import (MarkerRecord, MeasuredDH, average_samples,
                           dh_errors, recover_dh, synthetic_markers)

@@ -19,7 +19,7 @@ from .errors import (DegenerateDataError, DegenerateGeometryError,
                      SingularityError, ValidationError, VinefabError)
 from .fabrication import GapModel, compile_plan
 from .geometry import DHChain, canonicalize_polyline, fk_chain, polyline_to_dh
-from .growth import GrowthState, ObstacleScene, clearance, tip_pose_at
+from .growth import ObstacleScene, growth_trace
 from .measurement import dh_errors, recover_dh
 from .pattern import write_pattern
 from .stats import analyze_table
@@ -173,26 +173,18 @@ def cmd_fk(project, args) -> int:
 
 
 def cmd_grow(project, args) -> int:
-    chain = project.chain
-    total = chain.total_length
+    total = project.chain.total_length
     if args.steps < 1:
         raise ValidationError(f"--steps must be >= 1, got {args.steps}")
-    trace = []
-    for i in range(args.steps + 1):
-        everted = total * i / args.steps
-        state = GrowthState(chain, everted)
-        tip = tip_pose_at(state).translation
-        clr = None
-        if project.scene is not None and not project.scene.empty:
-            result = clearance(state, project.scene, step=args.sweep_step)
-            clr = result.clearance
-        trace.append((everted, tip, clr))
+    # total * steps / steps can round above total, which GrowthState rejects
+    everted = [min(total * i / args.steps, total) for i in range(args.steps + 1)]
+    tips, clearances = growth_trace(project.chain, everted, project.scene,
+                                    step=args.sweep_step)
     path = _out(project, "grow_trace.csv")
-    formats.write_growth_trace(trace, path)
+    formats.write_growth_trace(zip(everted, tips, clearances), path)
     print(f"wrote {path} ({args.steps + 1} rows, total {formats.fmt9(total)} mm)")
-    if project.scene is not None and not project.scene.empty:
-        final = min(t[2] for t in trace if t[2] is not None)
-        print(f"worst clearance: {formats.fmt9(final)} mm")
+    if clearances[0] is not None:
+        print(f"worst clearance: {formats.fmt9(min(clearances))} mm")
     return EXIT_OK
 
 
@@ -251,8 +243,6 @@ def _add_common(sub):
                      help="override gap distance d_g in mm")
     sub.add_argument("--scene", help="obstacle scene JSON")
     sub.add_argument("--out", help="output directory (default '.')")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for any randomized operation (reserved)")
     units = sub.add_mutually_exclusive_group()
     units.add_argument("--deg", action="store_true",
                        help="display angles in degrees (default)")
@@ -260,8 +250,16 @@ def _add_common(sub):
                        help="display angles in radians")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_PARSE; argparse's own 2 means infeasible here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vinefab",
         description="Plan, simulate, and verify preformed everting-tube "
                     "robots with discrete bends.")

@@ -81,9 +81,12 @@ def write_json(obj, path) -> None:
 
 
 def load_json(path):
+    def reject_constant(name):
+        raise ValidationError(f"{path}: non-finite number {name} is not allowed")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=reject_constant)
     except FileNotFoundError as exc:
         raise ValidationError(f"file not found: {path}") from exc
     except json.JSONDecodeError as exc:

@@ -97,10 +97,13 @@ class RigidPose:
         t = np.array(self.translation, float).reshape(3)
         if r.shape != (3, 3):
             raise ValidationError(f"rotation must be 3x3, got {r.shape}")
-        if np.max(np.abs(r.T @ r - np.eye(3))) >= ORTHONORMALITY_TOL:
+        # written as `not (err < tol)` so that a NaN error is rejected too
+        if not np.max(np.abs(r.T @ r - np.eye(3))) < ORTHONORMALITY_TOL:
             raise ValidationError("rotation is not orthonormal within 1e-9")
-        if abs(np.linalg.det(r) - 1.0) >= ORTHONORMALITY_TOL:
+        if not abs(np.linalg.det(r) - 1.0) < ORTHONORMALITY_TOL:
             raise ValidationError("rotation determinant is not 1 within 1e-9")
+        if not np.isfinite(t).all():
+            raise ValidationError(f"translation must be finite, got {t}")
         r.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "rotation", r)

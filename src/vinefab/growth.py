@@ -45,8 +45,11 @@ class Sphere:
         c.flags.writeable = False
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius > 0.0:
-            raise ValidationError(f"sphere radius must be > 0, got {self.radius}")
+        if not np.isfinite(c).all():
+            raise ValidationError(f"sphere center must be finite, got {c}")
+        if not 0.0 < self.radius < math.inf:
+            raise ValidationError(
+                f"sphere radius must be finite and > 0, got {self.radius}")
 
     def surface_distance(self, points: np.ndarray) -> np.ndarray:
         """Signed distance from points to the sphere surface (negative inside)."""
@@ -64,6 +67,8 @@ class Box:
     def __post_init__(self):
         lo = np.array(self.min_corner, float).reshape(3)
         hi = np.array(self.max_corner, float).reshape(3)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValidationError("box corners must be finite")
         if not np.all(lo < hi):
             raise ValidationError("box min corner must be < max corner per axis")
         lo.flags.writeable = False
@@ -141,35 +146,18 @@ def centerline_points(state: GrowthState, arc_lengths: np.ndarray) -> np.ndarray
     return verts[idx] + dirs[idx] * (s - cum[idx])[:, None]
 
 
-@dataclass(frozen=True)
-class SweptBody:
-    """Sphere-swept centerline samples of the everted body."""
-
-    centers: np.ndarray
-    arc_lengths: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        c = np.array(self.centers, float)
-        a = np.array(self.arc_lengths, float)
-        c.flags.writeable = False
-        a.flags.writeable = False
-        object.__setattr__(self, "centers", c)
-        object.__setattr__(self, "arc_lengths", a)
-
-
-def sweep_samples(state: GrowthState, step: float = DEFAULT_SWEEP_STEP_MM) -> SweptBody:
+def sweep_samples(state: GrowthState, step: float = DEFAULT_SWEEP_STEP_MM
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Sample the everted centerline every `step` mm, plus the tip.
 
-    Produces floor(everted/step) + 1 grid samples and one tip sample, so both
-    endpoints are always present.
+    Returns (arc_lengths, centers): floor(everted/step) + 1 grid samples and
+    one tip sample, so both endpoints are always present.
     """
-    if not step > 0.0:
-        raise ValidationError(f"step must be > 0, got {step}")
+    if not 0.0 < step < math.inf:
+        raise ValidationError(f"step must be finite and > 0, got {step}")
     n_grid = int(math.floor(state.everted_length / step)) + 1
     s = np.append(np.arange(n_grid) * step, state.everted_length)
-    return SweptBody(centers=centerline_points(state, s), arc_lengths=s,
-                     radius=state.chain.radius)
+    return s, centerline_points(state, s)
 
 
 @dataclass(frozen=True)
@@ -192,9 +180,34 @@ def clearance(state: GrowthState, scene: ObstacleScene,
     """Minimum (surface distance - body radius) over the everted body."""
     if scene.empty:
         return ClearanceResult.empty_scene()
-    body = sweep_samples(state, step)
-    gaps = scene.surface_distance(body.centers) - body.radius
+    arc_lengths, centers = sweep_samples(state, step)
+    gaps = scene.surface_distance(centers) - state.chain.radius
     worst = int(np.argmin(gaps))
     return ClearanceResult(clearance=float(gaps[worst]),
-                           location=body.centers[worst],
-                           arc_length=float(body.arc_lengths[worst]))
+                           location=centers[worst],
+                           arc_length=float(arc_lengths[worst]))
+
+
+def growth_trace(chain: DHChain, everted_lengths, scene: ObstacleScene | None,
+                 step: float = DEFAULT_SWEEP_STEP_MM
+                 ) -> tuple[np.ndarray, list[float | None]]:
+    """Tip positions and worst clearance at each everted length, in one sweep.
+
+    Returns (tips, clearances): tips is (m, 3); clearances[k] equals
+    `clearance(GrowthState(chain, L_k), scene, step).clearance`, or None when
+    the scene is absent or empty. The body at L_k is sampled at the first
+    floor(L_k/step) + 1 grid points of the longest body plus its own tip.
+    """
+    lengths = np.asarray(everted_lengths, float)
+    if lengths.ndim != 1 or lengths.size == 0:
+        raise ValidationError("everted_lengths must be a non-empty 1-D sequence")
+    full = GrowthState(chain, np.max(lengths))
+    tips = centerline_points(full, lengths)  # rejects lengths below 0
+    if scene is None or scene.empty:
+        return tips, [None] * len(lengths)
+    _, centers = sweep_samples(full, step)
+    grid_worst = np.minimum.accumulate(
+        scene.surface_distance(centers[:-1]) - chain.radius)
+    tip_gaps = scene.surface_distance(tips) - chain.radius
+    rows = np.floor(lengths / step).astype(int)
+    return tips, np.minimum(grid_worst[rows], tip_gaps).tolist()

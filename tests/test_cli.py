@@ -79,6 +79,20 @@ def test_grow_without_scene_leaves_clearance_empty(tmp_path, data_dir):
     assert all(r.endswith(",") for r in rows[1:])
 
 
+def test_grow_last_row_never_overshoots_total(tmp_path):
+    # total * 5 / 5 rounds above the 60.6 mm total for these link lengths
+    chain = tmp_path / "chain.json"
+    formats.write_chain(DHChain.from_arrays(
+        [10.1, 20.2, 30.3], [0, 0, 0], [0, math.radians(30), math.radians(30)],
+        16.5), chain)
+    code, _, err = run_cli("grow", "--chain", str(chain), "--steps", "5",
+                           "--out", str(tmp_path))
+    assert code == 0, err.decode()
+    rows = (tmp_path / "grow_trace.csv").read_text().splitlines()
+    assert len(rows) == 7
+    assert rows[-1].startswith("60.6,")
+
+
 def test_polyline_chain_source(tmp_path, data_dir):
     waypoints = os.path.join(data_dir, "path_waypoints.csv")
     code, _, err = run_cli("fk", "--chain", waypoints, "--out", str(tmp_path))
@@ -168,3 +182,14 @@ def test_analyze_single_group_notice(tmp_path):
                            "--out", str(tmp_path))
     assert code == 0
     assert b"single group" in out
+
+
+@pytest.mark.parametrize("argv", [("plan", "--bogus"),
+                                  ("grow", "--steps", "x")])
+def test_usage_errors_exit_1(tmp_path, argv):
+    code, out, err = run_cli(*argv, cwd=tmp_path)
+    assert code == 1  # 2 is reserved for infeasible designs
+    assert err.startswith(b"usage: vinefab ")
+    assert b"error:" in err and out == b""
+    code, out, _ = run_cli(argv[0], "--help", cwd=tmp_path)
+    assert code == 0 and out.startswith(b"usage: vinefab ")

@@ -78,6 +78,18 @@ def test_scene_round_trip(tmp_path):
     np.testing.assert_allclose(back.boxes[0].max_corner, [5.0, 5.0, 5.0])
 
 
+@pytest.mark.parametrize("text", [
+    '{"spheres": [{"center_mm": [0, NaN, 0], "radius_mm": 5}], "boxes": []}',
+    '{"spheres": [{"center_mm": [0, 0, 0], "radius_mm": Infinity}], "boxes": []}',
+    '{"spheres": [], "boxes": [{"min_mm": [-Infinity, 0, 0], "max_mm": [1, 1, 1]}]}',
+], ids=["nan-center", "inf-radius", "minus-inf-corner"])
+def test_scene_json_rejects_non_finite(tmp_path, text):
+    path = tmp_path / "scene.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match="non-finite"):
+        formats.read_scene(path)
+
+
 def test_plan_json_round_trip(tmp_path, three_bend_chain):
     gap = GapModel.for_method("loop")
     plan = compile_plan(three_bend_chain, gap)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from vinefab.errors import ValidationError
-from vinefab.geometry import DHChain, dh_to_polyline, fk_chain, rot_z
+from vinefab.geometry import (DHChain, RigidPose, dh_to_polyline, fk_chain,
+                              rot_z)
 from vinefab.growth import (Box, ClearanceResult, GrowthState, ObstacleScene,
-                            Sphere, clearance, sweep_samples, tip_pose_at)
+                            Sphere, clearance, growth_trace, sweep_samples,
+                            tip_pose_at)
 
 from conftest import random_feasible_chain
 from oracles import fk_homogeneous, point_segment_distance
@@ -64,24 +66,24 @@ def test_translation_continuity_rotation_piecewise(three_bend_chain):
 
 def test_sweep_sample_counts():
     chain = DHChain.from_arrays([100, 100], [0, 0], [0, 0], 16.5)
-    body = sweep_samples(GrowthState(chain, 200.0), step=200.0)
-    assert body.centers.shape[0] >= 2
-    assert body.arc_lengths[0] == 0.0 and body.arc_lengths[-1] == 200.0
+    arc_lengths, centers = sweep_samples(GrowthState(chain, 200.0), step=200.0)
+    assert centers.shape[0] >= 2
+    assert arc_lengths[0] == 0.0 and arc_lengths[-1] == 200.0
     for L, step in ((200.0, 7.0), (155.5, 10.0), (0.0, 5.0)):
-        body = sweep_samples(GrowthState(chain, L), step=step)
-        assert body.centers.shape[0] == math.floor(L / step) + 2
-    with pytest.raises(ValidationError):
-        sweep_samples(GrowthState(chain, 100.0), step=0.0)
+        _, centers = sweep_samples(GrowthState(chain, L), step=step)
+        assert centers.shape[0] == math.floor(L / step) + 2
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            sweep_samples(GrowthState(chain, 100.0), step=bad)
 
 
 def test_sweep_samples_lie_on_centerline(three_bend_chain):
-    body = sweep_samples(GrowthState(three_bend_chain, 300.0), step=3.7)
+    _, centers = sweep_samples(GrowthState(three_bend_chain, 300.0), step=3.7)
     verts = dh_to_polyline(three_bend_chain)
-    for p in body.centers:
+    for p in centers:
         d = min(point_segment_distance(p, verts[i], verts[i + 1])
                 for i in range(len(verts) - 1))
         assert d < 1e-6
-    assert body.radius == 16.5
 
 
 def test_centerline_points_domain(three_bend_chain):
@@ -146,3 +148,67 @@ def test_scene_validation():
         Sphere(center=[0, 0, 0], radius=0.0)
     with pytest.raises(ValidationError):
         Box(min_corner=[0, 0, 0], max_corner=[10, -1, 10])
+
+
+def _random_scene(rng, chain):
+    """Spheres and boxes scattered around the chain's own vertices."""
+    verts = dh_to_polyline(chain)
+    spheres = tuple(Sphere(verts[rng.integers(len(verts))] + rng.normal(0, 60, 3),
+                           rng.uniform(5.0, 60.0))
+                    for _ in range(rng.integers(0, 4)))
+    boxes = []
+    for _ in range(rng.integers(0 if spheres else 1, 3)):
+        lo = verts[rng.integers(len(verts))] + rng.normal(0, 60, 3)
+        boxes.append(Box(lo, lo + rng.uniform(10.0, 120.0, 3)))
+    return ObstacleScene(spheres=spheres, boxes=tuple(boxes))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_growth_trace_matches_per_state_functions(seed):
+    rng = np.random.default_rng(seed)
+    chain = random_feasible_chain(rng, max_links=6)
+    scene = _random_scene(rng, chain)
+    total = chain.total_length
+    for steps, step in ((97, 0.7), (61, 2.3), (1, 2.3)):
+        lengths = [min(total * i / steps, total) for i in range(steps + 1)]
+        tips, clearances = growth_trace(chain, lengths, scene, step=step)
+        assert tips.shape == (steps + 1, 3)
+        for L, tip, clr in zip(lengths, tips, clearances):
+            state = GrowthState(chain, L)
+            assert clr == clearance(state, scene, step).clearance
+            np.testing.assert_allclose(tip, tip_pose_at(state).translation,
+                                       rtol=0, atol=1e-9)
+        for no_scene in (None, ObstacleScene()):
+            bare_tips, bare = growth_trace(chain, lengths, no_scene, step=step)
+            assert bare == [None] * (steps + 1)
+            np.testing.assert_array_equal(bare_tips, tips)
+
+
+def test_growth_trace_last_grid_sample_can_be_worst():
+    # grid samples at 98.9 and 101.2 mm, tip at 101.5: 101.2 is nearest
+    chain = DHChain.from_arrays([300], [0], [0], 16.5)
+    scene = ObstacleScene(spheres=(Sphere(center=[101.0, 20.0, 0.0], radius=5.0),))
+    _, (clr,) = growth_trace(chain, [101.5], scene, step=2.3)
+    assert clr == clearance(GrowthState(chain, 101.5), scene, 2.3).clearance
+    assert clr == pytest.approx(math.hypot(0.2, 20.0) - 5.0 - 16.5, abs=1e-9)
+
+
+def test_growth_trace_rejects_lengths_outside_the_body(three_bend_chain):
+    for lengths in ([0.0, 300.1], [-1.0, 10.0], []):
+        with pytest.raises(ValidationError):
+            growth_trace(three_bend_chain, lengths, None)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", [
+    lambda v: RigidPose(np.full((3, 3), v), np.zeros(3)),
+    lambda v: RigidPose(np.eye(3), [0.0, v, 0.0]),
+    lambda v: Sphere(center=[0.0, 0.0, v], radius=10.0),
+    lambda v: Sphere(center=[0.0, 0.0, 0.0], radius=v),
+    lambda v: Box(min_corner=[v, 0.0, 0.0], max_corner=[10.0, 10.0, 10.0]),
+    lambda v: Box(min_corner=[0.0, 0.0, 0.0], max_corner=[10.0, 10.0, v]),
+], ids=["pose-rotation", "pose-translation", "sphere-center",
+        "sphere-radius", "box-min", "box-max"])
+def test_constructors_reject_non_finite(build, bad):
+    with pytest.raises(ValidationError):
+        build(bad)
