@@ -27,7 +27,8 @@ GAP_METHODS = ("tape", "weld", "loop")
 # fasteners of the loop method hold the joined points a screw length apart
 DEFAULT_LOOP_GAP_MM = 9.3
 
-_THETA_LIMIT = math.pi - 1e-12
+# largest |theta| a fold accepts: compile_plan and recover_chain share it
+_THETA_MAX = math.pi - 1e-12
 _BISECT_TOL = 1e-12
 
 
@@ -121,7 +122,8 @@ def axial_fold_distance(theta: float, r: float, d_g: float = 0.0) -> float:
     """Axial distance between the two points joined to create a bend of theta.
 
     Equals ``2*d_g/sqrt(2 + 2*cos(theta)) + 2*r*theta``; with d_g = 0 this
-    reduces to ``2*r*theta`` exactly. Diverges as |theta| approaches pi.
+    reduces to ``2*r*theta`` exactly. Diverges as |theta| approaches pi, and
+    raises SingularityError past ``_THETA_MAX`` or where the gap term overflows.
     """
     theta, r, d_g = float(theta), float(r), float(d_g)
     if not math.isfinite(r) or r <= 0.0:
@@ -130,10 +132,19 @@ def axial_fold_distance(theta: float, r: float, d_g: float = 0.0) -> float:
         raise ValidationError(f"d_g must be >= 0, got {d_g}")
     if not math.isfinite(theta):
         raise ValidationError(f"theta must be finite, got {theta}")
-    if abs(theta) >= _THETA_LIMIT:
+    if abs(theta) > _THETA_MAX:
         raise SingularityError(
             f"theta = {theta:.6g} rad: fold distance diverges at |theta| = pi")
-    return 2.0 * d_g / math.sqrt(2.0 + 2.0 * math.cos(theta)) + 2.0 * r * theta
+    if d_g == 0.0:
+        return 2.0 * r * theta
+    # sqrt(2 + 2cos(theta)) = 2|cos(theta/2)|; the right side stays accurate
+    # near pi, where 2 + 2cos(theta) rounds to 0, and _THETA_MAX keeps it > 0
+    gap = d_g / abs(math.cos(0.5 * theta))
+    if not math.isfinite(gap):
+        raise SingularityError(
+            f"theta = {theta!r} rad: gap term d_g/|cos(theta/2)| overflows "
+            f"for d_g = {d_g!r} mm")
+    return gap + 2.0 * r * theta
 
 
 def cylinder_length(a: float, s_tilde_i: float, s_tilde_next: float,
@@ -246,7 +257,7 @@ def compile_plan(chain: DHChain, gap: GapModel) -> FabricationPlan:
 
 def _solve_fold_angle(s_tilde: float, r: float, d_g: float) -> float:
     """Invert the fold-distance formula for theta in [0, pi) by bisection."""
-    lo, hi = 0.0, math.pi - 1e-6
+    lo, hi = 0.0, _THETA_MAX
     f_lo = axial_fold_distance(lo, r, d_g) - s_tilde
     if f_lo > _BISECT_TOL:
         raise InversionError(

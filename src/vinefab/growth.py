@@ -31,8 +31,8 @@ class GrowthState:
         total = self.chain.total_length
         if not 0.0 <= self.everted_length <= total:
             raise ValidationError(
-                f"everted_length must lie in [0, {total:.6g}] mm, "
-                f"got {self.everted_length:.6g}")
+                f"everted_length must lie in [0, {total!r}] mm, "
+                f"got {self.everted_length!r}")
 
 
 @dataclass(frozen=True)

@@ -12,19 +12,26 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "data")
 SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
-def run_cli(*args, cwd=None):
-    """Run `python -m vinefab ARGS` on this checkout's src/ tree.
+def cli_env():
+    """Environment for a child Python that imports this checkout's src/ tree.
 
     The child's PYTHONPATH starts with the absolute src/ path, so it imports
     the code under test whatever its cwd and whether or not another copy of
     vinefab is installed; existing PYTHONPATH entries follow it.
-    Returns (exit code, stdout bytes, stderr bytes).
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli(*args, cwd=None):
+    """Run `python -m vinefab ARGS` on this checkout's src/ tree.
+
+    Returns (exit code, stdout bytes, stderr bytes).
+    """
     proc = subprocess.run([sys.executable, "-m", "vinefab", *args],
-                          capture_output=True, cwd=cwd, env=env)
+                          capture_output=True, cwd=cwd, env=cli_env())
     return proc.returncode, proc.stdout, proc.stderr
 
 

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from vinefab import formats
 from vinefab.geometry import DHChain
 
-from conftest import run_cli
+from conftest import cli_env, run_cli
 
 
 @pytest.fixture
@@ -26,6 +28,29 @@ def test_plan_bundled_project(tmp_path, project_config):
                                [93.520, 87.041, 93.520], atol=1e-3)
     assert plan["joints"][1]["s_tilde_mm"] == pytest.approx(25.918, abs=1e-3)
     assert plan["arc_offsets_mm"][1] == pytest.approx(12.959, abs=1e-3)
+
+
+def test_cli_runs_without_scipy(tmp_path, project_config, data_dir):
+    # scipy is a test-only dependency: neither the import nor a plan or an
+    # analyze run (the studentized range p-values) may load it, and only
+    # analyze builds the quadrature rules
+    script = "\n".join([
+        "import sys",
+        "import vinefab.cli",
+        "from vinefab.special import _rules",
+        "after_import = 'scipy' in sys.modules",
+        "plan = vinefab.cli.main(['plan', '--config', sys.argv[1], '--out', sys.argv[3]])",
+        "rules_after_plan = _rules.cache_info().currsize",
+        "analyze = vinefab.cli.main(['analyze', '--samples', sys.argv[2], '--out', sys.argv[3]])",
+        "print(after_import, plan, rules_after_plan, analyze,",
+        "      _rules.cache_info().currsize, 'scipy' in sys.modules)",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, project_config,
+         os.path.join(data_dir, "dh_samples.csv"), str(tmp_path)],
+        capture_output=True, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == b"False 0 0 0 1 False"
 
 
 def test_plan_loop_gap_override(tmp_path, project_config):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vinefab.errors import (DegenerateJointWarning, InfeasibleLinkError,
-                            InversionError, SingularityError, ValidationError)
+                            InversionError, SingularityError, ValidationError,
+                            VinefabError)
 from vinefab.fabrication import (FabricationPlan, GapModel, JointSpec,
                                  arc_offset, axial_fold_distance, compile_plan,
                                  cylinder_length, recover_chain)
@@ -41,6 +42,36 @@ def test_fold_distance_domain():
         axial_fold_distance(0.5, -1.0, 0.0)
     with pytest.raises(ValidationError):
         axial_fold_distance(0.5, R, -0.1)
+
+
+def test_fold_distance_near_pi():
+    # 2 + 2cos(theta) rounds to 0 here; the fold distance is still finite
+    theta = math.pi - 1e-10
+    assert axial_fold_distance(theta, R, 0.0) == 2.0 * R * theta
+    assert axial_fold_distance(-theta, R, 0.0) == -2.0 * R * theta
+    # the gap term is d_g / sin((pi - theta)/2), with pi - theta ~ 1e-10
+    assert axial_fold_distance(theta, R, 9.3) == pytest.approx(
+        9.3 / math.sin(5e-11) + 2.0 * R * theta, rel=1e-5)
+    # the |cos(theta/2)| form agrees with the formula where both are accurate
+    for th in np.linspace(-3.0, 3.0, 61):
+        assert axial_fold_distance(th, R, 9.3) == pytest.approx(
+            2.0 * 9.3 / math.sqrt(2.0 + 2.0 * math.cos(th)) + 2.0 * R * th,
+            rel=1e-13)
+    # a gap term that overflows is a singularity, not an infinite fold
+    with pytest.raises(SingularityError):
+        axial_fold_distance(math.pi - 2e-12, R, 1e300)
+    with pytest.raises(VinefabError):
+        axial_fold_distance(math.pi - 1e-13, R, 0.0)
+
+
+@pytest.mark.parametrize("gap", [TAPE, LOOP])
+def test_recover_near_theta_limit(gap):
+    # a plan that compiles must also recover, right up to the compile limit
+    theta = math.pi - 1e-7
+    chain = DHChain.from_arrays([1e9, 1e9], [0.3, 0.0], [theta, 1.0], radius=R)
+    back = recover_chain(compile_plan(chain, gap), gap)
+    np.testing.assert_allclose(back.thetas(), chain.thetas(), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(back.lengths(), chain.lengths(), rtol=1e-12)
 
 
 def test_gap_reduction_identity():

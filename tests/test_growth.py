@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,18 @@ from vinefab.growth import (Box, ClearanceResult, GrowthState, ObstacleScene,
 
 from conftest import random_feasible_chain
 from oracles import fk_homogeneous, point_segment_distance
+
+
+def test_range_error_shows_both_numbers_exactly():
+    chain = DHChain.from_arrays([10.1, 20.2, 30.3], [0.0, 0.0, 0.0],
+                                [0.0, 0.5, 0.5], radius=5.0)
+    total = chain.total_length
+    with pytest.raises(ValidationError) as info:
+        GrowthState(chain, math.nextafter(total, math.inf))
+    bound, got = re.search(r"\[0, (\S+)\] mm, got (\S+)$", str(info.value)).groups()
+    assert bound != got
+    assert float(bound) == total
+    assert float(got) == math.nextafter(total, math.inf)
 
 
 def test_tip_at_zero_is_base_frame(three_bend_chain):

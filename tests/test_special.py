@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import studentized_range
 
 from vinefab.errors import ValidationError
 from vinefab.special import (chi2_sf, f_sf, log_gamma, normal_cdf,
@@ -128,13 +129,29 @@ def test_studentized_range_against_monte_carlo():
         assert studentized_range_cdf(q, 3, 10.0) == pytest.approx(r, abs=3e-3)
 
 
+@pytest.mark.parametrize("k", [2, 3, 5, 10, 20])
+def test_studentized_range_against_scipy(k):
+    qs = np.array([0.05, 0.3, 1.0, 2.5, 4.0, 6.0, 10.0, 20.0, 40.0])
+    # df < 2 puts most of the pooled SD's density far below its mode, where
+    # the fixed rule is widest
+    for df in (0.5, 1.0, 1.5, 2.0, 4.0, 7.0, 30.0, 120.0, 500.0, 1000.0):
+        ref = studentized_range.cdf(qs, k, df)
+        for q, r in zip(qs, ref):
+            assert studentized_range_cdf(q, k, df) == pytest.approx(r, abs=1e-10), \
+                (q, k, df)
+
+
 def test_studentized_range_domain():
     assert studentized_range_cdf(0.0, 3, 10.0) == 0.0
     assert studentized_range_cdf(-1.0, 3, 10.0) == 0.0
+    assert studentized_range_cdf(math.inf, 3, 10.0) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValidationError):
         studentized_range_cdf(2.0, 1, 10.0)
+    for df in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            studentized_range_cdf(2.0, 3, df)
     with pytest.raises(ValidationError):
-        studentized_range_cdf(2.0, 3, 0.0)
+        studentized_range_cdf(math.nan, 3, 10.0)
 
 
 def test_probability_outputs_bounded():
