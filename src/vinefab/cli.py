@@ -54,16 +54,26 @@ def _load_config(path):
     return data, resolve
 
 
-def _chain_from_path(path, radius=None):
-    if path.lower().endswith(".csv"):
+def _load_chain(source, flag_radius, config_radius):
+    """Chain from a polyline CSV path, a chain JSON path or an inline chain."""
+    if isinstance(source, str) and source.lower().endswith(".csv"):
+        radius = flag_radius if flag_radius is not None else config_radius
         if radius is None:
             raise ValidationError(
                 "a polyline chain source needs a radius (--radius or config "
                 "radius_mm)")
-        points = formats.read_polyline(path)
-        canonical, _ = canonicalize_polyline(points)
+        canonical, _ = canonicalize_polyline(formats.read_polyline(source))
         return polyline_to_dh(canonical, radius=radius)
-    return formats.read_chain(path)
+    if flag_radius is not None:
+        raise ValidationError(
+            "--radius applies only to a polyline CSV chain; a chain JSON "
+            "carries its own radius_mm")
+    if isinstance(source, dict):
+        return formats.chain_from_dict(source, context="config chain")
+    if not isinstance(source, str):
+        raise ValidationError(
+            f"a chain source must be a file path or a chain object, got {source!r}")
+    return formats.read_chain(source)
 
 
 def _build_project(args, need_chain=True) -> Project:
@@ -74,22 +84,15 @@ def _build_project(args, need_chain=True) -> Project:
 
     chain = None
     if need_chain:
-        radius = args.radius if args.radius is not None else config.get("radius_mm")
-        chain_sources = []
-        if args.chain:
-            chain_sources.append(("flag --chain", args.chain, False))
-        if "chain" in config:
-            chain_sources.append(("config chain", config["chain"], True))
-        if len(chain_sources) != 1:
+        n_sources = bool(args.chain) + ("chain" in config)
+        if n_sources != 1:
             raise ValidationError(
                 "exactly one chain source required (either --chain or the "
-                f"config 'chain' field); got {len(chain_sources)}")
-        _, source, from_config = chain_sources[0]
-        if isinstance(source, dict):
-            chain = formats.chain_from_dict(source, context="config chain")
-        else:
-            path = resolve(source) if from_config else source
-            chain = _chain_from_path(path, radius=radius)
+                f"config 'chain' field); got {n_sources}")
+        source = args.chain or config["chain"]
+        if not args.chain and isinstance(source, str):
+            source = resolve(source)
+        chain = _load_chain(source, args.radius, config.get("radius_mm"))
 
     gap_cfg = config.get("gap", {})
     method = args.method or gap_cfg.get("method", "tape")
@@ -236,7 +239,8 @@ def _add_common(sub):
     sub.add_argument("--config", help="project config JSON")
     sub.add_argument("--chain", help="chain JSON or polyline CSV")
     sub.add_argument("--radius", type=float,
-                     help="body radius in mm (required for polyline chains)")
+                     help="body radius in mm of a polyline CSV chain (rejected "
+                          "for a chain JSON, which carries its own)")
     sub.add_argument("--method", choices=("tape", "weld", "loop"),
                      help="fastening method (default tape)")
     sub.add_argument("--d-g", dest="d_g", type=float,

@@ -3,11 +3,11 @@
 The body is a tube of radius r. A discrete bend of angle theta is created by
 joining two points on the same circumferential meridian separated by an axial
 distance s_tilde; consecutive bends are offset along the circumference by an
-arc length s that realizes the link twist. A single bend of -theta at
-meridian c is the same fold as +theta at meridian c + pi*r, so fold distances
-are always computed from |theta|, while joint placement follows the signed
-arc-offset formula as given. Compile/recover round trips are exact on chains
-whose bends are all nonnegative (the recovery gauge).
+arc length s that realizes the link twist. A bend of -theta at meridian c is
+the same fold as +theta at meridian c + pi*r, so fold distances are computed
+from |theta| and the arc offsets from ``geometry.gauge_twist``, the twist
+once both bends are nonnegative. Plans of signed chains therefore fold the
+designed shape, and recover_chain returns it in that nonnegative gauge.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DegenerateJointWarning, InfeasibleLinkError,
                      InversionError, SingularityError, ValidationError)
-from .geometry import DHChain, wrap_angle
+from .geometry import DHChain, gauge_twist, wrap_angle
 
 GAP_METHODS = ("tape", "weld", "loop")
 
@@ -165,25 +165,22 @@ def cylinder_length(a: float, s_tilde_i: float, s_tilde_next: float,
     return l
 
 
-def _sgn(x: float) -> float:
-    return float(np.sign(x))
-
-
 def arc_offset(alpha: float, theta_i: float, theta_next: float, r: float) -> float:
     """Circumferential arc between consecutive joints realizing twist alpha.
 
-    ``r * sgn(theta_i*theta_next) * (alpha - min(0, pi*sgn(theta_next)))``.
-    A zero joint angle collapses the offset to 0 (sgn(0) = 0); when that
+    ``r * gauge_twist(alpha, theta_i, theta_next)``, not wrapped. A zero
+    joint angle has no fold to place, so the offset collapses to 0; when that
     discards a nonzero twist a DegenerateJointWarning is emitted.
     """
     if not math.isfinite(r) or r <= 0.0:
         raise ValidationError(f"r must be > 0, got {r}")
-    sign_pair = _sgn(theta_i * theta_next)
-    if sign_pair == 0.0 and alpha != 0.0:
-        warnings.warn(
-            f"zero joint angle collapses arc offset for twist {alpha:.6g} rad",
-            DegenerateJointWarning, stacklevel=2)
-    return r * sign_pair * (alpha - min(0.0, math.pi * _sgn(theta_next)))
+    if theta_i == 0.0 or theta_next == 0.0:
+        if alpha != 0.0:
+            warnings.warn(f"zero joint angle collapses arc offset for "
+                          f"twist {alpha:.6g} rad",
+                          DegenerateJointWarning, stacklevel=2)
+        return 0.0
+    return r * gauge_twist(alpha, theta_i, theta_next)
 
 
 def compile_plan(chain: DHChain, gap: GapModel) -> FabricationPlan:
@@ -219,24 +216,21 @@ def compile_plan(chain: DHChain, gap: GapModel) -> FabricationPlan:
     # into the next folding joint so that c accumulates correctly
     arcs = np.zeros(max(n - 1, 0))
     pending = 0.0
-    pending_degenerate = False
-    ref_theta = thetas[0]
+    # angle of the last folding joint; a foldless start counts as nonnegative
+    last_fold = thetas[0]
     for i in range(n - 1):
         pending += alphas[i]
-        if thetas[i + 1] != 0.0:
-            ref = ref_theta if ref_theta != 0.0 else thetas[i + 1]
-            if pending_degenerate and pending != 0.0:
-                warnings.warn(
-                    f"carrying twist {pending:.6g} rad across foldless joints "
-                    f"into joint {i + 2} placement",
-                    DegenerateJointWarning, stacklevel=2)
-            arcs[i] = arc_offset(pending, ref, thetas[i + 1], r)
-            pending = 0.0
-            pending_degenerate = False
-            ref_theta = thetas[i + 1]
-        else:
+        if thetas[i + 1] == 0.0:
             arcs[i] = arc_offset(alphas[i], thetas[i], thetas[i + 1], r)
-            pending_degenerate = True
+            continue
+        if i > 0 and thetas[i] == 0.0 and pending != 0.0:
+            warnings.warn(
+                f"carrying twist {pending:.6g} rad across foldless joints "
+                f"into joint {i + 2} placement",
+                DegenerateJointWarning, stacklevel=2)
+        arcs[i] = r * gauge_twist(pending, last_fold, thetas[i + 1])
+        pending = 0.0
+        last_fold = thetas[i + 1]
 
     circumference = 2.0 * math.pi * r
     joints = []
@@ -279,10 +273,12 @@ def _solve_fold_angle(s_tilde: float, r: float, d_g: float) -> float:
 def recover_chain(plan: FabricationPlan, gap: GapModel) -> DHChain:
     """Invert compile_plan: fabrication parameters back to a DH chain.
 
-    Returns the nonnegative-angle gauge: every recovered joint angle lies in
-    [0, pi), and the arc offsets are read back under that gauge, which makes
-    this an exact inverse for chains whose bends are all nonnegative. The
-    last link's twist leaves no trace in the plan and is 0.
+    Returns the nonnegative gauge: every recovered joint angle lies in
+    [0, pi) and each twist is its arc offset over r, so the recovered chain
+    folds the designed shape. A chain with negative bends comes back with
+    |theta| and the twists of ``gauge_twist``; when theta_1 < 0 its base
+    frame is also turned by pi about x. The last link's twist leaves
+    no trace in the plan and is 0.
     """
     r = plan.radius
     n = plan.n
@@ -297,14 +293,7 @@ def recover_chain(plan: FabricationPlan, gap: GapModel) -> DHChain:
         lengths[i] = plan.cylinders[i] + (plan.joints[i].s_tilde + s_next) / 4.0
 
     alphas = np.zeros(n)
-    ref_theta = thetas[0]
     for i in range(n - 1):
-        if thetas[i + 1] != 0.0:
-            ref = ref_theta if ref_theta != 0.0 else thetas[i + 1]
-            sign_pair = _sgn(ref * thetas[i + 1])
-            alphas[i] = wrap_angle(
-                plan.arc_offsets[i] / (r * sign_pair)
-                + min(0.0, math.pi * _sgn(thetas[i + 1])))
-            ref_theta = thetas[i + 1]
+        alphas[i] = wrap_angle(plan.arc_offsets[i] / r)
 
     return DHChain.from_arrays(lengths, alphas, thetas, radius=r)

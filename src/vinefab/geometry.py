@@ -34,6 +34,17 @@ def wrap_angle(x: float) -> float:
     return y - math.pi
 
 
+def gauge_twist(alpha: float, theta_i: float, theta_next: float) -> float:
+    """Twist between joints i and i+1 once both bends are made nonnegative.
+
+    A bend of -theta at meridian c is the +theta fold at c + pi*r, so each
+    negative bend shifts the twist by pi. The result is not wrapped; with no
+    negative bend it is bit-for-bit alpha.
+    """
+    # float(): numpy bools refuse `-`
+    return alpha - math.pi * (float(theta_next < 0.0) - float(theta_i < 0.0))
+
+
 def rot_z(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -176,18 +187,15 @@ class DHChain:
     radius: float
 
     def __post_init__(self):
-        raw = tuple(self.links)
-        if len(raw) < 1:
+        links = tuple(self.links)
+        if len(links) < 1:
             raise ValidationError("chain needs at least one link")
-        links = []
-        for i, link in enumerate(raw, start=1):
+        for i, link in enumerate(links, start=1):
             if not isinstance(link, DHLink):
-                try:
-                    link = DHLink(**link) if isinstance(link, dict) else DHLink(*link)
-                except (TypeError, ValidationError) as exc:
-                    raise ValidationError(f"link {i}: {exc}") from exc
-            links.append(link)
-        object.__setattr__(self, "links", tuple(links))
+                raise ValidationError(
+                    f"link {i}: expected a DHLink, got {type(link).__name__} "
+                    "(use DHChain.from_arrays for raw parameters)")
+        object.__setattr__(self, "links", links)
         object.__setattr__(self, "radius", float(self.radius))
         if not math.isfinite(self.radius) or self.radius <= 0.0:
             raise ValidationError(f"radius must be > 0, got {self.radius}")
@@ -249,8 +257,9 @@ def canonicalize_polyline(points: np.ndarray):
 
     Returns (canonical_points, base_pose) with
     ``base_pose.apply(canonical_points) == points``. The canonical polyline
-    starts at the origin with its first segment along +x and its first
-    bending plane (if any bend exists) in the x-y plane.
+    starts at the origin with its first segment exactly along +x, so joint 1
+    does not bend, and its first bending plane (if any bend exists) in the
+    x-y plane.
     """
     p = np.asarray(points, float).reshape(-1, 3)
     if p.shape[0] < 2:
@@ -276,7 +285,11 @@ def canonicalize_polyline(points: np.ndarray):
         zhat /= np.linalg.norm(zhat)
     yhat = np.cross(zhat, xhat)
     base = RigidPose(np.column_stack([xhat, yhat, zhat]), p[0])
-    return base.inverse().apply(p), base
+    canonical = base.inverse().apply(p)
+    # the first segment lies on +x by construction; left ~1e-16 rad off by
+    # rounding, it would read as a bend (and a fold) at joint 1
+    canonical[:2] = [[0.0, 0.0, 0.0], [nu, 0.0, 0.0]]
+    return canonical, base
 
 
 def polyline_to_dh(points: np.ndarray, radius: float) -> DHChain:

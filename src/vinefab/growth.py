@@ -17,6 +17,8 @@ from .errors import ValidationError
 from .geometry import DHChain, RigidPose, fk_chain, rot_z
 
 DEFAULT_SWEEP_STEP_MM = 1.0
+# most centerline samples one sweep may take: a few hundred MB of arrays
+MAX_SWEEP_SAMPLES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -151,10 +153,15 @@ def sweep_samples(state: GrowthState, step: float = DEFAULT_SWEEP_STEP_MM
     """Sample the everted centerline every `step` mm, plus the tip.
 
     Returns (arc_lengths, centers): floor(everted/step) + 1 grid samples and
-    one tip sample, so both endpoints are always present.
+    one tip sample, so both endpoints are always present. A step that would
+    take more than MAX_SWEEP_SAMPLES samples is rejected before allocating.
     """
     if not 0.0 < step < math.inf:
         raise ValidationError(f"step must be finite and > 0, got {step}")
+    if not state.everted_length / step < MAX_SWEEP_SAMPLES - 1:
+        raise ValidationError(
+            f"step {step!r} mm would sample the {state.everted_length!r} mm "
+            f"body at more than {MAX_SWEEP_SAMPLES} points; use a larger step")
     n_grid = int(math.floor(state.everted_length / step)) + 1
     s = np.append(np.arange(n_grid) * step, state.everted_length)
     return s, centerline_points(state, s)

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import (DegenerateGeometryError, MissingMarkerError,
                      ValidationError)
-from .geometry import DHChain, RigidPose, dh_to_polyline, fk_chain, nearest_rotation
+from .geometry import (DHChain, RigidPose, dh_to_polyline, fk_chain,
+                       gauge_twist, nearest_rotation, wrap_angle)
 
 # offset of the neighbor-facing markers from their joint, per the measurement jig
 DEFAULT_MARKER_OFFSET_MM = 76.5
@@ -188,7 +189,9 @@ def dh_errors(measured: MeasuredDH, target: DHChain) -> list:
 
     The measured set must cover the full chain: bend joints 2..n, twists of
     the links between them, and all n link lengths. Targets are compared in
-    the nonnegative-angle gauge (|theta|), matching the recovery.
+    the nonnegative gauge the recovery measures in: joint targets are
+    |theta| and twist targets ``gauge_twist`` of the two bends, wrapped into
+    (-pi, pi] when exactly one of them is negative.
     """
     n = target.n
     joint_idx = [j for j, _ in measured.joint_thetas]
@@ -207,7 +210,10 @@ def dh_errors(measured: MeasuredDH, target: DHChain) -> list:
         rows.append(ErrorRow("joint", j, math.degrees(t), math.degrees(th),
                              math.degrees(th - t), measured.phase))
     for (i, al) in measured.link_alphas:
-        t = target.links[i - 1].alpha
+        alpha = target.links[i - 1].alpha
+        t = gauge_twist(alpha, target.links[i - 1].theta, target.links[i].theta)
+        if t != alpha:  # shifted by pi, so it may leave (-pi, pi]
+            t = wrap_angle(t)
         rows.append(ErrorRow("twist", i, math.degrees(t), math.degrees(al),
                              math.degrees(al - t), measured.phase))
     for (i, a) in measured.link_lengths:

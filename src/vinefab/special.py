@@ -85,11 +85,16 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
+def _gamma_iterations(a: float) -> int:
+    # near x = a the series needs about 8*sqrt(a) terms, the fraction 3*sqrt(a)
+    return _MAX_ITER + int(10.0 * math.sqrt(a))
+
+
 def _gamma_series(a: float, x: float) -> float:
     term = 1.0 / a
     total = term
     denom = a
-    for _ in range(_MAX_ITER):
+    for _ in range(_gamma_iterations(a)):
         denom += 1.0
         term *= x / denom
         total += term
@@ -103,7 +108,7 @@ def _gamma_cf(a: float, x: float) -> float:
     c = 1.0 / _FPMIN
     d = 1.0 / b
     h = d
-    for i in range(1, _MAX_ITER + 1):
+    for i in range(1, _gamma_iterations(a) + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -122,8 +127,8 @@ def _gamma_cf(a: float, x: float) -> float:
 
 def _gamma_args(a: float, x: float) -> tuple[float, float]:
     a, x = float(a), float(x)
-    if a <= 0.0:
-        raise ValidationError(f"a must be > 0, got {a}")
+    if not 0.0 < a < math.inf:
+        raise ValidationError(f"a must be finite and > 0, got {a}")
     if x < 0.0:
         raise ValidationError(f"x must be >= 0, got {x}")
     return a, x

@@ -1,8 +1,9 @@
 """Independent reference implementations used only to check the library.
 
 These deliberately avoid the library's own code paths: forward kinematics is
-done with literal 4x4 homogeneous matrices, ANOVA with textbook loops, and
-distribution values by Monte Carlo sampling.
+done with literal 4x4 homogeneous matrices, a fabrication plan is checked by
+folding the tube it describes, ANOVA with textbook loops, and distribution
+values by Monte Carlo sampling.
 """
 
 import math
@@ -24,6 +25,43 @@ def fk_homogeneous(a, alpha, theta):
         ])
         frames.append(frames[-1] @ t)
     return frames
+
+
+def _rx(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def _rz(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def fold_tube(plan, thetas_abs, lengths):
+    """Centerline vertices (n+1, 3) of the tube a plan folds, with no DH algebra.
+
+    The tube runs along the x axis of its local frame M with meridian 0 on +y.
+    Joint i folds by |theta_i| toward its meridian, phi = circumferential/r
+    around the tube: M <- M Rx(phi) Rz(|theta_i|) Rx(-phi). Link i then runs
+    lengths[i] along M's x axis.
+    """
+    m = np.eye(3)
+    points = [np.zeros(3)]
+    for joint, theta, a in zip(plan.joints, thetas_abs, lengths):
+        phi = joint.circumferential / plan.radius
+        m = m @ _rx(phi) @ _rz(theta) @ _rx(-phi)
+        points.append(points[-1] + a * m[:, 0])
+    return np.array(points)
+
+
+def kabsch_residual(p, q):
+    """Largest point distance between p and q after the best rigid fit of p onto q."""
+    p, q = np.asarray(p, float), np.asarray(q, float)
+    pc, qc = p - p.mean(axis=0), q - q.mean(axis=0)
+    u, _, vt = np.linalg.svd(pc.T @ qc)
+    d = np.sign(np.linalg.det(vt.T @ u.T)) or 1.0
+    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    return float(np.max(np.linalg.norm(pc @ rot.T - qc, axis=1)))
 
 
 def anova_brute(groups):

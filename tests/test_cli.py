@@ -128,6 +128,25 @@ def test_polyline_chain_source(tmp_path, data_dir):
     assert code == 0
 
 
+def test_radius_rejected_for_json_chain(tmp_path, data_dir, project_config):
+    # a chain JSON carries its own radius; a --radius next to it would be ignored
+    chain = os.path.join(data_dir, "chain_threebend.json")
+    for source in (("--chain", chain), ("--config", project_config)):
+        code, _, err = run_cli("plan", *source, "--radius", "-1",
+                               "--out", str(tmp_path))
+        assert code == 1
+        assert b"--radius applies only to a polyline CSV chain" in err
+    assert not (tmp_path / "plan.json").exists()
+
+
+def test_grow_sweep_step_sample_cap(tmp_path, project_config):
+    code, _, err = run_cli("grow", "--config", project_config, "--steps", "1",
+                           "--sweep-step", "1e-9", "--out", str(tmp_path))
+    assert code == 1
+    assert err.startswith(b"error: step 1e-09 mm would sample the 300.0 mm "
+                          b"body at more than 10000000 points")
+
+
 def test_measure_bundled_markers(tmp_path, project_config, data_dir):
     code, out, _ = run_cli("measure", "--config", project_config,
                            "--markers", os.path.join(data_dir, "markers_pre.csv"),
@@ -195,6 +214,12 @@ def test_exactly_one_chain_source(tmp_path, data_dir, project_config):
     assert b"exactly one chain source" in err
     code, _, err = run_cli("plan", "--out", str(tmp_path))
     assert code == 1
+    # a config chain that is neither a path nor a chain object
+    config = tmp_path / "bad.json"
+    config.write_text('{"chain": 5}')
+    code, _, err = run_cli("plan", "--config", str(config), "--out", str(tmp_path))
+    assert code == 1
+    assert err.startswith(b"error: a chain source must be a file path or a chain")
 
 
 def test_analyze_single_group_notice(tmp_path):

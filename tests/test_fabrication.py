@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from vinefab.errors import (DegenerateJointWarning, InfeasibleLinkError,
                             InversionError, SingularityError, ValidationError,
                             VinefabError)
-from vinefab.fabrication import (FabricationPlan, GapModel, JointSpec,
-                                 arc_offset, axial_fold_distance, compile_plan,
-                                 cylinder_length, recover_chain)
-from vinefab.geometry import DHChain, dh_to_polyline
+from vinefab.fabrication import (GAP_METHODS, FabricationPlan, GapModel,
+                                 JointSpec, arc_offset, axial_fold_distance,
+                                 compile_plan, cylinder_length, recover_chain)
+from vinefab.geometry import DHChain, dh_to_polyline, fk_chain
 
 from conftest import random_feasible_chain
+from oracles import fold_tube, kabsch_residual
 
 R = 16.5
 TAPE = GapModel.for_method("tape")
@@ -192,6 +193,32 @@ def test_round_trip_random_chains():
             np.testing.assert_allclose(back.alphas(), chain.alphas(), atol=1e-9)
             np.testing.assert_allclose(back.lengths(), chain.lengths(), atol=1e-9)
             assert back.radius == chain.radius
+
+
+_signed_bend = st.one_of(
+    st.just(0.0),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(3.0, 150.0)).map(
+        lambda sd: sd[0] * math.radians(sd[1])))
+_signed_links = st.lists(
+    st.tuples(st.floats(120.0, 300.0), st.floats(-math.pi + 1e-6, math.pi),
+              _signed_bend), min_size=1, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(links=_signed_links, r=st.floats(10.0, 25.0),
+       method=st.sampled_from(GAP_METHODS))
+def test_compiled_plan_folds_the_designed_shape(links, r, method):
+    # signed bends, zero bends included: the tube the plan folds is the
+    # designed centerline, and so is the recovered chain
+    a, alpha, theta = (list(v) for v in zip(*links))
+    chain = DHChain.from_arrays(a, alpha, theta, radius=r)
+    gap = GapModel.for_method(method)
+    design = np.array([f.translation for f in fk_chain(chain)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateJointWarning)
+        plan = compile_plan(chain, gap)
+    assert kabsch_residual(fold_tube(plan, np.abs(theta), a), design) <= 1e-9
+    assert kabsch_residual(dh_to_polyline(recover_chain(plan, gap)), design) <= 1e-9
 
 
 def test_recover_straight_plan():

@@ -93,6 +93,11 @@ def test_invalid_links_name_index():
         DHLink(a=100, d=1.0)
     with pytest.raises(ValidationError):
         DHChain(links=(), radius=16.5)
+    # raw parameters go through from_arrays, not the constructor
+    with pytest.raises(ValidationError, match="link 2: expected a DHLink"):
+        DHChain(links=(DHLink(a=100), {"a": 100}), radius=16.5)
+    with pytest.raises(ValidationError, match="link 1: expected a DHLink"):
+        DHChain(links=((100.0, 0.0, 0.0),), radius=16.5)
     with pytest.raises(ValidationError, match="radius"):
         DHChain.from_arrays([100], [0], [0], 0.0)
 
@@ -218,6 +223,8 @@ def test_canonicalize_polyline_round_trip():
         chain = polyline_to_dh(canonical, 16.5)
         np.testing.assert_allclose(base.apply(dh_to_polyline(chain)), raw,
                                    atol=1e-6)
+        # no rounding-level bend, which would compile to a fold at joint 1
+        assert chain.thetas()[0] == 0.0
 
 
 @settings(max_examples=50, deadline=None)

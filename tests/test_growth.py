@@ -7,9 +7,9 @@ import pytest
 from vinefab.errors import ValidationError
 from vinefab.geometry import (DHChain, RigidPose, dh_to_polyline, fk_chain,
                               rot_z)
-from vinefab.growth import (Box, ClearanceResult, GrowthState, ObstacleScene,
-                            Sphere, clearance, growth_trace, sweep_samples,
-                            tip_pose_at)
+from vinefab.growth import (MAX_SWEEP_SAMPLES, Box, ClearanceResult,
+                            GrowthState, ObstacleScene, Sphere, clearance,
+                            growth_trace, sweep_samples, tip_pose_at)
 
 from conftest import random_feasible_chain
 from oracles import fk_homogeneous, point_segment_distance
@@ -87,6 +87,10 @@ def test_sweep_sample_counts():
         assert centers.shape[0] == math.floor(L / step) + 2
     for bad in (0.0, math.inf, math.nan):
         with pytest.raises(ValidationError):
+            sweep_samples(GrowthState(chain, 100.0), step=bad)
+    # one sample past the cap, and steps whose count overflows a float
+    for bad in (100.0 / (MAX_SWEEP_SAMPLES - 1), 1e-9, 5e-324):
+        with pytest.raises(ValidationError, match=f"more than {MAX_SWEEP_SAMPLES}"):
             sweep_samples(GrowthState(chain, 100.0), step=bad)
 
 

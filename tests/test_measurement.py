@@ -153,12 +153,20 @@ def test_duplicate_marker_rejected(three_bend_chain):
         recover_dh(recs + [recs[0]])
 
 
+# bends of both signs: joints 2/3 and 4/5 flip once, joints 3/4 are both negative
+MIXED_SIGN_CHAIN = DHChain.from_arrays(
+    [200.0] * 5, [0.0, 0.4, -1.1, 2.5, 0.0],
+    np.radians([0.0, 45.0, -60.0, -30.0, 50.0]), radius=16.5)
+
+
 def test_dh_errors_zero_for_exact_match(three_bend_chain):
-    measured = recover_dh(synthetic_markers(three_bend_chain))
-    rows = dh_errors(measured, three_bend_chain)
-    assert len(rows) == 6  # 2 joints + 1 twist + 3 lengths
-    for row in rows:
-        assert abs(row.error) < 1e-9
+    for chain, n_rows in ((three_bend_chain, 6),    # 2 joints + 1 twist + 3 lengths
+                          (MIXED_SIGN_CHAIN, 12)):  # 4 joints + 3 twists + 5 lengths
+        measured = recover_dh(synthetic_markers(chain))
+        rows = dh_errors(measured, chain)
+        assert len(rows) == n_rows
+        for row in rows:
+            assert abs(row.error) < 1e-9
 
 
 def test_dh_errors_representative_magnitudes(three_bend_chain):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammainc, gammaincc
 from scipy.stats import studentized_range
 
 from vinefab.errors import ValidationError
@@ -78,6 +79,27 @@ def test_incomplete_gamma_identities():
             regularized_incomplete_gamma_q(3.0, x) == pytest.approx(1.0, abs=1e-13)
     assert regularized_incomplete_gamma_p(2.0, 0.0) == 0.0
     assert regularized_incomplete_gamma_q(2.0, 0.0) == 1.0
+    for bad_a in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="a must be finite and > 0"):
+            regularized_incomplete_gamma_q(bad_a, 1.0)
+
+
+@pytest.mark.parametrize("a", [0.5, 3.0, 50.0, 1e3, 5e3, 1e4, 1e5, 1e6])
+def test_incomplete_gamma_against_scipy(a):
+    # x from a - 8 sqrt(a) to a + 20 sqrt(a): near x = a the series and the
+    # fraction need terms in proportion to sqrt(a). At a = 1e6 the exp of
+    # terms near 1e7 leaves ~1e-9 relative error, so rel 1e-8; abs 1e-12
+    # covers tails where scipy itself is off (6e-7 relative at P(1e6, a - 6e3))
+    for z in (-8.0, -6.0, -3.0, -1.0, -0.1, 0.0, 0.1, 1.0, 3.0, 6.0, 20.0):
+        x = a + z * math.sqrt(a)
+        if x <= 0.0:
+            continue
+        assert regularized_incomplete_gamma_p(a, x) == pytest.approx(
+            gammainc(a, x), rel=1e-8, abs=1e-12)
+        assert regularized_incomplete_gamma_q(a, x) == pytest.approx(
+            gammaincc(a, x), rel=1e-8, abs=1e-12)
+    assert chi2_sf(2.0 * a, 2.0 * a) == pytest.approx(gammaincc(a, a),
+                                                      rel=1e-8, abs=1e-12)
 
 
 def test_tail_function_relations():
