@@ -123,8 +123,8 @@ def write_sample_table(rng):
                           os.path.join(HERE, "dh_samples.csv"))
 
 
-def write_growth_tables(rng):
-    """Plain CSVs shaped like minimum-pressure and time-vs-pressure data."""
+def write_growth_pressures(rng):
+    """A plain CSV shaped like minimum-pressure data."""
     base_pressure = {("tape", "ldpe"): 11.5, ("tape", "fabric"): 16.5,
                      ("weld", "fabric"): 17.0, ("loop", "ldpe"): 17.5,
                      ("loop", "fabric"): 22.5}
@@ -136,18 +136,6 @@ def write_growth_tables(rng):
                 p = base + rng.normal(0.0, 0.7)
                 fh.write(f"{method},{material},{method}-{material}-{k},"
                          f"{formats.fmt9(p)}\n")
-    with open(os.path.join(HERE, "growth_times.csv"), "w",
-              encoding="utf-8", newline="") as fh:
-        fh.write("method,material,robot_id,pressure_kpa,growth_time_s\n")
-        for (method, material), base in base_pressure.items():
-            for k in range(1, ROBOTS_PER_COMBO + 1):
-                for step in range(5):
-                    p = base + 1.38 * step + rng.normal(0.0, 0.3)
-                    # growth speeds of roughly 35-100 mm/s over a 3 m body
-                    speed = 35.0 + 7.0 * step + rng.normal(0.0, 4.0)
-                    t = 3000.0 / max(speed, 5.0)
-                    fh.write(f"{method},{material},{method}-{material}-{k},"
-                             f"{formats.fmt9(p)},{formats.fmt9(t)}\n")
 
 
 def main():
@@ -155,7 +143,7 @@ def main():
     chain = write_chain_and_scene()
     write_marker_logs(chain, rng)
     write_sample_table(rng)
-    write_growth_tables(rng)
+    write_growth_pressures(rng)
     plan = compile_plan(chain, GapModel.for_method("tape"))
     print(f"wrote bundled data to {HERE}")
     print(f"  three-bend plan total tube length: "

@@ -19,7 +19,7 @@ from .errors import (DegenerateDataError, DegenerateGeometryError,
                      SingularityError, ValidationError, VinefabError)
 from .fabrication import GapModel, compile_plan
 from .geometry import DHChain, canonicalize_polyline, fk_chain, polyline_to_dh
-from .growth import ObstacleScene, growth_trace
+from .growth import MAX_SWEEP_SAMPLES, ObstacleScene, growth_trace
 from .measurement import dh_errors, recover_dh
 from .pattern import write_pattern
 from .stats import analyze_table
@@ -177,8 +177,10 @@ def cmd_fk(project, args) -> int:
 
 def cmd_grow(project, args) -> int:
     total = project.chain.total_length
-    if args.steps < 1:
-        raise ValidationError(f"--steps must be >= 1, got {args.steps}")
+    # one row per step: bounded like a sweep, before the rows are built
+    if not 1 <= args.steps < MAX_SWEEP_SAMPLES:
+        raise ValidationError(
+            f"--steps must lie in [1, {MAX_SWEEP_SAMPLES - 1}], got {args.steps}")
     # total * steps / steps can round above total, which GrowthState rejects
     everted = [min(total * i / args.steps, total) for i in range(args.steps + 1)]
     tips, clearances = growth_trace(project.chain, everted, project.scene,

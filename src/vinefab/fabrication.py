@@ -135,16 +135,20 @@ def axial_fold_distance(theta: float, r: float, d_g: float = 0.0) -> float:
     if abs(theta) > _THETA_MAX:
         raise SingularityError(
             f"theta = {theta:.6g} rad: fold distance diverges at |theta| = pi")
-    if d_g == 0.0:
-        return 2.0 * r * theta
+    with np.errstate(over="ignore"):
+        s_tilde = float(_fold_distance(theta, r, d_g))
+    if not math.isfinite(s_tilde):
+        raise SingularityError(
+            f"theta = {theta!r} rad: fold distance overflows for r = {r!r} mm, "
+            f"d_g = {d_g!r} mm")
+    return s_tilde
+
+
+def _fold_distance(theta, r, d_g):
+    """Elementwise ``d_g/|cos(theta/2)| + 2*r*theta``; inf where it overflows."""
     # sqrt(2 + 2cos(theta)) = 2|cos(theta/2)|; the right side stays accurate
     # near pi, where 2 + 2cos(theta) rounds to 0, and _THETA_MAX keeps it > 0
-    gap = d_g / abs(math.cos(0.5 * theta))
-    if not math.isfinite(gap):
-        raise SingularityError(
-            f"theta = {theta!r} rad: gap term d_g/|cos(theta/2)| overflows "
-            f"for d_g = {d_g!r} mm")
-    return gap + 2.0 * r * theta
+    return d_g / np.abs(np.cos(0.5 * theta)) + 2.0 * r * theta
 
 
 def cylinder_length(a: float, s_tilde_i: float, s_tilde_next: float,
@@ -249,24 +253,26 @@ def compile_plan(chain: DHChain, gap: GapModel) -> FabricationPlan:
                            total_tube_length=z)
 
 
-def _solve_fold_angle(s_tilde: float, r: float, d_g: float) -> float:
-    """Invert the fold-distance formula for theta in [0, pi) by bisection."""
-    lo, hi = 0.0, _THETA_MAX
-    f_lo = axial_fold_distance(lo, r, d_g) - s_tilde
-    if f_lo > _BISECT_TOL:
-        raise InversionError(
-            f"s_tilde = {s_tilde:.6g} mm is below the d_g floor {d_g:.6g} mm; "
-            "no joint angle in [0, pi) produces it")
-    if axial_fold_distance(hi, r, d_g) < s_tilde:
-        raise InversionError(
-            f"s_tilde = {s_tilde:.6g} mm exceeds the fold distance of any "
-            "joint angle in [0, pi)")
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if axial_fold_distance(mid, r, d_g) < s_tilde:
-            lo = mid
-        else:
-            hi = mid
+def _solve_fold_angles(s_tilde: np.ndarray, r: float, d_g: float) -> np.ndarray:
+    """Invert the fold-distance formula for every theta in [0, pi) in one bisection."""
+    lo, hi = np.zeros_like(s_tilde), np.full_like(s_tilde, _THETA_MAX)
+    with np.errstate(over="ignore"):  # a fold distance past float range is inf
+        shortest = np.min(s_tilde, initial=math.inf)
+        if _fold_distance(0.0, r, d_g) - shortest > _BISECT_TOL:
+            raise InversionError(
+                f"s_tilde = {shortest:.6g} mm is below the d_g floor {d_g:.6g} mm; "
+                "no joint angle in [0, pi) produces it")
+        longest = np.max(s_tilde, initial=0.0)
+        if _fold_distance(_THETA_MAX, r, d_g) < longest:
+            raise InversionError(
+                f"s_tilde = {longest:.6g} mm exceeds the fold distance of any "
+                "joint angle in [0, pi)")
+        # every bracket starts as [0, _THETA_MAX], so all close on the same step
+        while (hi - lo).max(initial=0.0) > _BISECT_TOL:
+            mid = 0.5 * (lo + hi)
+            short = _fold_distance(mid, r, d_g) < s_tilde
+            lo = np.where(short, mid, lo)
+            hi = np.where(short, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -281,19 +287,10 @@ def recover_chain(plan: FabricationPlan, gap: GapModel) -> DHChain:
     no trace in the plan and is 0.
     """
     r = plan.radius
-    n = plan.n
-    thetas = np.zeros(n)
-    for i, joint in enumerate(plan.joints):
-        if joint.s_tilde > 0.0:
-            thetas[i] = _solve_fold_angle(joint.s_tilde, r, gap.d_g)
-
-    lengths = np.zeros(n)
-    for i in range(n):
-        s_next = plan.joints[i + 1].s_tilde if i + 1 < n else 0.0
-        lengths[i] = plan.cylinders[i] + (plan.joints[i].s_tilde + s_next) / 4.0
-
-    alphas = np.zeros(n)
-    for i in range(n - 1):
-        alphas[i] = wrap_angle(plan.arc_offsets[i] / r)
-
+    s_tilde = np.array([joint.s_tilde for joint in plan.joints])
+    folds = s_tilde > 0.0
+    thetas = np.zeros(plan.n)
+    thetas[folds] = _solve_fold_angles(s_tilde[folds], r, gap.d_g)
+    lengths = np.array(plan.cylinders) + (s_tilde + np.append(s_tilde[1:], 0.0)) / 4.0
+    alphas = [wrap_angle(arc / r) for arc in plan.arc_offsets] + [0.0]
     return DHChain.from_arrays(lengths, alphas, thetas, radius=r)

@@ -145,6 +145,10 @@ def read_polyline(path) -> np.ndarray:
         raise ValidationError(f"{path}: non-numeric coordinate ({exc})") from exc
     if pts.shape[0] < 2:
         raise ValidationError(f"{path}: polyline needs at least 2 points")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValidationError(f"{path}: line {i + 2}: non-finite coordinate {pts[i]}")
     return pts
 
 
@@ -231,13 +235,12 @@ def read_markers(path) -> list:
     order = []
     for i, row in enumerate(rows, start=2):
         try:
-            t = float(row["t_s"])
-            p = np.array([float(row["x_mm"]), float(row["y_mm"]),
-                          float(row["z_mm"])])
-            q = np.array([float(row["qw"]), float(row["qx"]),
-                          float(row["qy"]), float(row["qz"])])
+            values = [float(row[c]) for c in MARKER_HEADER[1:]]
         except ValueError as exc:
             raise ValidationError(f"{path}: line {i}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise ValidationError(f"{path}: line {i}: non-finite number in {values}")
+        t, p, q = values[0], np.array(values[1:4]), np.array(values[4:])
         norm = np.linalg.norm(q)
         if abs(norm - 1.0) > 1e-6:
             raise ValidationError(

@@ -7,6 +7,9 @@ Conventions used throughout the package:
   link i is ``Rot_z(theta_i) * Trans_x(a_i) * Rot_x(alpha_i)``;
 * the chain base coincides with the world frame, so frame 0 is the
   identity and each frame's x-axis points along the segment just traversed.
+
+:func:`chain_frames` is the one place a chain's frames are built, as arrays;
+FK, growth and marker synthesis all read them from it.
 """
 
 from __future__ import annotations
@@ -120,10 +123,6 @@ class RigidPose:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    @classmethod
-    def identity(cls) -> "RigidPose":
-        return cls(np.eye(3), np.zeros(3))
-
     def compose(self, other: "RigidPose") -> "RigidPose":
         """self applied first in world, then other in self's frame: self * other."""
         return RigidPose(self.rotation @ other.rotation,
@@ -164,11 +163,6 @@ class DHLink:
             raise ValidationError(f"link length a must be >= 0, got {self.a}")
         if self.d != 0.0:
             raise ValidationError(f"joint offset d must be exactly 0, got {self.d}")
-
-    def transform(self) -> RigidPose:
-        """Rot_z(theta) * Trans_x(a) * Rot_x(alpha)."""
-        rz = rot_z(self.theta)
-        return RigidPose(rz @ rot_x(self.alpha), rz @ np.array([self.a, 0.0, 0.0]))
 
 
 def _canon_angle(x: float, name: str) -> float:
@@ -232,24 +226,36 @@ class DHChain:
         return np.array([link.a for link in self.links])
 
 
-def fk_chain(chain: DHChain) -> list:
-    """Cumulative frames of a chain: n+1 poses, frame 0 = base, last = tip.
+def chain_frames(chain: DHChain) -> tuple[np.ndarray, np.ndarray]:
+    """Frames of a chain as arrays: rotations (n+1, 3, 3) and origins (n+1, 3).
 
-    Frame i's x-axis points along link i; joint i+1 bends in frame i's
-    x-y plane.
+    Frame 0 is the base and frame n the tip; frame i's x-axis points along
+    link i and joint i+1 bends in frame i's x-y plane. Raises
+    ValidationError naming the first link whose origin overflows.
     """
-    frames = [RigidPose.identity()]
-    for i, link in enumerate(chain.links, start=1):
-        try:
-            frames.append(frames[-1] @ link.transform())
-        except ValidationError as exc:
-            raise ValidationError(f"link {i}: {exc}") from exc
-    return frames
+    rots = np.empty((chain.n + 1, 3, 3))
+    origins = np.empty((chain.n + 1, 3))
+    rots[0], origins[0] = np.eye(3), 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for i, link in enumerate(chain.links):
+            rz = rot_z(link.theta)
+            origins[i + 1] = origins[i] + rots[i] @ (rz @ np.array([link.a, 0.0, 0.0]))
+            rots[i + 1] = rots[i] @ (rz @ rot_x(link.alpha))
+    if not np.isfinite(origins[-1]).all():  # an overflow carries to the tip
+        i = int(np.argmin(np.isfinite(origins).all(axis=1)))
+        raise ValidationError(
+            f"link {i}: translation must be finite, got {origins[i]}")
+    return rots, origins
+
+
+def fk_chain(chain: DHChain) -> list:
+    """Cumulative frames of a chain as n+1 poses, base first; see chain_frames."""
+    return [RigidPose(r, t) for r, t in zip(*chain_frames(chain))]
 
 
 def dh_to_polyline(chain: DHChain) -> np.ndarray:
     """Joint positions (n+1, 3): the centerline vertices of the chain."""
-    return np.array([f.translation for f in fk_chain(chain)])
+    return chain_frames(chain)[1]
 
 
 def canonicalize_polyline(points: np.ndarray):

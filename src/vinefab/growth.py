@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import DHChain, RigidPose, fk_chain, rot_z
+from .geometry import DHChain, RigidPose, chain_frames, rot_z
 
 DEFAULT_SWEEP_STEP_MM = 1.0
 # most centerline samples one sweep may take: a few hundred MB of arrays
@@ -120,15 +120,16 @@ def tip_pose_at(state: GrowthState) -> RigidPose:
     is returned (everted_length = 0 gives the base frame).
     """
     chain = state.chain
-    frames = fk_chain(chain)
+    rots, origins = chain_frames(chain)
     cum = np.concatenate([[0.0], np.cumsum(chain.lengths())])
     idx = int(np.searchsorted(cum, state.everted_length, side="right")) - 1
     idx = min(idx, chain.n)
     rem = state.everted_length - cum[idx]
     if idx >= chain.n or rem <= 0.0:
-        return frames[idx]
+        return RigidPose(rots[idx], origins[idx])
     rz = rot_z(chain.links[idx].theta)
-    return frames[idx] @ RigidPose(rz, rz @ np.array([rem, 0.0, 0.0]))
+    return RigidPose(rots[idx] @ rz,
+                     origins[idx] + rots[idx] @ (rz @ np.array([rem, 0.0, 0.0])))
 
 
 def centerline_points(state: GrowthState, arc_lengths: np.ndarray) -> np.ndarray:
@@ -137,13 +138,9 @@ def centerline_points(state: GrowthState, arc_lengths: np.ndarray) -> np.ndarray
     s = np.asarray(arc_lengths, float)
     if np.any(s < -1e-12) or np.any(s > state.everted_length + 1e-12):
         raise ValidationError("arc lengths must lie within the everted body")
-    frames = fk_chain(chain)
+    rots, verts = chain_frames(chain)
+    dirs = rots[1:, :, 0]  # frame i's x-axis runs along link i
     cum = np.concatenate([[0.0], np.cumsum(chain.lengths())])
-    verts = np.array([f.translation for f in frames])
-    dirs = np.array([
-        frames[i].rotation @ rot_z(chain.links[i].theta) @ np.array([1.0, 0.0, 0.0])
-        for i in range(chain.n)
-    ])
     idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, chain.n - 1)
     return verts[idx] + dirs[idx] * (s - cum[idx])[:, None]
 

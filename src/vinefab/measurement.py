@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import (DegenerateGeometryError, MissingMarkerError,
                      ValidationError)
-from .geometry import (DHChain, RigidPose, dh_to_polyline, fk_chain,
-                       gauge_twist, nearest_rotation, wrap_angle)
+from .geometry import (DHChain, RigidPose, chain_frames, gauge_twist,
+                       nearest_rotation, wrap_angle)
 
 # offset of the neighbor-facing markers from their joint, per the measurement jig
 DEFAULT_MARKER_OFFSET_MM = 76.5
@@ -237,21 +237,20 @@ def synthetic_markers(chain: DHChain, offset: float = DEFAULT_MARKER_OFFSET_MM,
         raise ValidationError("marker protocol needs at least 2 links")
     if rng is None:
         rng = np.random.default_rng(0)
-    verts = dh_to_polyline(chain)
-    frames = fk_chain(chain)
+    rots, verts = chain_frames(chain)
     seg = np.diff(verts, axis=0)
     units = seg / np.linalg.norm(seg, axis=1)[:, None]
 
-    spots = [("base", verts[0], frames[0].rotation)]
+    spots = [("base", verts[0], rots[0])]
     for j in range(2, chain.n + 1):
         o = verts[j - 1]
-        rot = frames[j - 1].rotation
+        rot = rots[j - 1]
         spots.append((f"j{j}_on", o, rot))
         if j > 2:
             spots.append((f"j{j}_prox", o - offset * units[j - 2], rot))
         if j < chain.n:
             spots.append((f"j{j}_dist", o + offset * units[j - 1], rot))
-    spots.append(("tip", verts[-1], frames[-1].rotation))
+    spots.append(("tip", verts[-1], rots[-1]))
 
     records = []
     for marker_id, p, rot in spots:

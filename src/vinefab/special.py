@@ -90,6 +90,21 @@ def _gamma_iterations(a: float) -> int:
     return _MAX_ITER + int(10.0 * math.sqrt(a))
 
 
+def _gamma_prefactor(a: float, x: float) -> float:
+    """x^a e^-x / Gamma(a), the factor shared by the series and the fraction."""
+    if a < 50.0 or x < 0.5 * a:
+        return math.exp(-x + a * math.log(x) - log_gamma(a))
+    # near x = a, -x + a*log(x) and lgamma(a) cancel (to ~1e-9 relative at
+    # a = 1e6). With Stirling's series for lgamma the log is
+    # a*(log1p(t) - t) + log(a/2pi)/2 - stirling(a), t = (x - a)/a; below
+    # x = a/2 rounding in t would spoil log1p(t), and the factor underflows
+    t = (x - a) / a
+    inv2 = 1.0 / (a * a)
+    stirling = (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 / 1680))) / a
+    return math.exp(a * (math.log1p(t) - t) + 0.5 * math.log(a / (2.0 * math.pi))
+                    - stirling)
+
+
 def _gamma_series(a: float, x: float) -> float:
     term = 1.0 / a
     total = term
@@ -99,7 +114,7 @@ def _gamma_series(a: float, x: float) -> float:
         term *= x / denom
         total += term
         if abs(term) < abs(total) * _EPS:
-            return total * math.exp(-x + a * math.log(x) - log_gamma(a))
+            return total * _gamma_prefactor(a, x)
     raise ValidationError(f"incomplete gamma series did not converge for a={a}, x={x}")
 
 
@@ -121,7 +136,7 @@ def _gamma_cf(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-x + a * math.log(x) - log_gamma(a))
+            return h * _gamma_prefactor(a, x)
     raise ValidationError(f"incomplete gamma fraction did not converge for a={a}, x={x}")
 
 

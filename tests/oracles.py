@@ -54,6 +54,22 @@ def fold_tube(plan, thetas_abs, lengths):
     return np.array(points)
 
 
+def bisect_fold_angle(s_tilde, r, d_g, theta_max=math.pi - 1e-12, tol=1e-12):
+    """One joint's bend from its fold distance by scalar bisection on [0, theta_max].
+
+    Solves d_g/|cos(theta/2)| + 2*r*theta = s_tilde one joint at a time, the
+    loop the library's recovery ran before it bisected all joints at once.
+    """
+    lo, hi = 0.0, theta_max
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if d_g / abs(math.cos(0.5 * mid)) + 2.0 * r * mid < s_tilde:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def kabsch_residual(p, q):
     """Largest point distance between p and q after the best rigid fit of p onto q."""
     p, q = np.asarray(p, float), np.asarray(q, float)

@@ -147,6 +147,40 @@ def test_grow_sweep_step_sample_cap(tmp_path, project_config):
                           b"body at more than 10000000 points")
 
 
+def test_grow_steps_cap(tmp_path, project_config):
+    # one row per step: --steps is capped like a sweep, before any row is built
+    for steps in ("10000000", "0"):
+        code, _, err = run_cli("grow", "--config", project_config, "--steps", steps,
+                               "--out", str(tmp_path))
+        assert code == 1
+        assert err == f"error: --steps must lie in [1, 9999999], got {steps}\n".encode()
+    assert not (tmp_path / "grow_trace.csv").exists()
+
+
+def test_polyline_rejects_non_finite(tmp_path):
+    path = tmp_path / "path.csv"
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"x_mm,y_mm,z_mm\n0,0,0\n100,0,0\n{bad},50,0\n")
+        code, _, err = run_cli("plan", "--chain", str(path), "--radius", "16.5",
+                               "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith(f"error: {path}: line 4: non-finite coordinate".encode())
+        assert b"Warning" not in err
+
+
+def test_markers_reject_non_finite(tmp_path, project_config, data_dir):
+    lines = open(os.path.join(data_dir, "markers_pre.csv")).read().splitlines()
+    path = tmp_path / "markers.csv"
+    for column in (2, 5):  # x_mm, qw
+        fields = lines[4].split(",")
+        fields[column] = "inf"
+        path.write_text("\n".join(lines[:4] + [",".join(fields)] + lines[5:]) + "\n")
+        code, _, err = run_cli("measure", "--config", project_config,
+                               "--markers", str(path), "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith(f"error: {path}: line 5: non-finite number".encode())
+
+
 def test_measure_bundled_markers(tmp_path, project_config, data_dir):
     code, out, _ = run_cli("measure", "--config", project_config,
                            "--markers", os.path.join(data_dir, "markers_pre.csv"),

@@ -1,9 +1,10 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vinefab.errors import (DegenerateJointWarning, InfeasibleLinkError,
@@ -15,7 +16,7 @@ from vinefab.fabrication import (GAP_METHODS, FabricationPlan, GapModel,
 from vinefab.geometry import DHChain, dh_to_polyline, fk_chain
 
 from conftest import random_feasible_chain
-from oracles import fold_tube, kabsch_residual
+from oracles import bisect_fold_angle, fold_tube, kabsch_residual
 
 R = 16.5
 TAPE = GapModel.for_method("tape")
@@ -193,6 +194,10 @@ def test_round_trip_random_chains():
             np.testing.assert_allclose(back.alphas(), chain.alphas(), atol=1e-9)
             np.testing.assert_allclose(back.lengths(), chain.lengths(), atol=1e-9)
             assert back.radius == chain.radius
+            # the one array bisection gives each joint the scalar loop's angle
+            np.testing.assert_array_equal(back.thetas(), [
+                bisect_fold_angle(j.s_tilde, plan.radius, gap.d_g)
+                if j.s_tilde > 0.0 else 0.0 for j in plan.joints])
 
 
 _signed_bend = st.one_of(
@@ -207,6 +212,7 @@ _signed_links = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(links=_signed_links, r=st.floats(10.0, 25.0),
        method=st.sampled_from(GAP_METHODS))
+@example(links=[(120.0, 0.0, 0.0)], r=16.5, method="loop")  # no fold to recover
 def test_compiled_plan_folds_the_designed_shape(links, r, method):
     # signed bends, zero bends included: the tube the plan folds is the
     # designed centerline, and so is the recovered chain
@@ -253,6 +259,21 @@ def test_recover_inconsistent_fold_distance(three_bend_chain):
                           total_tube_length=total)
     with pytest.raises(InversionError, match="exceeds"):
         recover_chain(bad, TAPE)
+
+    # the second of two folds out of range: the error names its s_tilde
+    for s_tilde, gap, reason in ((5.0, LOOP, "is below the d_g floor"),
+                                 (1e6, TAPE, "exceeds")):
+        joints = list(plan.joints)
+        joints[2] = JointSpec(index=3, s_tilde=s_tilde,
+                              axial_start=joints[2].axial_start,
+                              circumferential=joints[2].circumferential, d_g=0.0)
+        total = sum(plan.cylinders) + sum(j.s_tilde for j in joints)
+        bad = FabricationPlan(radius=R, cylinders=plan.cylinders,
+                              joints=tuple(joints), arc_offsets=plan.arc_offsets,
+                              total_tube_length=total)
+        with pytest.raises(InversionError,
+                           match=re.escape(f"s_tilde = {s_tilde:.6g} mm {reason}")):
+            recover_chain(bad, gap)
 
 
 def test_twist_carried_across_foldless_joints():

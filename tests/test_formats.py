@@ -163,7 +163,7 @@ def test_measured_and_error_outputs(tmp_path, three_bend_chain):
 
 
 def test_growth_table_ingestion(data_dir):
-    """The bundled growth CSVs parse and summarize into sane physical ranges."""
+    """The bundled growth-pressure CSV parses and summarizes into sane ranges."""
     with open(os.path.join(data_dir, "growth_pressures.csv")) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 15  # 5 usable method-material combos x 3 robots
@@ -174,10 +174,3 @@ def test_growth_table_ingestion(data_dir):
     summaries = group_summary(by_combo)
     for s in summaries.values():
         assert 5.0 < s.mean < 30.0  # tens of kPa
-
-    with open(os.path.join(data_dir, "growth_times.csv")) as fh:
-        rows = list(csv.DictReader(fh))
-    assert {"method", "material", "robot_id", "pressure_kpa",
-            "growth_time_s"} <= set(rows[0])
-    times = [float(r["growth_time_s"]) for r in rows]
-    assert all(5.0 < t < 200.0 for t in times)

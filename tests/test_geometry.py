@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from vinefab.errors import ValidationError
 from vinefab.geometry import (DHChain, DHLink, RigidPose, canonicalize_polyline,
-                              dh_to_polyline, fk_chain, polyline_to_dh,
-                              quaternion_to_rotation, rotation_to_quaternion,
-                              wrap_angle)
+                              chain_frames, dh_to_polyline, fk_chain,
+                              polyline_to_dh, quaternion_to_rotation,
+                              rotation_to_quaternion, wrap_angle)
+from vinefab.growth import GrowthState, tip_pose_at
 
 from conftest import random_feasible_chain
 from oracles import fk_homogeneous
@@ -50,6 +51,39 @@ def test_fk_oracle_random_chains():
         for mine, ref in zip(frames, oracle):
             np.testing.assert_allclose(mine.translation, ref[:3, 3], atol=1e-9)
             np.testing.assert_allclose(mine.rotation, ref[:3, :3], atol=1e-12)
+
+
+_angle = st.floats(-math.pi + 1e-9, math.pi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(links=st.lists(st.tuples(st.floats(0.0, 500.0), _angle, _angle),
+                      min_size=1, max_size=30))
+def test_chain_frames_match_homogeneous_oracle(links):
+    # signed bends and twists, zero-length links included
+    a, alpha, theta = zip(*links)
+    chain = DHChain.from_arrays(a, alpha, theta, radius=16.5)
+    rots, origins = chain_frames(chain)
+    oracle = np.array(fk_homogeneous(chain.lengths(), chain.alphas(),
+                                     chain.thetas()))
+    assert rots.shape == (chain.n + 1, 3, 3)
+    assert origins.shape == (chain.n + 1, 3)
+    np.testing.assert_allclose(rots, oracle[:, :3, :3], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(origins, oracle[:, :3, 3], rtol=0, atol=1e-9)
+    # every consumer reads the same frames
+    np.testing.assert_array_equal(dh_to_polyline(chain), origins)
+    for pose, r, t in zip(fk_chain(chain), rots, origins):
+        np.testing.assert_array_equal(pose.rotation, r)
+        np.testing.assert_array_equal(pose.translation, t)
+
+
+def test_chain_frames_name_the_overflowing_link():
+    # finite lengths whose sum overflows: link 3 is the first non-finite origin
+    chain = DHChain.from_arrays([1.0, 1e308, 1e308], [0, 0, 0], [0, 0, 0], 16.5)
+    for build in (chain_frames, fk_chain, dh_to_polyline,
+                  lambda c: tip_pose_at(GrowthState(c, 1.0))):
+        with pytest.raises(ValidationError, match="^link 3: translation must be finite"):
+            build(chain)
 
 
 def test_fk_base_frame_is_identity(three_bend_chain):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -87,9 +88,9 @@ def test_incomplete_gamma_identities():
 @pytest.mark.parametrize("a", [0.5, 3.0, 50.0, 1e3, 5e3, 1e4, 1e5, 1e6])
 def test_incomplete_gamma_against_scipy(a):
     # x from a - 8 sqrt(a) to a + 20 sqrt(a): near x = a the series and the
-    # fraction need terms in proportion to sqrt(a). At a = 1e6 the exp of
-    # terms near 1e7 leaves ~1e-9 relative error, so rel 1e-8; abs 1e-12
-    # covers tails where scipy itself is off (6e-7 relative at P(1e6, a - 6e3))
+    # fraction need terms in proportion to sqrt(a). abs 1e-12 covers tails
+    # where scipy itself is off (6e-7 relative at P(1e6, a - 6e3)); the
+    # mpmath check below holds large shapes to a tighter bound
     for z in (-8.0, -6.0, -3.0, -1.0, -0.1, 0.0, 0.1, 1.0, 3.0, 6.0, 20.0):
         x = a + z * math.sqrt(a)
         if x <= 0.0:
@@ -100,6 +101,25 @@ def test_incomplete_gamma_against_scipy(a):
             gammaincc(a, x), rel=1e-8, abs=1e-12)
     assert chi2_sf(2.0 * a, 2.0 * a) == pytest.approx(gammaincc(a, a),
                                                       rel=1e-8, abs=1e-12)
+
+
+@pytest.mark.parametrize("a", [1e3, 1e5, 1e6])
+def test_incomplete_gamma_against_mpmath(a):
+    # the prefactor x^a e^-x / Gamma(a) of a large shape must not come from
+    # -x + a log(x) - lgamma(a), whose terms near 1e7 cancel to ~1e-9 at 1e6.
+    # Reference: P = x^a e^-x / Gamma(a + 1) * M(1, a + 1, x) (DLMF 8.5.1)
+    for z in (-6.0, -3.0, -1.0, -0.1, 0.0, 0.1, 1.0, 3.0, 6.0):
+        x = a + z * math.sqrt(a)
+        with mpmath.workdps(40):
+            ma, mx = mpmath.mpf(a), mpmath.mpf(x)
+            p = (mpmath.exp(-mx + ma * mpmath.log(mx) - mpmath.loggamma(ma + 1))
+                 * mpmath.hyp1f1(1, ma + 1, mx, maxterms=10**7))
+            p, q = float(p), float(1 - p)
+        assert regularized_incomplete_gamma_p(a, x) == pytest.approx(p, rel=1e-11, abs=0)
+        assert regularized_incomplete_gamma_q(a, x) == pytest.approx(q, rel=1e-11, abs=0)
+    # far below the mean the factor underflows instead of failing in log1p
+    assert regularized_incomplete_gamma_p(a, 1e-300) == 0.0
+    assert regularized_incomplete_gamma_q(a, 1e-300) == 1.0
 
 
 def test_tail_function_relations():
