@@ -22,7 +22,7 @@ for phase in ("pre", "post"):
     records = read_markers(os.path.join(HERE, "data", f"markers_{phase}.csv"))
     first = records[0]
     avg = average_samples(first)
-    print(f"[{phase}] {len(records)} markers, {len(first.samples)} samples "
+    print(f"[{phase}] {len(records)} markers, {len(first.times)} samples "
           f"each; e.g. '{first.marker_id}' averages to "
           f"({avg.translation[0]:.3f}, {avg.translation[1]:.3f}, "
           f"{avg.translation[2]:.3f}) mm")

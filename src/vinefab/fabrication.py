@@ -203,12 +203,18 @@ def compile_plan(chain: DHChain, gap: GapModel) -> FabricationPlan:
     lengths = chain.lengths()
     n = chain.n
 
+    # DHChain and GapModel have checked r, d_g and every theta, so only the
+    # singular range and overflow are left to reject, at the first joint
+    folds = thetas != 0.0
+    theta_abs = np.abs(thetas[folds])
+    with np.errstate(over="ignore"):
+        s_folds = _fold_distance(theta_abs, r, gap.d_g)
+    bad = (theta_abs > _THETA_MAX) | ~np.isfinite(s_folds)
+    if bad.any():
+        axial_fold_distance(theta_abs[np.argmax(bad)], r, gap.d_g)  # raises
     s_tilde = np.zeros(n)
-    d_g_used = np.zeros(n)
-    for i in range(n):
-        if thetas[i] != 0.0:
-            s_tilde[i] = axial_fold_distance(abs(thetas[i]), r, gap.d_g)
-            d_g_used[i] = gap.d_g
+    s_tilde[folds] = s_folds
+    d_g_used = np.where(folds, gap.d_g, 0.0)
 
     cylinders = []
     for i in range(n):

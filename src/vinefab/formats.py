@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .fabrication import FabricationPlan, JointSpec
-from .geometry import (DHChain, RigidPose, quaternion_to_rotation)
+from .geometry import DHChain
 from .growth import Box, ObstacleScene, Sphere
-from .measurement import MarkerRecord, MeasuredDH
+from .measurement import MarkerRecord, MeasuredDH, check_samples
 from .stats import SampleRow, SampleTable
 
 
@@ -138,17 +138,14 @@ POLYLINE_HEADER = ["x_mm", "y_mm", "z_mm"]
 
 
 def read_polyline(path) -> np.ndarray:
-    rows = _read_csv(path, POLYLINE_HEADER)
-    try:
-        pts = np.array([[float(r[c]) for c in POLYLINE_HEADER] for r in rows])
-    except ValueError as exc:
-        raise ValidationError(f"{path}: non-numeric coordinate ({exc})") from exc
+    lines, columns = _read_csv(path, POLYLINE_HEADER)
+    pts = _floats(path, lines, columns, POLYLINE_HEADER)
     if pts.shape[0] < 2:
         raise ValidationError(f"{path}: polyline needs at least 2 points")
     finite = np.isfinite(pts).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise ValidationError(f"{path}: line {i + 2}: non-finite coordinate {pts[i]}")
+        raise ValidationError(f"{path}: line {lines[i]}: non-finite coordinate {pts[i]}")
     return pts
 
 
@@ -230,37 +227,26 @@ MARKER_HEADER = ["marker_id", "t_s", "x_mm", "y_mm", "z_mm",
 
 
 def read_markers(path) -> list:
-    rows = _read_csv(path, MARKER_HEADER)
-    samples = {}
-    order = []
-    for i, row in enumerate(rows, start=2):
-        try:
-            values = [float(row[c]) for c in MARKER_HEADER[1:]]
-        except ValueError as exc:
-            raise ValidationError(f"{path}: line {i}: {exc}") from exc
-        if not all(map(math.isfinite, values)):
-            raise ValidationError(f"{path}: line {i}: non-finite number in {values}")
-        t, p, q = values[0], np.array(values[1:4]), np.array(values[4:])
-        norm = np.linalg.norm(q)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValidationError(
-                f"{path}: line {i}: quaternion norm {norm:.6g} is not 1")
-        marker_id = row["marker_id"]
-        if marker_id not in samples:
-            samples[marker_id] = []
-            order.append(marker_id)
-        samples[marker_id].append((t, RigidPose(quaternion_to_rotation(q), p)))
-    return [MarkerRecord(marker_id=mid, samples=tuple(samples[mid]))
-            for mid in order]
+    """One MarkerRecord per marker id, in order of first appearance.
+
+    Each record's samples keep their file order.
+    """
+    lines, columns = _read_csv(path, MARKER_HEADER)
+    values = _floats(path, lines, columns, MARKER_HEADER[1:])
+    # checked here so that an error names its line; each record normalizes
+    check_samples(str(path), values[:, 0], values[:, 1:4], values[:, 4:], lines)
+    rows = {}
+    for i, marker_id in enumerate(columns["marker_id"]):
+        rows.setdefault(marker_id, []).append(i)
+    return [MarkerRecord(marker_id, values[idx, 0], values[idx, 1:4], values[idx, 4:])
+            for marker_id, idx in rows.items()]
 
 
 def write_markers(records, path) -> None:
     rows = []
     for rec in records:
-        for t, pose in rec.samples:
-            q = pose.quaternion()
-            rows.append([rec.marker_id, fmt9(t),
-                         *(fmt9(v) for v in pose.translation),
+        for t, p, q in zip(rec.times, rec.positions, rec.quaternions):
+            rows.append([rec.marker_id, fmt9(t), *(fmt9(v) for v in p),
                          *(fmt9(v) for v in q)])
     _write_csv(path, MARKER_HEADER, rows)
 
@@ -298,14 +284,14 @@ SAMPLE_HEADER = ["value", "method", "material", "phase", "parameter", "robot_id"
 
 
 def read_samples(path) -> SampleTable:
-    rows = _read_csv(path, SAMPLE_HEADER)
+    lines, columns = _read_csv(path, SAMPLE_HEADER)
     out = []
-    for i, row in enumerate(rows, start=2):
+    for i, value, method, material, phase, parameter, robot_id in zip(
+            lines, *(columns[c] for c in SAMPLE_HEADER)):
         try:
-            out.append(SampleRow(value=float(row["value"]),
-                                 method=row["method"], material=row["material"],
-                                 phase=row["phase"], parameter=row["parameter"],
-                                 robot_id=row["robot_id"]))
+            out.append(SampleRow(value=float(value), method=method,
+                                 material=material, phase=phase,
+                                 parameter=parameter, robot_id=robot_id))
         except (ValueError, ValidationError) as exc:
             raise ValidationError(f"{path}: line {i}: {exc}") from exc
     if not out:
@@ -346,21 +332,51 @@ def write_growth_trace(trace, path) -> None:
 # ------------------------------------------------------------- CSV plumbing
 
 def _read_csv(path, header):
+    """Read the named columns of a CSV file: (line numbers, {column: values}).
+
+    Blank lines are skipped; line numbers count them. A row whose field
+    count differs from the header's is rejected.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            fieldnames = next(reader, None)
+            if fieldnames is None:
                 raise ValidationError(f"{path}: empty file")
-            missing = [c for c in header if c not in reader.fieldnames]
+            missing = [c for c in header if c not in fieldnames]
             if missing:
                 raise ValidationError(
-                    f"{path}: missing columns {missing}; header is "
-                    f"{reader.fieldnames}")
-            return list(reader)
+                    f"{path}: missing columns {missing}; header is {fieldnames}")
+            lines, rows = [], []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(fieldnames):
+                    raise ValidationError(
+                        f"{path}: line {reader.line_num}: expected "
+                        f"{len(fieldnames)} fields, got {len(row)}")
+                lines.append(reader.line_num)
+                rows.append(row)
     except FileNotFoundError as exc:
         raise ValidationError(f"file not found: {path}") from exc
     except csv.Error as exc:
         raise ValidationError(f"{path}: malformed CSV ({exc})") from exc
+    index = {c: fieldnames.index(c) for c in header}
+    return lines, {c: [row[i] for row in rows] for c, i in index.items()}
+
+
+def _floats(path, lines, columns, names) -> np.ndarray:
+    """The named columns as an (m, len(names)) float array, in one conversion."""
+    cols = [columns[c] for c in names]
+    try:
+        return np.array([list(map(float, col)) for col in cols]).T.copy()
+    except ValueError:
+        for line, row in zip(lines, zip(*cols)):
+            try:
+                list(map(float, row))
+            except ValueError as exc:
+                raise ValidationError(f"{path}: line {line}: {exc}") from exc
+        raise
 
 
 def _write_csv(path, header, rows) -> None:

@@ -4,8 +4,9 @@ Marker protocol: each bend joint j (joints 2..n of the chain; the base joint
 does not bend) carries a marker on the joint plus one a fixed offset toward
 each neighbor joint. The first bend joint uses a marker at the chain base in
 place of its proximal neighbor and the last uses one at the tip, so the
-marker set also bounds the first and last links. Only marker positions enter
-the recovery; orientations are retained for completeness.
+marker set also bounds the first and last links. A marker's samples are
+arrays (``MarkerRecord``). Only their positions enter the recovery; the
+orientations are kept for ``average_samples`` and the marker CSV.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 from .errors import (DegenerateGeometryError, MissingMarkerError,
                      ValidationError)
 from .geometry import (DHChain, RigidPose, chain_frames, gauge_twist,
-                       nearest_rotation, wrap_angle)
+                       nearest_rotation, quaternion_to_rotation,
+                       rotation_to_quaternion, wrap_angle)
 
 # offset of the neighbor-facing markers from their joint, per the measurement jig
 DEFAULT_MARKER_OFFSET_MM = 76.5
@@ -49,19 +51,62 @@ def parse_marker_id(marker_id: str):
     raise ValidationError(f"unrecognized marker id {marker_id!r}")
 
 
+def check_samples(context: str, times, positions, quaternions, lines=None):
+    """Validate marker samples; return them as read-only float arrays.
+
+    The one check of the sample invariants: at least one sample, times (m,),
+    positions (m, 3) and quaternions (m, 4) of equal length, every value
+    finite, and every quaternion of norm 1 within 1e-6.
+    Quaternions come back normalized. Errors name sample i, or its file line
+    ``lines[i]`` when given, after ``context``.
+    """
+    t = np.array(times, float, order="C")
+    p = np.array(positions, float, order="C")
+    q = np.array(quaternions, float, order="C")
+    if t.size == 0:
+        raise ValidationError(f"{context}: no samples")
+    m = t.shape[0] if t.ndim == 1 else -1
+    if p.shape != (m, 3) or q.shape != (m, 4):
+        raise ValidationError(
+            f"{context}: times, positions and quaternions must have shapes "
+            f"(m,), (m, 3) and (m, 4), got {t.shape}, {p.shape} and {q.shape}")
+    finite = np.isfinite(t) & np.isfinite(p).all(axis=1) & np.isfinite(q).all(axis=1)
+    norms = np.linalg.norm(q, axis=1)
+    # written as `not (err <= tol)` so that a NaN norm is rejected too
+    bad = ~finite | ~(np.abs(norms - 1.0) <= 1e-6)
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = f"{context}: sample {i}" if lines is None else f"{context}: line {lines[i]}"
+        if not finite[i]:
+            values = [float(t[i]), *p[i].tolist(), *q[i].tolist()]
+            raise ValidationError(f"{where}: non-finite number in {values}")
+        raise ValidationError(f"{where}: quaternion norm {norms[i]:.6g} is not 1")
+    q /= norms[:, None]
+    for a in (t, p, q):
+        a.flags.writeable = False
+    return t, p, q
+
+
 @dataclass(frozen=True)
 class MarkerRecord:
-    """Time-stamped pose samples of one labeled marker."""
+    """Time-stamped samples of one labeled marker, as arrays.
+
+    ``times`` (m,) in seconds, ``positions`` (m, 3) in millimeters and
+    ``quaternions`` (m, 4) as unit (w, x, y, z); all read-only and checked by
+    ``check_samples``.
+    """
 
     marker_id: str
-    samples: tuple  # of (timestamp_s, RigidPose)
+    times: np.ndarray
+    positions: np.ndarray
+    quaternions: np.ndarray
 
     def __post_init__(self):
-        samples = tuple(self.samples)
-        if not samples:
-            raise ValidationError(f"marker {self.marker_id!r} has no samples")
-        object.__setattr__(self, "samples", samples)
         parse_marker_id(self.marker_id)
+        arrays = check_samples(f"marker {self.marker_id!r}", self.times,
+                               self.positions, self.quaternions)
+        for name, value in zip(("times", "positions", "quaternions"), arrays):
+            object.__setattr__(self, name, value)
 
     @property
     def joint(self):
@@ -73,10 +118,17 @@ class MarkerRecord:
 
 
 def average_samples(record: MarkerRecord) -> RigidPose:
-    """Average a marker's samples: mean translation, chordal-mean rotation."""
-    ts = np.array([pose.translation for _, pose in record.samples])
-    rs = np.array([pose.rotation for _, pose in record.samples])
-    return RigidPose(nearest_rotation(rs.mean(axis=0)), ts.mean(axis=0))
+    """Average a marker's samples: mean position, chordal-mean rotation.
+
+    The rotation is the top eigenvector of sum(q q^T) (Markley et al.,
+    "Averaging Quaternions", 2007). It minimizes the same Frobenius cost as
+    projecting the mean rotation matrix onto SO(3), and each quaternion's
+    sign drops out.
+    """
+    q = record.quaternions
+    _, vectors = np.linalg.eigh(q.T @ q)
+    return RigidPose(quaternion_to_rotation(vectors[:, -1]),
+                     record.positions.mean(axis=0))
 
 
 @dataclass(frozen=True)
@@ -123,7 +175,7 @@ def recover_dh(markers, phase: str = "pre") -> MeasuredDH:
         key = (rec.joint, rec.role)
         if key in positions:
             raise ValidationError(f"duplicate marker {rec.marker_id!r}")
-        positions[key] = average_samples(rec).translation
+        positions[key] = rec.positions.mean(axis=0)
 
     joints = sorted({j for j, _ in positions if j is not None})
     if not joints:
@@ -252,18 +304,20 @@ def synthetic_markers(chain: DHChain, offset: float = DEFAULT_MARKER_OFFSET_MM,
             spots.append((f"j{j}_dist", o + offset * units[j - 1], rot))
     spots.append(("tip", verts[-1], rots[-1]))
 
+    times = np.arange(n_samples) / rate_hz
     records = []
     for marker_id, p, rot in spots:
-        samples = []
-        for k in range(n_samples):
+        positions, quaternions = [], []
+        for _ in range(n_samples):
             noisy_p = p + rng.normal(0.0, position_noise_mm, 3) \
                 if position_noise_mm > 0.0 else p
             noisy_r = rot
             if rotation_noise_deg > 0.0:
                 axis_angle = rng.normal(0.0, math.radians(rotation_noise_deg), 3)
                 noisy_r = nearest_rotation(rot @ _small_rotation(axis_angle))
-            samples.append((k / rate_hz, RigidPose(noisy_r, noisy_p)))
-        records.append(MarkerRecord(marker_id=marker_id, samples=tuple(samples)))
+            positions.append(noisy_p)
+            quaternions.append(rotation_to_quaternion(noisy_r))
+        records.append(MarkerRecord(marker_id, times, positions, quaternions))
     return records
 
 

@@ -189,9 +189,8 @@ def tukey_hsd(groups, labels=None, alpha: float = ALPHA_DEFAULT) -> TukeyResult:
     return TukeyResult(pairs=tuple(pairs), alpha=alpha, df=float(df2))
 
 
-def _t_result(name, t, df, extra_identical=False) -> TestResult:
-    if extra_identical:
-        return TestResult(name, 0.0, 1.0, (df,))
+def _t_result(name, t, df) -> TestResult:
+    # t = 0 gives p = 1.0 exactly: the incomplete beta returns x = 1.0
     return TestResult(name, t, t_sf_two_sided(abs(t), df), (df,))
 
 
@@ -204,7 +203,7 @@ def t_test_independent(a, b) -> TestResult:
     sp2 = ((na - 1) * ga.var(ddof=1) + (nb - 1) * gb.var(ddof=1)) / df
     if sp2 <= 0.0:
         if diff == 0.0:
-            return _t_result("independent t-test", 0.0, df, extra_identical=True)
+            return _t_result("independent t-test", 0.0, df)
         raise DegenerateDataError(
             "independent t-test: zero variance with unequal means")
     t = diff / math.sqrt(sp2 * (1.0 / na + 1.0 / nb))
@@ -218,8 +217,7 @@ def t_test_welch(a, b) -> TestResult:
     diff = float(ga.mean() - gb.mean())
     if va + vb <= 0.0:
         if diff == 0.0:
-            return _t_result("Welch t-test", 0.0, ga.size + gb.size - 2,
-                             extra_identical=True)
+            return _t_result("Welch t-test", 0.0, ga.size + gb.size - 2)
         raise DegenerateDataError("Welch t-test: zero variance with unequal means")
     df = (va + vb) ** 2 / (va ** 2 / (ga.size - 1) + vb ** 2 / (gb.size - 1))
     t = diff / math.sqrt(va + vb)
@@ -240,7 +238,7 @@ def t_test_paired(a, b) -> TestResult:
     df = ga.size - 1
     if sd <= 0.0:
         if float(d.mean()) == 0.0:
-            return _t_result("paired t-test", 0.0, df, extra_identical=True)
+            return _t_result("paired t-test", 0.0, df)
         raise DegenerateDataError(
             "paired t-test: constant nonzero differences have zero variance")
     t = float(d.mean()) / (sd / math.sqrt(ga.size))

@@ -70,6 +70,25 @@ def bisect_fold_angle(s_tilde, r, d_g, theta_max=math.pi - 1e-12, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
+def chordal_mean_rotation(quaternions):
+    """Rotation closest in Frobenius norm to the mean of the samples' matrices.
+
+    Builds each (w, x, y, z) quaternion's matrix and projects their mean onto
+    SO(3) by SVD: the per-marker average the library used before it took the
+    top eigenvector of sum(q q^T).
+    """
+    mats = []
+    for w, x, y, z in np.asarray(quaternions, float):
+        n2 = w * w + x * x + y * y + z * z
+        mats.append(np.array([
+            [n2 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), n2 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), n2 - 2 * (x * x + y * y)],
+        ]) / n2)
+    u, _, vt = np.linalg.svd(np.mean(mats, axis=0))
+    return u @ np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ vt))]) @ vt
+
+
 def kabsch_residual(p, q):
     """Largest point distance between p and q after the best rigid fit of p onto q."""
     p, q = np.asarray(p, float), np.asarray(q, float)

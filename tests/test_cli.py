@@ -181,6 +181,42 @@ def test_markers_reject_non_finite(tmp_path, project_config, data_dir):
         assert err.startswith(f"error: {path}: line 5: non-finite number".encode())
 
 
+# per reader: header, a valid row, a row whose value the reader rejects and
+# the message it gives, and the command line that reads a file
+CSV_READERS = {
+    "markers": ("marker_id,t_s,x_mm,y_mm,z_mm,qw,qx,qy,qz", "base,0,0,0,0,1,0,0,0",
+                "base,0,0,0,0,2,0,0,0", "quaternion norm 2 is not 1",
+                lambda path, config, out: ["measure", "--config", config,
+                                           "--markers", path, "--out", out]),
+    "polyline": ("x_mm,y_mm,z_mm", "0,0,0", "nan,50,0", "non-finite coordinate",
+                 lambda path, config, out: ["plan", "--chain", path,
+                                            "--radius", "16.5", "--out", out]),
+    "samples": ("value,method,material,phase,parameter,robot_id",
+                "1.0,tape,ldpe,pre,joint,r1", "x,tape,ldpe,pre,joint,r1",
+                "could not convert",
+                lambda path, config, out: ["analyze", "--samples", path,
+                                           "--out", out]),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(CSV_READERS))
+def test_csv_rows_checked_with_file_line(tmp_path, project_config, reader):
+    header, good, bad, message, argv = CSV_READERS[reader]
+    fields = len(header.split(","))
+    path = tmp_path / "in.csv"
+    short = ",".join(good.split(",")[:2])
+    for lines, line, what in (([good, short], 3, f"expected {fields} fields, got 2"),
+                              ([good, good + ",7"], 3,
+                               f"expected {fields} fields, got {fields + 1}"),
+                              ([good, "", bad], 4, message)):
+        path.write_text("\n".join([header, *lines]) + "\n")
+        code, _, err = run_cli(*argv(str(path), project_config, str(tmp_path)))
+        assert code == 1, (reader, lines)
+        assert err.startswith(f"error: {path}: line {line}: ".encode()), err
+        assert what.encode() in err
+        assert b"Traceback" not in err
+
+
 def test_measure_bundled_markers(tmp_path, project_config, data_dir):
     code, out, _ = run_cli("measure", "--config", project_config,
                            "--markers", os.path.join(data_dir, "markers_pre.csv"),
@@ -191,6 +227,34 @@ def test_measure_bundled_markers(tmp_path, project_config, data_dir):
     assert measured["joints"][0]["theta_deg"] == pytest.approx(45.0, abs=0.1)
     errors = (tmp_path / "dh_errors.csv").read_text().splitlines()
     assert len(errors) == 7
+
+
+def test_measure_builds_no_pose_and_no_svd(tmp_path, project_config, data_dir,
+                                           monkeypatch, capsys):
+    """Marker samples stay arrays from the CSV to the recovered DH parameters."""
+    from vinefab import cli
+    from vinefab.geometry import RigidPose
+
+    calls = {"pose": 0, "svd": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(RigidPose, "__post_init__",
+                        counted("pose", RigidPose.__post_init__))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    assert RigidPose(np.eye(3), np.zeros(3)) and calls["pose"] == 1
+    calls["pose"] = 0
+    for phase in ("pre", "post"):
+        code = cli.main(["measure", "--config", project_config,
+                         "--markers", os.path.join(data_dir, f"markers_{phase}.csv"),
+                         "--phase", phase, "--out", str(tmp_path)])
+        assert code == 0
+    assert calls == {"pose": 0, "svd": 0}
+    assert capsys.readouterr().out.count("recovered 2 joints") == 2
 
 
 def test_analyze_bundled_samples(tmp_path, data_dir):

@@ -66,6 +66,28 @@ def test_fold_distance_near_pi():
         axial_fold_distance(math.pi - 1e-13, R, 0.0)
 
 
+def test_compile_plan_rejects_the_first_singular_fold():
+    """compile_plan gives the error axial_fold_distance gives at the first bad joint."""
+    def first_error(thetas, d_g):
+        chain = DHChain.from_arrays([1e6] * len(thetas), [0.0] * len(thetas),
+                                    thetas, radius=R)
+        with pytest.raises(SingularityError) as info:
+            compile_plan(chain, GapModel("loop", d_g))
+        return str(info.value)
+
+    def message(theta, d_g):
+        with pytest.raises(SingularityError) as info:
+            axial_fold_distance(theta, R, d_g)
+        return str(info.value)
+
+    assert first_error([0.0, 0.3, math.pi, -math.pi + 1e-13], 0.0) == message(math.pi, 0.0)
+    assert "diverges" in message(math.pi, 0.0)
+    big = math.pi - 2e-12  # folds, but its gap term overflows with d_g = 1e300
+    assert first_error([0.3, -big, math.pi], 1e300) == message(big, 1e300)
+    assert "overflows" in message(big, 1e300)
+    assert first_error([0.3, math.pi - 1e-13, big], 1e300) == message(math.pi - 1e-13, 1e300)
+
+
 @pytest.mark.parametrize("gap", [TAPE, LOOP])
 def test_recover_near_theta_limit(gap):
     # a plan that compiles must also recover, right up to the compile limit
@@ -189,6 +211,10 @@ def test_round_trip_random_chains():
         for _ in range(100):
             chain = random_feasible_chain(rng)
             plan = compile_plan(chain, gap)
+            # the one array evaluation gives each fold the scalar formula's distance
+            np.testing.assert_array_equal([j.s_tilde for j in plan.joints], [
+                axial_fold_distance(abs(th), chain.radius, gap.d_g)
+                if th != 0.0 else 0.0 for th in chain.thetas()])
             back = recover_chain(plan, gap)
             np.testing.assert_allclose(back.thetas(), chain.thetas(), atol=1e-9)
             np.testing.assert_allclose(back.alphas(), chain.alphas(), atol=1e-9)

@@ -123,6 +123,25 @@ def test_markers_reject_bad_quaternion(tmp_path):
         formats.read_markers(path)
 
 
+def test_read_markers_groups_ids_in_first_appearance_order(tmp_path):
+    path = tmp_path / "markers.csv"
+    path.write_text("marker_id,t_s,x_mm,y_mm,z_mm,qw,qx,qy,qz\n"
+                    "tip,0,1,0,0,1,0,0,0\n"
+                    "base,0,2,0,0,1,0,0,0\n"
+                    "tip,0.05,3,0,0,0,1,0,0\n"
+                    "j2_on,0,4,0,0,1,0,0,0\n"
+                    "base,0.05,5,0,0,1,0,0,0\n"
+                    "tip,0.1,6,0,0,1,0,0,0\n")
+    records = formats.read_markers(path)
+    assert [r.marker_id for r in records] == ["tip", "base", "j2_on"]
+    tip, base, j2 = records
+    np.testing.assert_array_equal(tip.times, [0.0, 0.05, 0.1])
+    np.testing.assert_array_equal(tip.positions[:, 0], [1.0, 3.0, 6.0])
+    np.testing.assert_array_equal(tip.quaternions[1], [0.0, 1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(base.positions[:, 0], [2.0, 5.0])
+    assert j2.times.shape == (1,)
+
+
 def test_samples_round_trip_and_validation(tmp_path, data_dir):
     table = formats.read_samples(os.path.join(data_dir, "dh_samples.csv"))
     assert len(table) == 180

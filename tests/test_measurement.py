@@ -10,6 +10,8 @@ from vinefab.measurement import (ErrorRow, MarkerRecord, MeasuredDH,
                                  average_samples, dh_errors, parse_marker_id,
                                  recover_dh, synthetic_markers)
 
+from oracles import chordal_mean_rotation
+
 
 
 def _measurement_chain(rng, n=None):
@@ -34,16 +36,23 @@ def test_parse_marker_id():
         parse_marker_id("marker7")
 
 
+def _record(marker_id, samples):
+    """MarkerRecord from (t, RigidPose) samples."""
+    times, poses = zip(*samples)
+    return MarkerRecord(marker_id, times, [p.translation for p in poses],
+                        [p.quaternion() for p in poses])
+
+
 def test_average_samples_trivial():
     pose = RigidPose(rot_z(0.3), np.array([1.0, 2.0, 3.0]))
-    rec = MarkerRecord("j2_on", samples=((0.0, pose), (0.05, pose)))
+    rec = _record("j2_on", ((0.0, pose), (0.05, pose)))
     avg = average_samples(rec)
     np.testing.assert_allclose(avg.translation, pose.translation)
     np.testing.assert_allclose(avg.rotation, pose.rotation, atol=1e-12)
 
     a = RigidPose(np.eye(3), np.zeros(3))
     b = RigidPose(np.eye(3), np.array([2.0, 0.0, 0.0]))
-    avg = average_samples(MarkerRecord("j2_on", ((0.0, a), (0.05, b))))
+    avg = average_samples(_record("j2_on", ((0.0, a), (0.05, b))))
     np.testing.assert_allclose(avg.translation, [1.0, 0.0, 0.0])
 
 
@@ -52,8 +61,8 @@ def test_average_samples_order_invariant():
     poses = [(k * 0.05, RigidPose(rot_z(rng.normal(0, 0.01)) @ rot_x(rng.normal(0, 0.01)),
                                   rng.normal(0, 1, 3)))
              for k in range(50)]
-    fwd = average_samples(MarkerRecord("tip", tuple(poses)))
-    rev = average_samples(MarkerRecord("tip", tuple(reversed(poses))))
+    fwd = average_samples(_record("tip", tuple(poses)))
+    rev = average_samples(_record("tip", tuple(reversed(poses))))
     np.testing.assert_allclose(fwd.translation, rev.translation, atol=1e-12)
     np.testing.assert_allclose(fwd.rotation, rev.rotation, atol=1e-12)
 
@@ -73,10 +82,49 @@ def test_average_samples_recovers_noisy_rotation():
                        [-axis[1], axis[0], 0]])
         noise = np.eye(3) + math.sin(angle) * kx + (1 - math.cos(angle)) * (kx @ kx)
         samples.append((k * 0.05, RigidPose(truth @ noise, np.zeros(3))))
-    avg = average_samples(MarkerRecord("j2_on", tuple(samples)))
+    avg = average_samples(_record("j2_on", tuple(samples)))
     residual = avg.rotation.T @ truth
     angle_err = math.acos(min(1.0, (np.trace(residual) - 1.0) / 2.0))
     assert math.degrees(angle_err) < 0.1
+
+
+def test_average_samples_matches_matrix_mean():
+    rng = np.random.default_rng(59)
+    for spread in (0.01, 0.3, 1.0):
+        truth = rng.normal(size=4)
+        q = truth / np.linalg.norm(truth) + rng.normal(0.0, spread, (40, 4))
+        q /= np.linalg.norm(q, axis=1)[:, None]
+        q[rng.random(40) < 0.5] *= -1.0  # q and -q are the same rotation
+        avg = average_samples(MarkerRecord("tip", np.arange(40) * 0.05,
+                                           np.zeros((40, 3)), q))
+        np.testing.assert_allclose(avg.rotation, chordal_mean_rotation(q),
+                                   rtol=0.0, atol=1e-12)
+
+
+def test_marker_record_arrays_are_checked():
+    t, p, q = [0.0, 0.05], [[1.0, 2.0, 3.0]] * 2, [[1.0, 0.0, 0.0, 0.0]] * 2
+    rec = MarkerRecord("j2_on", t, p, [[1.0 + 5e-7, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    assert rec.times.shape == (2,) and rec.positions.shape == (2, 3)
+    np.testing.assert_array_equal(rec.quaternions[0], [1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="read-only"):
+        rec.positions[0, 0] = 5.0
+    with pytest.raises(ValidationError, match="quaternion norm 2 is not 1"):
+        MarkerRecord("j2_on", t, p, [[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(ValidationError, match="marker 'j2_on': sample 0: non-finite"):
+        MarkerRecord("j2_on", t, p, [[math.nan, 0.0, 0.0, 0.0]] * 2)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="sample 1: non-finite"):
+            MarkerRecord("j2_on", t, [p[0], [1.0, bad, 3.0]], q)
+        with pytest.raises(ValidationError, match="sample 1: non-finite"):
+            MarkerRecord("j2_on", [0.0, bad], p, q)
+    with pytest.raises(ValidationError, match="no samples"):
+        MarkerRecord("j2_on", [], np.zeros((0, 3)), np.zeros((0, 4)))
+    with pytest.raises(ValidationError, match="shapes"):
+        MarkerRecord("j2_on", t, p[:1], q)
+    with pytest.raises(ValidationError, match="shapes"):
+        MarkerRecord("j2_on", t, p, [[1.0, 0.0, 0.0]] * 2)
+    with pytest.raises(ValidationError, match="unrecognized marker id"):
+        MarkerRecord("marker7", t, p, q)
 
 
 def test_recover_exact_on_reference_robot(three_bend_chain):
@@ -134,14 +182,14 @@ def test_missing_marker_is_named(three_bend_chain):
 
 
 def test_degenerate_marker_geometry():
-    pose_at = lambda p: ((0.0, RigidPose(np.eye(3), np.array(p, float))),)  # noqa: E731
+    at = lambda marker_id, p: MarkerRecord(marker_id, [0.0], [p], [[1, 0, 0, 0]])  # noqa: E731
     recs = [
-        MarkerRecord("base", pose_at([0, 0, 0])),
-        MarkerRecord("j2_on", pose_at([0.5, 0, 0])),  # 0.5 mm from base
-        MarkerRecord("j2_dist", pose_at([50, 50, 0])),
-        MarkerRecord("j3_prox", pose_at([60, 60, 0])),
-        MarkerRecord("j3_on", pose_at([80, 80, 0])),
-        MarkerRecord("tip", pose_at([120, 80, 0])),
+        at("base", [0, 0, 0]),
+        at("j2_on", [0.5, 0, 0]),  # 0.5 mm from base
+        at("j2_dist", [50, 50, 0]),
+        at("j3_prox", [60, 60, 0]),
+        at("j3_on", [80, 80, 0]),
+        at("tip", [120, 80, 0]),
     ]
     with pytest.raises(DegenerateGeometryError):
         recover_dh(recs)

@@ -159,6 +159,12 @@ def test_paired_t_identical_is_unit_p():
     res = t_test_paired([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     assert res.statistic == 0.0
     assert res.p_value == 1.0
+    # identical constant groups: zero variance and zero mean difference
+    for test in (t_test_independent, t_test_welch):
+        res = test([2.5, 2.5, 2.5], [2.5, 2.5])
+        assert (res.statistic, res.p_value, res.df) == (0.0, 1.0, (3,))
+        with pytest.raises(DegenerateDataError):
+            test([2.5, 2.5, 2.5], [3.5, 3.5])
     with pytest.raises(ValidationError):
         t_test_paired([1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(DegenerateDataError):
