@@ -127,10 +127,10 @@ def _out(project, name):
 # ------------------------------------------------------------------ commands
 
 def cmd_plan(project, args) -> int:
-    for i, link in enumerate(project.chain.links, start=1):
-        if abs(math.degrees(link.theta)) >= args.max_theta_deg:
+    for i, theta in enumerate(project.chain.theta.tolist(), start=1):
+        if abs(math.degrees(theta)) >= args.max_theta_deg:
             raise SingularityError(
-                f"link {i}: joint angle {math.degrees(link.theta):.4g} deg is "
+                f"link {i}: joint angle {math.degrees(theta):.4g} deg is "
                 f"within {180 - args.max_theta_deg:.4g} deg of the fold "
                 "singularity at 180 deg")
     plan = compile_plan(project.chain, project.gap)
@@ -140,8 +140,8 @@ def cmd_plan(project, args) -> int:
           f"{formats.fmt9(project.gap.d_g)} mm, radius = "
           f"{formats.fmt9(plan.radius)} mm)")
     print("joint  theta           s_tilde_mm    Z_mm          c_mm")
-    for joint, link in zip(plan.joints, project.chain.links):
-        print(f"{joint.index:>5}  {_angle_str(project, link.theta):<14}  "
+    for joint, theta in zip(plan.joints, project.chain.theta.tolist()):
+        print(f"{joint.index:>5}  {_angle_str(project, theta):<14}  "
               f"{formats.fmt9(joint.s_tilde):<12}  "
               f"{formats.fmt9(joint.axial_start):<12}  "
               f"{formats.fmt9(joint.circumferential)}")

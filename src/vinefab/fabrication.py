@@ -29,7 +29,6 @@ DEFAULT_LOOP_GAP_MM = 9.3
 
 # largest |theta| a fold accepts: compile_plan and recover_chain share it
 _THETA_MAX = math.pi - 1e-12
-_BISECT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -197,11 +196,7 @@ def compile_plan(chain: DHChain, gap: GapModel) -> FabricationPlan:
     accumulated across such joints is carried into the placement of the next
     joint that actually folds.
     """
-    r = chain.radius
-    thetas = chain.thetas()
-    alphas = chain.alphas()
-    lengths = chain.lengths()
-    n = chain.n
+    r, thetas, alphas, lengths, n = chain.radius, chain.theta, chain.alpha, chain.a, chain.n
 
     # DHChain and GapModel have checked r, d_g and every theta, so only the
     # singular range and overflow are left to reject, at the first joint
@@ -216,29 +211,30 @@ def compile_plan(chain: DHChain, gap: GapModel) -> FabricationPlan:
     s_tilde[folds] = s_folds
     d_g_used = np.where(folds, gap.d_g, 0.0)
 
-    cylinders = []
-    for i in range(n):
-        s_next = s_tilde[i + 1] if i + 1 < n else 0.0
-        cylinders.append(cylinder_length(lengths[i], s_tilde[i], s_next,
-                                         link_index=i + 1))
+    s_next = np.append(s_tilde[1:], 0.0)
+    cylinders = lengths - (s_tilde + s_next) / 4.0
+    if not (cylinders > 0.0).all():
+        i = int(np.argmin(cylinders > 0.0))
+        cylinder_length(lengths[i], s_tilde[i], s_next[i], link_index=i + 1)  # raises
 
     # stored arc offsets: zero across foldless joints, with their twist carried
     # into the next folding joint so that c accumulates correctly
-    arcs = np.zeros(max(n - 1, 0))
+    thetas, alphas = thetas.tolist(), alphas.tolist()
+    arcs = []
     pending = 0.0
     # angle of the last folding joint; a foldless start counts as nonnegative
     last_fold = thetas[0]
     for i in range(n - 1):
         pending += alphas[i]
         if thetas[i + 1] == 0.0:
-            arcs[i] = arc_offset(alphas[i], thetas[i], thetas[i + 1], r)
+            arcs.append(arc_offset(alphas[i], thetas[i], thetas[i + 1], r))
             continue
         if i > 0 and thetas[i] == 0.0 and pending != 0.0:
             warnings.warn(
                 f"carrying twist {pending:.6g} rad across foldless joints "
                 f"into joint {i + 2} placement",
                 DegenerateJointWarning, stacklevel=2)
-        arcs[i] = r * gauge_twist(pending, last_fold, thetas[i + 1])
+        arcs.append(r * gauge_twist(pending, last_fold, thetas[i + 1]))
         pending = 0.0
         last_fold = thetas[i + 1]
 
@@ -246,11 +242,11 @@ def compile_plan(chain: DHChain, gap: GapModel) -> FabricationPlan:
     joints = []
     z = 0.0
     c = 0.0
-    for i in range(n):
-        joints.append(JointSpec(index=i + 1, s_tilde=float(s_tilde[i]),
-                                axial_start=z, circumferential=c,
-                                d_g=float(d_g_used[i])))
-        z += s_tilde[i] + cylinders[i]
+    for i, (s_i, l_i, d_i) in enumerate(zip(s_tilde.tolist(), cylinders.tolist(),
+                                            d_g_used.tolist())):
+        joints.append(JointSpec(index=i + 1, s_tilde=s_i, axial_start=z,
+                                circumferential=c, d_g=d_i))
+        z += s_i + l_i
         if i < n - 1:
             c = (c + arcs[i]) % circumference
 
@@ -260,11 +256,16 @@ def compile_plan(chain: DHChain, gap: GapModel) -> FabricationPlan:
 
 
 def _solve_fold_angles(s_tilde: np.ndarray, r: float, d_g: float) -> np.ndarray:
-    """Invert the fold-distance formula for every theta in [0, pi) in one bisection."""
-    lo, hi = np.zeros_like(s_tilde), np.full_like(s_tilde, _THETA_MAX)
+    """Invert the fold-distance formula for every theta in [0, pi) at once.
+
+    f(theta) = d_g/cos(theta/2) + 2*r*theta is increasing and convex, and both
+    terms are nonnegative, so the root lies at or below (s - d_g)/(2r) and
+    2*arccos(d_g/s). Newton steps from there decrease to the root; they stop
+    when no angle decreases. With d_g = 0 the start is the root.
+    """
     with np.errstate(over="ignore"):  # a fold distance past float range is inf
         shortest = np.min(s_tilde, initial=math.inf)
-        if _fold_distance(0.0, r, d_g) - shortest > _BISECT_TOL:
+        if _fold_distance(0.0, r, d_g) > shortest:
             raise InversionError(
                 f"s_tilde = {shortest:.6g} mm is below the d_g floor {d_g:.6g} mm; "
                 "no joint angle in [0, pi) produces it")
@@ -273,13 +274,17 @@ def _solve_fold_angles(s_tilde: np.ndarray, r: float, d_g: float) -> np.ndarray:
             raise InversionError(
                 f"s_tilde = {longest:.6g} mm exceeds the fold distance of any "
                 "joint angle in [0, pi)")
-        # every bracket starts as [0, _THETA_MAX], so all close on the same step
-        while (hi - lo).max(initial=0.0) > _BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            short = _fold_distance(mid, r, d_g) < s_tilde
-            lo = np.where(short, mid, lo)
-            hi = np.where(short, hi, mid)
-    return 0.5 * (lo + hi)
+        theta = np.minimum(np.minimum((s_tilde - d_g) / (2.0 * r), _THETA_MAX),
+                           2.0 * np.arccos(np.minimum(d_g / s_tilde, 1.0)))
+        while True:
+            half = 0.5 * theta
+            cos = np.cos(half)
+            slope = 0.5 * d_g * np.sin(half) / (cos * cos) + 2.0 * r
+            nxt = np.maximum(theta - (_fold_distance(theta, r, d_g) - s_tilde) / slope, 0.0)
+            down = nxt < theta
+            if not down.any():
+                return theta
+            theta = np.where(down, nxt, theta)
 
 
 def recover_chain(plan: FabricationPlan, gap: GapModel) -> DHChain:
@@ -299,4 +304,4 @@ def recover_chain(plan: FabricationPlan, gap: GapModel) -> DHChain:
     thetas[folds] = _solve_fold_angles(s_tilde[folds], r, gap.d_g)
     lengths = np.array(plan.cylinders) + (s_tilde + np.append(s_tilde[1:], 0.0)) / 4.0
     alphas = [wrap_angle(arc / r) for arc in plan.arc_offsets] + [0.0]
-    return DHChain.from_arrays(lengths, alphas, thetas, radius=r)
+    return DHChain(lengths, alphas, thetas, r)

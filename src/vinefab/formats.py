@@ -23,6 +23,8 @@ from .stats import SampleRow, SampleTable
 
 def fmt9(value) -> str:
     """Format a number with 9 significant digits; integers stay integral."""
+    if type(value) is float and math.isfinite(value):  # the common case, first
+        return f"{value + 0.0:.9g}"
     if isinstance(value, bool):
         raise ValidationError("fmt9 does not format booleans")
     if isinstance(value, (int, np.integer)):
@@ -30,9 +32,7 @@ def fmt9(value) -> str:
     v = float(value)
     if not math.isfinite(v):
         raise ValidationError(f"cannot format non-finite number {v}")
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    return f"{v:.9g}"
+    return f"{v + 0.0:.9g}"  # + 0.0 turns -0.0 into 0.0
 
 
 def dumps_json(obj) -> str:
@@ -104,24 +104,44 @@ def _require(mapping, key, path):
 def chain_to_dict(chain: DHChain) -> dict:
     return {
         "radius_mm": chain.radius,
-        "links": [{"a_mm": link.a,
-                   "alpha_deg": math.degrees(link.alpha),
-                   "theta_deg": math.degrees(link.theta)}
-                  for link in chain.links],
+        "links": [{"a_mm": a,
+                   "alpha_deg": math.degrees(alpha),
+                   "theta_deg": math.degrees(theta)}
+                  for a, alpha, theta in zip(chain.a.tolist(), chain.alpha.tolist(),
+                                             chain.theta.tolist())],
     }
 
 
+def _number(mapping, key, context, default=None):
+    """A JSON number field as a float: no bool, string or null."""
+    value = _require(mapping, key, context) if default is None else mapping.get(key, default)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer past float range
+            pass
+    raise ValidationError(f"{context}: {key!r} must be a number, got {value!r}")
+
+
 def chain_from_dict(data: dict, context: str = "chain") -> DHChain:
-    radius = float(_require(data, "radius_mm", context))
+    if not isinstance(data, dict):
+        raise ValidationError(f"{context}: a chain must be a JSON object")
+    radius = _number(data, "radius_mm", context)
     links = _require(data, "links", context)
     if not isinstance(links, list) or not links:
         raise ValidationError(f"{context}: 'links' must be a non-empty list")
     a, alpha, theta = [], [], []
     for i, entry in enumerate(links, start=1):
-        a.append(float(_require(entry, "a_mm", f"{context} link {i}")))
-        alpha.append(math.radians(float(entry.get("alpha_deg", 0.0))))
-        theta.append(math.radians(float(entry.get("theta_deg", 0.0))))
-    return DHChain.from_arrays(a, alpha, theta, radius=radius)
+        where = f"{context} link {i}"
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{where}: must be a JSON object, got {entry!r}")
+        a.append(_number(entry, "a_mm", where))
+        alpha.append(math.radians(_number(entry, "alpha_deg", where, 0.0)))
+        theta.append(math.radians(_number(entry, "theta_deg", where, 0.0)))
+    try:
+        return DHChain(a, alpha, theta, radius)
+    except ValidationError as exc:
+        raise ValidationError(f"{context}: {exc}") from exc
 
 
 def read_chain(path) -> DHChain:
@@ -233,12 +253,13 @@ def read_markers(path) -> list:
     """
     lines, columns = _read_csv(path, MARKER_HEADER)
     values = _floats(path, lines, columns, MARKER_HEADER[1:])
-    # checked here so that an error names its line; each record normalizes
-    check_samples(str(path), values[:, 0], values[:, 1:4], values[:, 4:], lines)
+    # checked once, on the whole file, so that an error names its line
+    t, p, q = check_samples(str(path), values[:, 0], values[:, 1:4], values[:, 4:],
+                            lines)
     rows = {}
     for i, marker_id in enumerate(columns["marker_id"]):
         rows.setdefault(marker_id, []).append(i)
-    return [MarkerRecord(marker_id, values[idx, 0], values[idx, 1:4], values[idx, 4:])
+    return [MarkerRecord._from_checked(marker_id, t[idx], p[idx], q[idx])
             for marker_id, idx in rows.items()]
 
 

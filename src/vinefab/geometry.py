@@ -15,6 +15,7 @@ FK, growth and marker synthesis all read them from it.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,15 +112,8 @@ class RigidPose:
         t = np.array(self.translation, float).reshape(3)
         if r.shape != (3, 3):
             raise ValidationError(f"rotation must be 3x3, got {r.shape}")
-        # written as `not (err < tol)` so that a NaN error is rejected too
-        if not np.max(np.abs(r.T @ r - np.eye(3))) < ORTHONORMALITY_TOL:
-            raise ValidationError("rotation is not orthonormal within 1e-9")
-        if not abs(np.linalg.det(r) - 1.0) < ORTHONORMALITY_TOL:
-            raise ValidationError("rotation determinant is not 1 within 1e-9")
-        if not np.isfinite(t).all():
-            raise ValidationError(f"translation must be finite, got {t}")
-        r.flags.writeable = False
-        t.flags.writeable = False
+        _check_poses(r[None], t[None])
+        r.flags.writeable = t.flags.writeable = False
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
@@ -144,103 +138,126 @@ class RigidPose:
         return rotation_to_quaternion(self.rotation)
 
 
-@dataclass(frozen=True)
-class DHLink:
-    """One link: length a (mm), twist alpha, joint angle theta (rad), offset d = 0."""
-
-    a: float
-    alpha: float = 0.0
-    theta: float = 0.0
-    d: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        # -pi and pi are the same angle; store the canonical endpoint
-        object.__setattr__(self, "alpha", _canon_angle(float(self.alpha), "alpha"))
-        object.__setattr__(self, "theta", _canon_angle(float(self.theta), "theta"))
-        object.__setattr__(self, "d", float(self.d))
-        if not math.isfinite(self.a) or self.a < 0.0:
-            raise ValidationError(f"link length a must be >= 0, got {self.a}")
-        if self.d != 0.0:
-            raise ValidationError(f"joint offset d must be exactly 0, got {self.d}")
+def _check_poses(rots: np.ndarray, origins: np.ndarray) -> None:
+    """The RigidPose invariants on stacks (m, 3, 3) and (m, 3), in one pass."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        err = np.abs(np.swapaxes(rots, 1, 2) @ rots - np.eye(3)).max(axis=(1, 2))
+        det_err = np.abs(np.linalg.det(rots) - 1.0)
+    # written as `not (err < tol)` so that a NaN error is rejected too
+    if not (err < ORTHONORMALITY_TOL).all():
+        raise ValidationError("rotation is not orthonormal within 1e-9")
+    if not (det_err < ORTHONORMALITY_TOL).all():
+        raise ValidationError("rotation determinant is not 1 within 1e-9")
+    finite = np.isfinite(origins).all(axis=1)
+    if not finite.all():
+        raise ValidationError(
+            f"translation must be finite, got {origins[np.argmin(finite)]}")
 
 
-def _canon_angle(x: float, name: str) -> float:
-    if not math.isfinite(x) or x < -math.pi - 1e-12 or x > math.pi + 1e-12:
-        raise ValidationError(f"{name} must lie in (-pi, pi], got {x}")
-    if x <= -math.pi or x > math.pi:
-        return math.pi
-    return x
+def _trusted(cls, **fields):
+    """A frozen dataclass instance of already checked fields: no __post_init__."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
-@dataclass(frozen=True)
+# one link of a chain, read from its arrays: length a (mm), alpha and theta (rad)
+DHLink = namedtuple("DHLink", ["a", "alpha", "theta"])
+
+
+@dataclass(frozen=True, eq=False)
 class DHChain:
-    """Ordered links plus the body radius of the inflated tube."""
+    """Link parameters as read-only (n,) arrays plus the body radius of the tube.
 
-    links: tuple
+    ``a`` in mm, ``alpha`` and ``theta`` in rad, checked once here: at least
+    one link, a >= 0 with a finite running total, and angles in (-pi, pi]
+    within 1e-12, stored with -pi as pi. Errors name the first bad link.
+    """
+
+    a: np.ndarray
+    alpha: np.ndarray
+    theta: np.ndarray
     radius: float
 
     def __post_init__(self):
-        links = tuple(self.links)
-        if len(links) < 1:
-            raise ValidationError("chain needs at least one link")
-        for i, link in enumerate(links, start=1):
-            if not isinstance(link, DHLink):
-                raise ValidationError(
-                    f"link {i}: expected a DHLink, got {type(link).__name__} "
-                    "(use DHChain.from_arrays for raw parameters)")
-        object.__setattr__(self, "links", links)
-        object.__setattr__(self, "radius", float(self.radius))
-        if not math.isfinite(self.radius) or self.radius <= 0.0:
-            raise ValidationError(f"radius must be > 0, got {self.radius}")
+        a, alpha, theta = (np.array(v, float) for v in (self.a, self.alpha, self.theta))
+        if a.ndim != 1 or a.size < 1 or not a.shape == alpha.shape == theta.shape:
+            raise ValidationError("a chain needs at least one link, and a, alpha and "
+                                  "theta must be sequences of equal length")
+        with np.errstate(over="ignore", invalid="ignore"):
+            running = np.cumsum(a)
+        # NaN and inf fail the range tests too
+        ok = np.array([np.abs(alpha) <= math.pi + 1e-12, np.abs(theta) <= math.pi + 1e-12,
+                       (a >= 0.0) & (a < math.inf), np.isfinite(running)])
+        if not ok.all():
+            i = int(np.argmin(ok.all(axis=0)))  # the first bad link, then its first check
+            raise ValidationError(f"link {i + 1}: " + [
+                f"alpha must lie in (-pi, pi], got {alpha[i]}",
+                f"theta must lie in (-pi, pi], got {theta[i]}",
+                f"link length a must be >= 0, got {a[i]}",
+                f"chain length overflows at a = {a[i]} mm"][int(np.argmin(ok[:, i]))])
+        radius = float(self.radius)
+        if not math.isfinite(radius) or radius <= 0.0:
+            raise ValidationError(f"radius must be > 0, got {radius}")
+        for x in (alpha, theta):
+            x[(x <= -math.pi) | (x > math.pi)] = math.pi  # the same angle as -pi
+        for name, x in (("a", a), ("alpha", alpha), ("theta", theta)):
+            x.flags.writeable = False
+            object.__setattr__(self, name, x)
+        object.__setattr__(self, "radius", radius)
 
     @classmethod
     def from_arrays(cls, a, alpha, theta, radius) -> "DHChain":
-        """Build a chain from parallel parameter sequences, naming bad links."""
-        a, alpha, theta = (list(map(float, v)) for v in (a, alpha, theta))
-        if not len(a) == len(alpha) == len(theta):
-            raise ValidationError("a, alpha, theta must have equal lengths")
-        links = []
-        for i, (ai, ali, thi) in enumerate(zip(a, alpha, theta), start=1):
-            try:
-                links.append(DHLink(a=ai, alpha=ali, theta=thi))
-            except ValidationError as exc:
-                raise ValidationError(f"link {i}: {exc}") from exc
-        return cls(links=tuple(links), radius=radius)
+        """Build a chain from parallel parameter sequences; same as the constructor."""
+        return cls(a, alpha, theta, radius)
 
     @property
     def n(self) -> int:
-        return len(self.links)
+        return self.a.shape[0]
 
     @property
     def total_length(self) -> float:
-        return float(sum(link.a for link in self.links))
+        return float(sum(self.a.tolist()))
+
+    @property
+    def links(self) -> tuple:
+        """The links as DHLink records, derived from the arrays."""
+        return tuple(map(DHLink, self.a.tolist(), self.alpha.tolist(),
+                         self.theta.tolist()))
 
     def thetas(self) -> np.ndarray:
-        return np.array([link.theta for link in self.links])
+        return self.theta
 
     def alphas(self) -> np.ndarray:
-        return np.array([link.alpha for link in self.links])
+        return self.alpha
 
     def lengths(self) -> np.ndarray:
-        return np.array([link.a for link in self.links])
+        return self.a
 
 
 def chain_frames(chain: DHChain) -> tuple[np.ndarray, np.ndarray]:
     """Frames of a chain as arrays: rotations (n+1, 3, 3) and origins (n+1, 3).
 
     Frame 0 is the base and frame n the tip; frame i's x-axis points along
-    link i and joint i+1 bends in frame i's x-y plane. Raises
-    ValidationError naming the first link whose origin overflows.
+    link i and joint i+1 bends in frame i's x-y plane. Every link's
+    Rz(theta) Rx(alpha) and step Rz(theta) (a, 0, 0) is built at once; only
+    the running rotation product loops. Raises ValidationError naming the
+    first link whose origin overflows.
     """
-    rots = np.empty((chain.n + 1, 3, 3))
-    origins = np.empty((chain.n + 1, 3))
-    rots[0], origins[0] = np.eye(3), 0.0
+    n = chain.n
+    ct, st = np.cos(chain.theta), np.sin(chain.theta)
+    ca, sa = np.cos(chain.alpha), np.sin(chain.alpha)
+    z, o = np.zeros(n), np.ones(n)
+    rz = np.stack([ct, -st, z, st, ct, z, z, z, o], axis=1).reshape(n, 3, 3)
+    local = rz @ np.stack([o, z, z, z, ca, -sa, z, sa, ca], axis=1).reshape(n, 3, 3)
+    rots = np.empty((n + 1, 3, 3))
+    rots[0] = np.eye(3)
+    for i in range(n):
+        np.matmul(rots[i], local[i], out=rots[i + 1])
+    origins = np.zeros((n + 1, 3))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        for i, link in enumerate(chain.links):
-            rz = rot_z(link.theta)
-            origins[i + 1] = origins[i] + rots[i] @ (rz @ np.array([link.a, 0.0, 0.0]))
-            rots[i + 1] = rots[i] @ (rz @ rot_x(link.alpha))
+        steps = rots[:-1] @ (rz[:, :, 0] * chain.a[:, None])[:, :, None]
+        np.cumsum(steps[:, :, 0], axis=0, out=origins[1:])
     if not np.isfinite(origins[-1]).all():  # an overflow carries to the tip
         i = int(np.argmin(np.isfinite(origins).all(axis=1)))
         raise ValidationError(
@@ -249,8 +266,15 @@ def chain_frames(chain: DHChain) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fk_chain(chain: DHChain) -> list:
-    """Cumulative frames of a chain as n+1 poses, base first; see chain_frames."""
-    return [RigidPose(r, t) for r, t in zip(*chain_frames(chain))]
+    """Cumulative frames of a chain as n+1 poses, base first; see chain_frames.
+
+    The frames are checked once, as a stack; the poses hold read-only views.
+    """
+    rots, origins = chain_frames(chain)
+    _check_poses(rots, origins)
+    rots.flags.writeable = origins.flags.writeable = False
+    return [_trusted(RigidPose, rotation=r, translation=t)
+            for r, t in zip(rots, origins)]
 
 
 def dh_to_polyline(chain: DHChain) -> np.ndarray:
@@ -317,10 +341,10 @@ def polyline_to_dh(points: np.ndarray, radius: float) -> DHChain:
         raise ValidationError("polyline needs at least 2 points")
     seg = np.diff(p, axis=0)
     lengths = np.linalg.norm(seg, axis=1)
-    for i, a in enumerate(lengths, start=1):
-        if a < 1e-12:
-            raise ValidationError(
-                f"segment {i} is degenerate (coincident consecutive points)")
+    short = lengths < 1e-12
+    if short.any():
+        raise ValidationError(f"segment {int(np.argmax(short)) + 1} is "
+                              "degenerate (coincident consecutive points)")
     if np.linalg.norm(p[0]) > ORIGIN_TOL:
         raise ValidationError(
             "polyline must start at the origin (canonicalize_polyline first)")
@@ -330,22 +354,21 @@ def polyline_to_dh(points: np.ndarray, radius: float) -> DHChain:
             "(canonicalize_polyline first)")
 
     n = p.shape[0] - 1
+    units = seg / lengths[:, None]
     r_cum = np.eye(3)
     thetas = np.empty(n)
     alphas = np.empty(n)
     for i in range(n):
-        d = r_cum.T @ (seg[i] / lengths[i])
+        d = r_cum.T @ units[i]
         thetas[i] = math.atan2(d[1], d[0])
         r_mid = r_cum @ rot_z(thetas[i])
         if i + 1 < n:
             # twist that brings the next segment into this frame's x-y plane;
             # atan2(0, 0) = 0 keeps the plane of the previous bend
-            e = r_mid.T @ (seg[i + 1] / lengths[i + 1])
+            e = r_mid.T @ units[i + 1]
             alphas[i] = math.atan2(e[2], e[1])
         else:
             alphas[i] = 0.0
         r_cum = r_mid @ rot_x(alphas[i])
 
-    links = tuple(DHLink(a=float(a), alpha=float(al), theta=float(th))
-                  for a, al, th in zip(lengths, alphas, thetas))
-    return DHChain(links=links, radius=radius)
+    return DHChain(lengths, alphas, thetas, radius)

@@ -127,7 +127,7 @@ def tip_pose_at(state: GrowthState) -> RigidPose:
     rem = state.everted_length - cum[idx]
     if idx >= chain.n or rem <= 0.0:
         return RigidPose(rots[idx], origins[idx])
-    rz = rot_z(chain.links[idx].theta)
+    rz = rot_z(chain.theta[idx])
     return RigidPose(rots[idx] @ rz,
                      origins[idx] + rots[idx] @ (rz @ np.array([rem, 0.0, 0.0])))
 

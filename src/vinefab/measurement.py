@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (DegenerateGeometryError, MissingMarkerError,
                      ValidationError)
-from .geometry import (DHChain, RigidPose, chain_frames, gauge_twist,
+from .geometry import (DHChain, RigidPose, _trusted, chain_frames, gauge_twist,
                        nearest_rotation, quaternion_to_rotation,
                        rotation_to_quaternion, wrap_angle)
 
@@ -107,6 +107,15 @@ class MarkerRecord:
                                self.positions, self.quaternions)
         for name, value in zip(("times", "positions", "quaternions"), arrays):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_checked(cls, marker_id, times, positions, quaternions):
+        """A record of samples that ``check_samples`` has passed, unchecked and uncopied."""
+        parse_marker_id(marker_id)
+        for a in (times, positions, quaternions):
+            a.flags.writeable = False
+        return _trusted(cls, marker_id=marker_id, times=times,
+                        positions=positions, quaternions=quaternions)
 
     @property
     def joint(self):
@@ -256,20 +265,21 @@ def dh_errors(measured: MeasuredDH, target: DHChain) -> list:
             f"measured topology does not match a {n}-link chain: "
             f"joints {joint_idx}, twists {alpha_idx}, lengths {length_idx}")
 
+    thetas, alphas, lengths = (v.tolist() for v in (target.theta, target.alpha, target.a))
     rows = []
     for (j, th) in measured.joint_thetas:
-        t = abs(target.links[j - 1].theta)
+        t = abs(thetas[j - 1])
         rows.append(ErrorRow("joint", j, math.degrees(t), math.degrees(th),
                              math.degrees(th - t), measured.phase))
     for (i, al) in measured.link_alphas:
-        alpha = target.links[i - 1].alpha
-        t = gauge_twist(alpha, target.links[i - 1].theta, target.links[i].theta)
+        alpha = alphas[i - 1]
+        t = gauge_twist(alpha, thetas[i - 1], thetas[i])
         if t != alpha:  # shifted by pi, so it may leave (-pi, pi]
             t = wrap_angle(t)
         rows.append(ErrorRow("twist", i, math.degrees(t), math.degrees(al),
                              math.degrees(al - t), measured.phase))
     for (i, a) in measured.link_lengths:
-        t = target.links[i - 1].a
+        t = lengths[i - 1]
         rows.append(ErrorRow("length", i, t, a, a - t, measured.phase))
     return rows
 

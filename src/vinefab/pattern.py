@@ -22,14 +22,13 @@ _STYLE = (
 
 def flat_pattern(plan: FabricationPlan) -> str:
     """Render a plan as an SVG document string."""
-    w = plan.circumference
-    h = plan.total_tube_length
+    w, h = fmt9(plan.circumference), fmt9(plan.total_tube_length)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt9(w)}mm" '
-        f'height="{fmt9(h)}mm" viewBox="0 0 {fmt9(w)} {fmt9(h)}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}mm" '
+        f'height="{h}mm" viewBox="0 0 {w} {h}">',
         f"<style>{_STYLE}</style>",
-        f'<rect class="outline" x="0" y="0" width="{fmt9(w)}" height="{fmt9(h)}"/>',
+        f'<rect class="outline" x="0" y="0" width="{w}" height="{h}"/>',
     ]
 
     # dashed cylinder boundaries (skip the outline edges at 0 and h)
@@ -39,23 +38,21 @@ def flat_pattern(plan: FabricationPlan) -> str:
         boundaries.add(round(start, 9))
         boundaries.add(round(start + l, 9))
     for z in sorted(boundaries):
-        if 1e-9 < z < h - 1e-9:
-            out.append(f'<line class="cyl" x1="0" y1="{fmt9(z)}" '
-                       f'x2="{fmt9(w)}" y2="{fmt9(z)}"/>')
+        if 1e-9 < z < plan.total_tube_length - 1e-9:
+            y = fmt9(z)
+            out.append(f'<line class="cyl" x1="0" y1="{y}" x2="{w}" y2="{y}"/>')
 
     # joint connection points: two marks on one meridian, joined by a guide line
     for joint in plan.joints:
         if joint.s_tilde <= 0.0:
             continue
         x = fmt9(joint.circumferential)
-        y0 = joint.axial_start
-        y1 = y0 + joint.s_tilde
-        out.append(f'<line class="fold" x1="{x}" y1="{fmt9(y0)}" '
-                   f'x2="{x}" y2="{fmt9(y1)}"/>')
-        out.append(f'<circle class="pt" cx="{x}" cy="{fmt9(y0)}" r="1.2"/>')
-        out.append(f'<circle class="pt" cx="{x}" cy="{fmt9(y1)}" r="1.2"/>')
+        y0, y1 = fmt9(joint.axial_start), fmt9(joint.axial_start + joint.s_tilde)
+        out.append(f'<line class="fold" x1="{x}" y1="{y0}" x2="{x}" y2="{y1}"/>')
+        out.append(f'<circle class="pt" cx="{x}" cy="{y0}" r="1.2"/>')
+        out.append(f'<circle class="pt" cx="{x}" cy="{y1}" r="1.2"/>')
         out.append(f'<text class="lbl" x="{fmt9(joint.circumferential + 2.5)}" '
-                   f'y="{fmt9(y0 + joint.s_tilde / 2.0)}">J{joint.index}</text>')
+                   f'y="{fmt9(joint.axial_start + joint.s_tilde / 2.0)}">J{joint.index}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

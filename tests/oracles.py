@@ -8,6 +8,7 @@ values by Monte Carlo sampling.
 
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -54,20 +55,36 @@ def fold_tube(plan, thetas_abs, lengths):
     return np.array(points)
 
 
-def bisect_fold_angle(s_tilde, r, d_g, theta_max=math.pi - 1e-12, tol=1e-12):
-    """One joint's bend from its fold distance by scalar bisection on [0, theta_max].
+def mp_fold_angle(s_tilde, r, d_g, digits=50):
+    """One joint's bend from its fold distance, to `digits` significant digits.
 
-    Solves d_g/|cos(theta/2)| + 2*r*theta = s_tilde one joint at a time, the
-    loop the library's recovery ran before it bisected all joints at once.
+    Solves d_g/cos(theta/2) + 2*r*theta = s_tilde for the float inputs taken
+    exactly, with a bracketing solver on [0, pi - 1e-14]: a plain Newton
+    start from theta fails near pi when d_g is large.
     """
-    lo, hi = 0.0, theta_max
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if d_g / abs(math.cos(0.5 * mid)) + 2.0 * r * mid < s_tilde:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    with mpmath.workdps(digits):
+        s, r, d = mpmath.mpf(s_tilde), mpmath.mpf(r), mpmath.mpf(d_g)
+        f = lambda t: d / mpmath.cos(t / 2) + 2 * r * t - s  # noqa: E731
+        return mpmath.findroot(f, (mpmath.mpf(0), mpmath.pi - mpmath.mpf("1e-14")),
+                               solver="anderson")
+
+
+def frames_loop(a, alpha, theta):
+    """Chain frames link by link: rotations (n+1, 3, 3) and origins (n+1, 3).
+
+    The per-link loop the library ran before it built every link's local
+    rotation and step at once: origin_{i+1} = origin_i + R_i Rz(theta_i)
+    (a_i, 0, 0) and R_{i+1} = R_i Rz(theta_i) Rx(alpha_i).
+    """
+    n = len(a)
+    rots = np.empty((n + 1, 3, 3))
+    origins = np.empty((n + 1, 3))
+    rots[0], origins[0] = np.eye(3), 0.0
+    for i in range(n):
+        rz = _rz(theta[i])
+        origins[i + 1] = origins[i] + rots[i] @ (rz @ np.array([a[i], 0.0, 0.0]))
+        rots[i + 1] = rots[i] @ (rz @ _rx(alpha[i]))
+    return rots, origins
 
 
 def chordal_mean_rotation(quaternions):

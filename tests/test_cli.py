@@ -341,3 +341,37 @@ def test_usage_errors_exit_1(tmp_path, argv):
     assert b"error:" in err and out == b""
     code, out, _ = run_cli(argv[0], "--help", cwd=tmp_path)
     assert code == 0 and out.startswith(b"usage: vinefab ")
+
+
+@pytest.mark.parametrize("chain, message", [
+    ({"radius_mm": 16.5, "links": [{"a_mm": "abc"}]},
+     "link 1: 'a_mm' must be a number, got 'abc'"),
+    ({"radius_mm": 16.5, "links": [{"a_mm": True}]},
+     "link 1: 'a_mm' must be a number, got True"),
+    ({"radius_mm": 16.5, "links": [{"a_mm": 100}, {"a_mm": None}]},
+     "link 2: 'a_mm' must be a number, got None"),
+    ({"radius_mm": 16.5, "links": [{"a_mm": 100, "theta_deg": "45"}]},
+     "link 1: 'theta_deg' must be a number, got '45'"),
+    ({"radius_mm": 16.5, "links": [{"a_mm": 100, "alpha_deg": 10 ** 400}]},
+     "link 1: 'alpha_deg' must be a number"),
+    ({"radius_mm": 16.5, "links": [5]}, "link 1: must be a JSON object, got 5"),
+    ({"radius_mm": "x", "links": [{"a_mm": 100}]},
+     "'radius_mm' must be a number, got 'x'"),
+    ([{"a_mm": 100}], "a chain must be a JSON object"),
+    ({"radius_mm": 16.5, "links": [{"a_mm": 1e308}, {"a_mm": 1e308}]},
+     "link 2: chain length overflows"),
+])
+@pytest.mark.parametrize("command", ["plan", "pattern", "fk", "grow"])
+def test_chain_json_takes_only_json_numbers(tmp_path, capsys, chain, message, command):
+    import warnings
+
+    from vinefab import cli
+
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main([command, "--chain", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {path}") and message in err

@@ -16,7 +16,7 @@ from vinefab.fabrication import (GAP_METHODS, FabricationPlan, GapModel,
 from vinefab.geometry import DHChain, dh_to_polyline, fk_chain
 
 from conftest import random_feasible_chain
-from oracles import bisect_fold_angle, fold_tube, kabsch_residual
+from oracles import fold_tube, kabsch_residual, mp_fold_angle
 
 R = 16.5
 TAPE = GapModel.for_method("tape")
@@ -220,10 +220,40 @@ def test_round_trip_random_chains():
             np.testing.assert_allclose(back.alphas(), chain.alphas(), atol=1e-9)
             np.testing.assert_allclose(back.lengths(), chain.lengths(), atol=1e-9)
             assert back.radius == chain.radius
-            # the one array bisection gives each joint the scalar loop's angle
-            np.testing.assert_array_equal(back.thetas(), [
-                bisect_fold_angle(j.s_tilde, plan.radius, gap.d_g)
-                if j.s_tilde > 0.0 else 0.0 for j in plan.joints])
+            # each folded joint's angle is its fold distance's root to 1e-15 rad
+            for j, th in zip(plan.joints, back.thetas()):
+                if j.s_tilde > 0.0:
+                    root = mp_fold_angle(j.s_tilde, plan.radius, gap.d_g)
+                    assert abs(th - root) <= 1e-15
+                else:
+                    assert th == 0.0
+
+
+def _fold_plan(s_tilde, r, d_g):
+    """A plan whose joints fold by s_tilde, with cylinders long enough for any fold."""
+    joints, z = [], 0.0
+    for i, s in enumerate(s_tilde, start=1):
+        joints.append(JointSpec(i, s, z, 0.0, d_g if s > 0.0 else 0.0))
+        z += s + 1e6
+    return FabricationPlan(radius=r, cylinders=(1e6,) * len(joints),
+                           joints=tuple(joints), arc_offsets=(0.0,) * (len(joints) - 1),
+                           total_tube_length=z)
+
+
+def test_fold_inversion_to_1e15_across_the_angle_range():
+    # Newton from above the root: radii 1-50 mm, no gap or 0-30 mm, angles
+    # from 1e-9 rad to within 1e-11 of pi, and a fold exactly at the d_g floor
+    rng = np.random.default_rng(41)
+    for k in range(40):
+        r = float(rng.uniform(1.0, 50.0))
+        d_g = 0.0 if k % 2 else float(rng.uniform(0.0, 30.0))
+        thetas = [1e-9, math.pi - 1e-11, *rng.uniform(0.0, math.pi - 1e-11, 6)]
+        s_tilde = [axial_fold_distance(t, r, d_g) for t in thetas]
+        back = recover_chain(_fold_plan(s_tilde, r, d_g), GapModel("loop", d_g))
+        for s, th in zip(s_tilde, back.thetas()):
+            assert abs(th - mp_fold_angle(s, r, d_g)) <= 1e-15
+    floor = recover_chain(_fold_plan([9.3, 20.0], R, 9.3), LOOP)
+    assert floor.thetas()[0] == 0.0
 
 
 _signed_bend = st.one_of(

@@ -142,6 +142,45 @@ def test_read_markers_groups_ids_in_first_appearance_order(tmp_path):
     assert j2.times.shape == (1,)
 
 
+def test_read_markers_checks_the_file_once(data_dir, monkeypatch):
+    from vinefab import measurement
+
+    calls = []
+    real = measurement.check_samples
+
+    def counted(context, *args, **kwargs):
+        calls.append(context)
+        return real(context, *args, **kwargs)
+
+    for module in (formats, measurement):
+        monkeypatch.setattr(module, "check_samples", counted)
+    path = os.path.join(data_dir, "markers_pre.csv")
+    records = formats.read_markers(path)
+    assert calls == [path]
+    with open(path, newline="") as fh:
+        rows = [(r[0], [float(v) for v in r[1:]]) for r in list(csv.reader(fh))[1:]]
+    for rec in records:
+        # the same record as the checked public constructor builds from the rows
+        raw = np.array([v for marker_id, v in rows if marker_id == rec.marker_id])
+        twin = measurement.MarkerRecord(rec.marker_id, raw[:, 0], raw[:, 1:4], raw[:, 4:])
+        for name in ("times", "positions", "quaternions"):
+            got, want = getattr(rec, name), getattr(twin, name)
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+            assert not got.flags.writeable and got.flags.c_contiguous
+    with pytest.raises(ValidationError, match="unrecognized marker id"):
+        measurement.MarkerRecord._from_checked("j2_sideways", *map(np.array, ([0.0],
+                                               [[0.0] * 3], [[1.0, 0, 0, 0]])))
+
+
+def test_fmt9_fast_path_matches_general_path():
+    rng = np.random.default_rng(2)
+    values = [0.0, -0.0, 1e-300, -5e-324, 1e300, 123456789.5, *rng.normal(size=200) *
+              10.0 ** rng.integers(-12, 12, 200)]
+    for v in values:
+        assert formats.fmt9(float(v)) == formats.fmt9(np.float64(v))
+    assert formats.fmt9(-0.0) == formats.fmt9(np.float64(-0.0)) == "0"
+
+
 def test_samples_round_trip_and_validation(tmp_path, data_dir):
     table = formats.read_samples(os.path.join(data_dir, "dh_samples.csv"))
     assert len(table) == 180

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vinefab.errors import ValidationError
+from vinefab import geometry
 from vinefab.geometry import (DHChain, DHLink, RigidPose, canonicalize_polyline,
                               chain_frames, dh_to_polyline, fk_chain,
                               polyline_to_dh, quaternion_to_rotation,
@@ -13,7 +14,7 @@ from vinefab.geometry import (DHChain, DHLink, RigidPose, canonicalize_polyline,
 from vinefab.growth import GrowthState, tip_pose_at
 
 from conftest import random_feasible_chain
-from oracles import fk_homogeneous
+from oracles import fk_homogeneous, frames_loop
 
 
 def test_straight_chain_tip():
@@ -77,13 +78,59 @@ def test_chain_frames_match_homogeneous_oracle(links):
         np.testing.assert_array_equal(pose.translation, t)
 
 
-def test_chain_frames_name_the_overflowing_link():
-    # finite lengths whose sum overflows: link 3 is the first non-finite origin
-    chain = DHChain.from_arrays([1.0, 1e308, 1e308], [0, 0, 0], [0, 0, 0], 16.5)
-    for build in (chain_frames, fk_chain, dh_to_polyline,
-                  lambda c: tip_pose_at(GrowthState(c, 1.0))):
-        with pytest.raises(ValidationError, match="^link 3: translation must be finite"):
-            build(chain)
+def test_chain_frames_match_the_per_link_loop_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for n in [1, 2, 3, 200, *rng.integers(1, 201, 60)]:
+        # signed bends and twists, with zero bends, twists and lengths
+        a = rng.uniform(0.0, 300.0, n) * (rng.random(n) > 0.1)
+        alpha = rng.uniform(-math.pi, math.pi, n) * (rng.random(n) > 0.3)
+        theta = rng.uniform(-math.pi, math.pi, n) * (rng.random(n) > 0.2)
+        chain = DHChain.from_arrays(a, alpha, theta, radius=16.5)
+        rots, origins = chain_frames(chain)
+        ref_rots, ref_origins = frames_loop(chain.a, chain.alpha, chain.theta)
+        assert rots.tobytes() == ref_rots.tobytes()
+        assert origins.tobytes() == ref_origins.tobytes()
+
+
+def test_chain_length_overflow_names_its_link():
+    # finite lengths whose running sum overflows at link 3: no frame is built
+    with pytest.raises(ValidationError, match="^link 3: chain length overflows"):
+        DHChain.from_arrays([1.0, 1e308, 1e308], [0, 0, 0], [0, 0, 0], 16.5)
+    # just below float range every consumer builds finite frames
+    chain = DHChain.from_arrays([1.0, 1e308, 7e307], [0, 0, 0], [0, 0, 0], 16.5)
+    for build in (chain_frames, dh_to_polyline,
+                  lambda c: [fk_chain(c)[-1].translation],
+                  lambda c: [tip_pose_at(GrowthState(c, c.total_length)).translation]):
+        assert np.isfinite(build(chain)[-1]).all()
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("skew", "rotation is not orthonormal within 1e-9"),
+    ("reflect", "rotation determinant is not 1 within 1e-9"),
+    ("nan", "translation must be finite"),
+])
+def test_fk_chain_checks_every_frame(monkeypatch, three_bend_chain, defect, message):
+    real = geometry.chain_frames
+
+    def faulty(chain):
+        rots, origins = real(chain)
+        if defect == "skew":
+            rots[2, 0, 1] += 1e-8
+        elif defect == "reflect":
+            rots[2, :, 2] *= -1.0
+        else:
+            origins[2, 1] = math.nan
+        return rots, origins
+
+    monkeypatch.setattr(geometry, "chain_frames", faulty)
+    with pytest.raises(ValidationError, match=message):
+        fk_chain(three_bend_chain)
+
+
+def test_fk_chain_poses_are_read_only(three_bend_chain):
+    for pose in fk_chain(three_bend_chain):
+        assert not pose.rotation.flags.writeable
+        assert not pose.translation.flags.writeable
 
 
 def test_fk_base_frame_is_identity(three_bend_chain):
@@ -100,8 +147,10 @@ def test_fk_composition_associative():
         if chain.n < 2:
             continue
         split = int(rng.integers(1, chain.n))
-        head = DHChain(links=chain.links[:split], radius=chain.radius)
-        tail = DHChain(links=chain.links[split:], radius=chain.radius)
+        head = DHChain(chain.a[:split], chain.alpha[:split], chain.theta[:split],
+                       chain.radius)
+        tail = DHChain(chain.a[split:], chain.alpha[split:], chain.theta[split:],
+                       chain.radius)
         joined = fk_chain(head)[-1] @ fk_chain(tail)[-1]
         full = fk_chain(chain)[-1]
         np.testing.assert_allclose(joined.translation, full.translation,
@@ -123,24 +172,45 @@ def test_rotations_stay_orthonormal_over_100_links():
 def test_invalid_links_name_index():
     with pytest.raises(ValidationError, match="link 2"):
         DHChain.from_arrays([100, -5, 100], [0, 0, 0], [0, 0, 0], 16.5)
-    with pytest.raises(ValidationError, match="d must be exactly 0"):
-        DHLink(a=100, d=1.0)
-    with pytest.raises(ValidationError):
-        DHChain(links=(), radius=16.5)
-    # raw parameters go through from_arrays, not the constructor
-    with pytest.raises(ValidationError, match="link 2: expected a DHLink"):
-        DHChain(links=(DHLink(a=100), {"a": 100}), radius=16.5)
-    with pytest.raises(ValidationError, match="link 1: expected a DHLink"):
-        DHChain(links=((100.0, 0.0, 0.0),), radius=16.5)
+    # the first bad link is named, whichever of its fields is bad
+    with pytest.raises(ValidationError, match="^link 1: link length a"):
+        DHChain.from_arrays([-1, 100], [0, 4.0], [0, 0], 16.5)
+    with pytest.raises(ValidationError, match="^link 2: alpha"):
+        DHChain.from_arrays([100, 100], [0, math.nan], [0, 0], 16.5)
+    with pytest.raises(ValidationError, match="^link 1: theta"):
+        DHChain.from_arrays([100, 100], [0, 0], [math.inf, 0], 16.5)
+    with pytest.raises(ValidationError, match="^link 2: link length a"):
+        DHChain.from_arrays([100, math.inf], [0, 0], [0, 0], 16.5)
+    with pytest.raises(ValidationError, match="at least one link"):
+        DHChain([], [], [], radius=16.5)
+    for bad in (([100, 100], [0], [0, 0]), ([[100]], [[0]], [[0]]), (100, 0, 0)):
+        with pytest.raises(ValidationError, match="equal length"):
+            DHChain.from_arrays(*bad, 16.5)
     with pytest.raises(ValidationError, match="radius"):
         DHChain.from_arrays([100], [0], [0], 0.0)
 
 
 def test_angle_range_validation():
     with pytest.raises(ValidationError, match="theta"):
-        DHLink(a=10, theta=4.0)
-    # -pi is the same rotation as pi and is stored canonically
-    assert DHLink(a=10, theta=-math.pi).theta == math.pi
+        DHChain.from_arrays([10], [0], [4.0], 16.5)
+    # -pi is the same rotation as pi and is stored canonically, as is a
+    # rounding excess past pi
+    chain = DHChain.from_arrays([10, 10, 10], [-math.pi, 0.5, math.pi + 1e-13],
+                                [-math.pi, -math.pi - 1e-13, 0.5], 16.5)
+    np.testing.assert_array_equal(chain.alpha, [math.pi, 0.5, math.pi])
+    np.testing.assert_array_equal(chain.theta, [math.pi, math.pi, 0.5])
+
+
+def test_chain_holds_read_only_arrays():
+    theta = np.array([0.1, -0.2])
+    chain = DHChain.from_arrays([10, 20], [0.3, 0.0], theta, 16.5)
+    theta[0] = 9.0  # the chain holds its own copy
+    assert chain.theta[0] == 0.1
+    for x in (chain.a, chain.alpha, chain.theta):
+        assert x.dtype == float and not x.flags.writeable
+    assert chain.thetas() is chain.theta and chain.lengths() is chain.a
+    assert chain.links == (DHLink(10.0, 0.3, 0.1), DHLink(20.0, 0.0, -0.2))
+    assert chain.total_length == 30.0 and chain.n == 2
 
 
 def test_wrap_angle():
