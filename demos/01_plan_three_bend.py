@@ -29,10 +29,9 @@ for method in ("tape", "loop"):
     gap = GapModel.for_method(method)
     plan = compile_plan(chain, gap)
     print(f"--- {method} (d_g = {fmt9(gap.d_g)} mm) ---")
-    print(f"cylinder lengths l_i : {[round(l, 3) for l in plan.cylinders]} mm")
-    print(f"fold distances s_i   : "
-          f"{[round(j.s_tilde, 3) for j in plan.joints]} mm")
-    print(f"arc offsets          : {[round(s, 3) for s in plan.arc_offsets]} mm")
+    print(f"cylinder lengths l_i : {[round(l, 3) for l in plan.cylinders.tolist()]} mm")
+    print(f"fold distances s_i   : {[round(s, 3) for s in plan.s_tilde.tolist()]} mm")
+    print(f"arc offsets          : {[round(s, 3) for s in plan.arc_offsets.tolist()]} mm")
     print(f"total tube length    : {fmt9(plan.total_tube_length)} mm")
     # marking a longer fold for each joint costs cylinder length; the loop
     # method's 9.3 mm gap lengthens every fold by the same geometry

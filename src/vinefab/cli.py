@@ -77,10 +77,12 @@ def _load_chain(source, flag_radius, config_radius):
 
 
 def _build_project(args, need_chain=True) -> Project:
-    config = {}
+    config, where = {}, args.config
     resolve = lambda p: p  # noqa: E731
     if args.config:
         config, resolve = _load_config(args.config)
+    config_radius = (formats._number(config, "radius_mm", where)
+                     if "radius_mm" in config else None)
 
     chain = None
     if need_chain:
@@ -92,19 +94,22 @@ def _build_project(args, need_chain=True) -> Project:
         source = args.chain or config["chain"]
         if not args.chain and isinstance(source, str):
             source = resolve(source)
-        chain = _load_chain(source, args.radius, config.get("radius_mm"))
+        chain = _load_chain(source, args.radius, config_radius)
 
-    gap_cfg = config.get("gap", {})
+    gap_cfg = formats._typed(config, "gap", where, dict, {})
     method = args.method or gap_cfg.get("method", "tape")
-    d_g = args.d_g if args.d_g is not None else gap_cfg.get("d_g_mm")
+    d_g = args.d_g
+    if d_g is None and "d_g_mm" in gap_cfg:
+        d_g = formats._number(gap_cfg, "d_g_mm", f"{where} gap")
     gap = GapModel.for_method(method, d_g=d_g)
 
     scene = None
-    scene_path = args.scene or (resolve(config["scene"]) if "scene" in config else None)
+    scene_path = args.scene or (resolve(formats._typed(config, "scene", where, str))
+                                if "scene" in config else None)
     if scene_path:
         scene = formats.read_scene(scene_path)
 
-    out_dir = args.out or config.get("out_dir", ".")
+    out_dir = args.out or formats._typed(config, "out_dir", where, str, ".")
     os.makedirs(out_dir, exist_ok=True)
 
     units = config.get("units", "deg")
@@ -140,16 +145,14 @@ def cmd_plan(project, args) -> int:
           f"{formats.fmt9(project.gap.d_g)} mm, radius = "
           f"{formats.fmt9(plan.radius)} mm)")
     print("joint  theta           s_tilde_mm    Z_mm          c_mm")
-    for joint, theta in zip(plan.joints, project.chain.theta.tolist()):
-        print(f"{joint.index:>5}  {_angle_str(project, theta):<14}  "
-              f"{formats.fmt9(joint.s_tilde):<12}  "
-              f"{formats.fmt9(joint.axial_start):<12}  "
-              f"{formats.fmt9(joint.circumferential)}")
+    for (i, s, z, c, _), theta in zip(plan.joints, project.chain.theta.tolist()):
+        print(f"{i:>5}  {_angle_str(project, theta):<14}  {formats.fmt9(s):<12}  "
+              f"{formats.fmt9(z):<12}  {formats.fmt9(c)}")
     print("cyl    l_mm")
-    for i, l in enumerate(plan.cylinders, start=1):
+    for i, l in enumerate(plan.cylinders.tolist(), start=1):
         print(f"{i:>5}  {formats.fmt9(l)}")
     print("step   arc_mm")
-    for i, s in enumerate(plan.arc_offsets, start=1):
+    for i, s in enumerate(plan.arc_offsets.tolist(), start=1):
         print(f"{i:>5}  {formats.fmt9(s)}")
     print(f"total tube length: {formats.fmt9(plan.total_tube_length)} mm")
     return EXIT_OK

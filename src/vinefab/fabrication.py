@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -54,67 +56,82 @@ class GapModel:
         return cls(method=method, d_g=d_g)
 
 
-@dataclass(frozen=True)
-class JointSpec:
-    """Fabrication parameters of one joint in tube coordinates.
+# one joint of a plan, read from its arrays: index (from 1), then mm: fold
+# distance, axial start and meridian of its connection points, and gap d_g
+JointSpec = namedtuple("JointSpec", "index s_tilde axial_start circumferential d_g")
 
-    The two connection points sit at (circumferential, axial_start) and
-    (circumferential, axial_start + s_tilde); both share one meridian.
+
+@dataclass(frozen=True, eq=False)
+class FabricationPlan:
+    """Cylinder lengths, joint folds and circumferential offsets of one tube.
+
+    The independent values are read-only finite arrays, checked once here:
+    ``cylinders`` > 0, ``s_tilde`` and ``d_g`` >= 0 (n >= 1 joints) and
+    ``arc_offsets`` (n - 1) on a tube of ``radius`` > 0 mm. The layout is
+    derived: joint i joins Z_i and Z_i + s_i on meridian c_i, with
+    ``axial_start`` Z_1 = 0, Z_{i+1} = Z_i + s_i + l_i and ``circumferential``
+    c_1 = 0, c_{i+1} = (c_i + arc_i) mod circumference.
     """
 
-    index: int
-    s_tilde: float
-    axial_start: float
-    circumferential: float
-    d_g: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "index", int(self.index))
-        for name in ("s_tilde", "axial_start", "circumferential", "d_g"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.s_tilde < 0.0:
-            raise ValidationError(
-                f"joint {self.index}: s_tilde must be >= 0, got {self.s_tilde}")
-        if self.d_g < 0.0:
-            raise ValidationError(
-                f"joint {self.index}: d_g must be >= 0, got {self.d_g}")
-
-
-@dataclass(frozen=True)
-class FabricationPlan:
-    """Cylinder lengths, joint folds, and circumferential offsets of one tube."""
-
     radius: float
-    cylinders: tuple
-    joints: tuple
-    arc_offsets: tuple
-    total_tube_length: float
+    cylinders: np.ndarray
+    s_tilde: np.ndarray
+    d_g: np.ndarray
+    arc_offsets: np.ndarray
+    axial_start: np.ndarray = field(init=False, repr=False)
+    circumferential: np.ndarray = field(init=False, repr=False)
+    total_tube_length: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "cylinders", tuple(float(v) for v in self.cylinders))
-        object.__setattr__(self, "joints", tuple(self.joints))
-        object.__setattr__(self, "arc_offsets",
-                           tuple(float(v) for v in self.arc_offsets))
-        if self.radius <= 0.0:
-            raise ValidationError(f"radius must be > 0, got {self.radius}")
-        n = len(self.cylinders)
-        if len(self.joints) != n or len(self.arc_offsets) != max(n - 1, 0):
+        radius = float(self.radius)
+        if not math.isfinite(radius) or radius <= 0.0:
+            raise ValidationError(f"radius must be > 0, got {radius}")
+        cyl, s_tilde, d_g, arcs = (np.array(v, float) for v in (
+            self.cylinders, self.s_tilde, self.d_g, self.arc_offsets))
+        if not (cyl.ndim == 1 and cyl.size >= 1 and s_tilde.shape == d_g.shape == cyl.shape
+                and arcs.shape == (cyl.size - 1,)):
             raise ValidationError("plan has inconsistent joint/cylinder counts")
-        for i, l in enumerate(self.cylinders, start=1):
-            if l <= 0.0:
-                raise InfeasibleLinkError(i, l, 0.0)
-        expected = sum(self.cylinders) + sum(j.s_tilde for j in self.joints)
-        if abs(self.total_tube_length - expected) > 1e-6:
-            raise ValidationError(
-                "total_tube_length must equal sum of cylinders and folds")
+        for name, v in (("cylinders", cyl), ("s_tilde", s_tilde), ("d_g", d_g),
+                        ("arc_offsets", arcs)):
+            if not np.isfinite(v).all():
+                raise ValidationError(
+                    f"{name} must be finite, got {v[np.argmin(np.isfinite(v))]}")
+        for name, v in (("s_tilde", s_tilde), ("d_g", d_g)):
+            if not (v >= 0.0).all():
+                i = int(np.argmin(v >= 0.0))
+                raise ValidationError(f"joint {i + 1}: {name} must be >= 0, got {v[i]}")
+        if not (cyl > 0.0).all():
+            i = int(np.argmin(cyl > 0.0))
+            raise InfeasibleLinkError(i + 1, cyl[i], 0.0)
+        with np.errstate(over="ignore"):
+            ends = np.cumsum(s_tilde + cyl)
+        if not math.isfinite(ends[-1]):
+            raise ValidationError("total tube length overflows")
+        circumference = 2.0 * math.pi * radius
+        c = list(accumulate(arcs.tolist(), lambda c, arc: (c + arc) % circumference,
+                            initial=0.0))
+        for name, v in (("cylinders", cyl), ("s_tilde", s_tilde), ("d_g", d_g),
+                        ("arc_offsets", arcs), ("axial_start", np.append(0.0, ends[:-1])),
+                        ("circumferential", np.array(c))):
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "total_tube_length", float(ends[-1]))
 
     @property
     def n(self) -> int:
-        return len(self.cylinders)
+        return self.cylinders.shape[0]
 
     @property
     def circumference(self) -> float:
         return 2.0 * math.pi * self.radius
+
+    @property
+    def joints(self) -> tuple:
+        """The joints as JointSpec records, derived from the arrays."""
+        return tuple(map(JointSpec, range(1, self.n + 1), self.s_tilde.tolist(),
+                         self.axial_start.tolist(), self.circumferential.tolist(),
+                         self.d_g.tolist()))
 
 
 def axial_fold_distance(theta: float, r: float, d_g: float = 0.0) -> float:
@@ -189,12 +206,10 @@ def arc_offset(alpha: float, theta_i: float, theta_next: float, r: float) -> flo
 def compile_plan(chain: DHChain, gap: GapModel) -> FabricationPlan:
     """Compile a chain into tube fabrication parameters.
 
-    Layout: joint i's connection points sit at Z_i and Z_i + s_i on meridian
-    c_i; cylinder i spans [Z_i + s_i, Z_{i+1}] with Z_{i+1} = Z_i + s_i + l_i;
-    c_1 = 0 and c_{i+1} = (c_i + arc_i) mod circumference. Joints with zero
-    angle receive no fold (s_i = 0) regardless of the gap model, and twist
-    accumulated across such joints is carried into the placement of the next
-    joint that actually folds.
+    Cylinder i spans [Z_i + s_i, Z_{i+1}] of the plan's layout. Joints with
+    zero angle receive no fold (s_i = 0) regardless of the gap model, and
+    twist accumulated across such joints is carried into the placement of
+    the next joint that actually folds.
     """
     r, thetas, alphas, lengths, n = chain.radius, chain.theta, chain.alpha, chain.a, chain.n
 
@@ -238,21 +253,7 @@ def compile_plan(chain: DHChain, gap: GapModel) -> FabricationPlan:
         pending = 0.0
         last_fold = thetas[i + 1]
 
-    circumference = 2.0 * math.pi * r
-    joints = []
-    z = 0.0
-    c = 0.0
-    for i, (s_i, l_i, d_i) in enumerate(zip(s_tilde.tolist(), cylinders.tolist(),
-                                            d_g_used.tolist())):
-        joints.append(JointSpec(index=i + 1, s_tilde=s_i, axial_start=z,
-                                circumferential=c, d_g=d_i))
-        z += s_i + l_i
-        if i < n - 1:
-            c = (c + arcs[i]) % circumference
-
-    return FabricationPlan(radius=r, cylinders=tuple(cylinders),
-                           joints=tuple(joints), arc_offsets=tuple(arcs),
-                           total_tube_length=z)
+    return FabricationPlan(r, cylinders, s_tilde, d_g_used, arcs)
 
 
 def _solve_fold_angles(s_tilde: np.ndarray, r: float, d_g: float) -> np.ndarray:
@@ -297,11 +298,10 @@ def recover_chain(plan: FabricationPlan, gap: GapModel) -> DHChain:
     frame is also turned by pi about x. The last link's twist leaves
     no trace in the plan and is 0.
     """
-    r = plan.radius
-    s_tilde = np.array([joint.s_tilde for joint in plan.joints])
+    r, s_tilde = plan.radius, plan.s_tilde
     folds = s_tilde > 0.0
     thetas = np.zeros(plan.n)
     thetas[folds] = _solve_fold_angles(s_tilde[folds], r, gap.d_g)
-    lengths = np.array(plan.cylinders) + (s_tilde + np.append(s_tilde[1:], 0.0)) / 4.0
-    alphas = [wrap_angle(arc / r) for arc in plan.arc_offsets] + [0.0]
+    lengths = plan.cylinders + (s_tilde + np.append(s_tilde[1:], 0.0)) / 4.0
+    alphas = [wrap_angle(arc / r) for arc in plan.arc_offsets.tolist()] + [0.0]
     return DHChain(lengths, alphas, thetas, r)

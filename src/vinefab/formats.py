@@ -10,11 +10,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import ValidationError
-from .fabrication import FabricationPlan, JointSpec
+from .fabrication import FabricationPlan
 from .geometry import DHChain
 from .growth import Box, ObstacleScene, Sphere
 from .measurement import MarkerRecord, MeasuredDH, check_samples
@@ -99,6 +100,69 @@ def _require(mapping, key, path):
     return mapping[key]
 
 
+_KINDS = {dict: "a JSON object", list: "a list", str: "a string"}
+
+
+def _typed(mapping, key, context, kind, default=None):
+    """A field of one JSON type (object, list or string); required without a default."""
+    value = _require(mapping, key, context) if default is None else mapping.get(key, default)
+    if not isinstance(value, kind):
+        raise ValidationError(f"{context}: {key!r} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _top(data, context, what):
+    """The top level of a JSON file, which must be an object."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{context}: a {what} must be a JSON object")
+    return data
+
+
+def _float(value, what):
+    """A JSON number as a float: no bool, string or null."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer past float range
+            pass
+    raise ValidationError(f"{what} must be a number, got {value!r}")
+
+
+def _number(mapping, key, context, default=None):
+    """A JSON number field as a float."""
+    value = _require(mapping, key, context) if default is None else mapping.get(key, default)
+    return _float(value, f"{context}: {key!r}")
+
+
+def _numbers(mapping, key, context, length=None) -> list:
+    """A list field of JSON numbers as floats, of a fixed length if one is given."""
+    values = _typed(mapping, key, context, list)
+    if length is not None and len(values) != length:
+        raise ValidationError(
+            f"{context}: {key!r} must hold {length} numbers, got {values!r}")
+    return [_float(v, f"{context}: {key!r} item {i}") for i, v in enumerate(values, 1)]
+
+
+def _objects(mapping, key, context, item, default=None) -> list:
+    """A list field of JSON objects as (context, object) pairs: '<context> <item> i'."""
+    out = []
+    for i, entry in enumerate(_typed(mapping, key, context, list, default), start=1):
+        where = f"{context} {item} {i}"
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{where}: must be a JSON object, got {entry!r}")
+        out.append((where, entry))
+    return out
+
+
+@contextmanager
+def _context(where):
+    """Prefix the ValidationError of a constructor with the file part it reads."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
 # ---------------------------------------------------------------- chain JSON
 
 def chain_to_dict(chain: DHChain) -> dict:
@@ -112,36 +176,18 @@ def chain_to_dict(chain: DHChain) -> dict:
     }
 
 
-def _number(mapping, key, context, default=None):
-    """A JSON number field as a float: no bool, string or null."""
-    value = _require(mapping, key, context) if default is None else mapping.get(key, default)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:  # an integer past float range
-            pass
-    raise ValidationError(f"{context}: {key!r} must be a number, got {value!r}")
-
-
 def chain_from_dict(data: dict, context: str = "chain") -> DHChain:
-    if not isinstance(data, dict):
-        raise ValidationError(f"{context}: a chain must be a JSON object")
-    radius = _number(data, "radius_mm", context)
-    links = _require(data, "links", context)
-    if not isinstance(links, list) or not links:
+    radius = _number(_top(data, context, "chain"), "radius_mm", context)
+    links = _objects(data, "links", context, "link")
+    if not links:
         raise ValidationError(f"{context}: 'links' must be a non-empty list")
     a, alpha, theta = [], [], []
-    for i, entry in enumerate(links, start=1):
-        where = f"{context} link {i}"
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{where}: must be a JSON object, got {entry!r}")
+    for where, entry in links:
         a.append(_number(entry, "a_mm", where))
         alpha.append(math.radians(_number(entry, "alpha_deg", where, 0.0)))
         theta.append(math.radians(_number(entry, "theta_deg", where, 0.0)))
-    try:
+    with _context(context):
         return DHChain(a, alpha, theta, radius)
-    except ValidationError as exc:
-        raise ValidationError(f"{context}: {exc}") from exc
 
 
 def read_chain(path) -> DHChain:
@@ -178,15 +224,17 @@ def write_polyline(points: np.ndarray, path) -> None:
 # ---------------------------------------------------------------- scene JSON
 
 def read_scene(path) -> ObstacleScene:
-    data = load_json(path)
-    spheres = []
-    for i, entry in enumerate(data.get("spheres", []), start=1):
-        spheres.append(Sphere(center=_require(entry, "center_mm", f"sphere {i}"),
-                              radius=float(_require(entry, "radius_mm", f"sphere {i}"))))
-    boxes = []
-    for i, entry in enumerate(data.get("boxes", []), start=1):
-        boxes.append(Box(min_corner=_require(entry, "min_mm", f"box {i}"),
-                         max_corner=_require(entry, "max_mm", f"box {i}")))
+    """Spheres and boxes of a scene JSON; every coordinate list holds 3 numbers."""
+    data = _top(load_json(path), path, "scene")
+    spheres, boxes = [], []
+    for where, entry in _objects(data, "spheres", path, "sphere", []):
+        center, radius = _numbers(entry, "center_mm", where, 3), _number(entry, "radius_mm", where)
+        with _context(where):
+            spheres.append(Sphere(center=center, radius=radius))
+    for where, entry in _objects(data, "boxes", path, "box", []):
+        lo, hi = _numbers(entry, "min_mm", where, 3), _numbers(entry, "max_mm", where, 3)
+        with _context(where):
+            boxes.append(Box(min_corner=lo, max_corner=hi))
     return ObstacleScene(spheres=tuple(spheres), boxes=tuple(boxes))
 
 
@@ -204,32 +252,59 @@ def write_scene(scene: ObstacleScene, path) -> None:
 def plan_to_dict(plan: FabricationPlan) -> dict:
     return {
         "radius_mm": plan.radius,
-        "cylinders_mm": list(plan.cylinders),
-        "joints": [{"index": j.index,
-                    "s_tilde_mm": j.s_tilde,
-                    "axial_start_mm": j.axial_start,
-                    "circumferential_mm": j.circumferential,
-                    "d_g_mm": j.d_g}
-                   for j in plan.joints],
-        "arc_offsets_mm": list(plan.arc_offsets),
+        "cylinders_mm": plan.cylinders.tolist(),
+        "joints": [{"index": i,
+                    "s_tilde_mm": s,
+                    "axial_start_mm": z,
+                    "circumferential_mm": c,
+                    "d_g_mm": d_g}
+                   for i, s, z, c, d_g in plan.joints],
+        "arc_offsets_mm": plan.arc_offsets.tolist(),
         "total_tube_length_mm": plan.total_tube_length,
     }
 
 
 def plan_from_dict(data: dict, context: str = "plan") -> FabricationPlan:
-    joints = []
-    for entry in _require(data, "joints", context):
-        joints.append(JointSpec(index=int(_require(entry, "index", context)),
-                                s_tilde=float(_require(entry, "s_tilde_mm", context)),
-                                axial_start=float(_require(entry, "axial_start_mm", context)),
-                                circumferential=float(_require(entry, "circumferential_mm", context)),
-                                d_g=float(_require(entry, "d_g_mm", context))))
-    return FabricationPlan(
-        radius=float(_require(data, "radius_mm", context)),
-        cylinders=tuple(float(v) for v in _require(data, "cylinders_mm", context)),
-        joints=tuple(joints),
-        arc_offsets=tuple(float(v) for v in _require(data, "arc_offsets_mm", context)),
-        total_tube_length=float(_require(data, "total_tube_length_mm", context)))
+    """A plan from its independent fields; the layout fields must agree with them.
+
+    ``index`` must be the joint's position; ``axial_start_mm``,
+    ``circumferential_mm`` (modulo the circumference) and
+    ``total_tube_length_mm`` must lie within 1e-6 mm of the layout the plan
+    derives, plus 1e-8 of the lengths summed into it: every value in the file
+    carries 9 significant digits.
+    """
+    radius = _number(_top(data, context, "plan"), "radius_mm", context)
+    cylinders = _numbers(data, "cylinders_mm", context)
+    joints = _objects(data, "joints", context, "joint")
+    s_tilde = [_number(entry, "s_tilde_mm", where) for where, entry in joints]
+    d_g = [_number(entry, "d_g_mm", where) for where, entry in joints]
+    arcs = _numbers(data, "arc_offsets_mm", context)
+    with _context(context):
+        plan = FabricationPlan(radius, cylinders, s_tilde, d_g, arcs)
+
+    circumference = plan.circumference
+    tol = 1e-6 + 1e-8 * (plan.total_tube_length + circumference
+                         + float(np.abs(plan.arc_offsets).sum()))
+
+    def check(mapping, key, where, derived, period=None):
+        value = _number(mapping, key, where)
+        off = abs(value - derived)
+        if period is not None:
+            off = min(off % period, period - off % period)
+        if not off <= tol:  # NaN too, where the difference overflows
+            raise ValidationError(
+                f"{where}: {key!r} is {value!r} mm, but the plan's cylinders, folds "
+                f"and arc offsets place it at {derived!r} mm")
+
+    for i, ((where, entry), z, c) in enumerate(zip(joints, plan.axial_start.tolist(),
+                                                  plan.circumferential.tolist()), start=1):
+        index = _require(entry, "index", where)
+        if type(index) is not int or index != i:
+            raise ValidationError(f"{where}: 'index' must be {i}, got {index!r}")
+        check(entry, "axial_start_mm", where, z)
+        check(entry, "circumferential_mm", where, c, circumference)
+    check(data, "total_tube_length_mm", context, plan.total_tube_length)
+    return plan
 
 
 def read_plan(path) -> FabricationPlan:

@@ -168,6 +168,7 @@ def _unit(v: np.ndarray, what: str) -> np.ndarray:
     return v / n
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite results are rejected
 def recover_dh(markers, phase: str = "pre") -> MeasuredDH:
     """Recover joint angles, link twists, and link lengths from marker records.
 
@@ -184,7 +185,10 @@ def recover_dh(markers, phase: str = "pre") -> MeasuredDH:
         key = (rec.joint, rec.role)
         if key in positions:
             raise ValidationError(f"duplicate marker {rec.marker_id!r}")
-        positions[key] = rec.positions.mean(axis=0)
+        positions[key] = p = rec.positions.mean(axis=0)
+        if not np.isfinite(p).all():
+            raise ValidationError(
+                f"marker {rec.marker_id!r}: averaged position {p} is not finite")
 
     joints = sorted({j for j, _ in positions if j is not None})
     if not joints:
@@ -229,6 +233,9 @@ def recover_dh(markers, phase: str = "pre") -> MeasuredDH:
         lengths.append((j, float(np.linalg.norm(pos(j + 1, "on") - pos(j, "on")))))
     lengths.append((last, float(np.linalg.norm(pos(last, "dist") - pos(last, "on")))))
 
+    if not all(math.isfinite(v) for _, v in thetas + alphas + lengths):
+        raise ValidationError("recovered DH values are not finite: the marker "
+                              "positions are too far apart to difference")
     return MeasuredDH(phase=phase, joint_thetas=tuple(thetas),
                       link_alphas=tuple(alphas), link_lengths=tuple(lengths))
 

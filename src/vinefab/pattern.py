@@ -31,28 +31,27 @@ def flat_pattern(plan: FabricationPlan) -> str:
         f'<rect class="outline" x="0" y="0" width="{w}" height="{h}"/>',
     ]
 
+    starts, folds = plan.axial_start.tolist(), plan.s_tilde.tolist()
     # dashed cylinder boundaries (skip the outline edges at 0 and h)
     boundaries = set()
-    for joint, l in zip(plan.joints, plan.cylinders):
-        start = joint.axial_start + joint.s_tilde
-        boundaries.add(round(start, 9))
-        boundaries.add(round(start + l, 9))
+    for z, s, l in zip(starts, folds, plan.cylinders.tolist()):
+        boundaries.add(round(z + s, 9))
+        boundaries.add(round(z + s + l, 9))
     for z in sorted(boundaries):
         if 1e-9 < z < plan.total_tube_length - 1e-9:
             y = fmt9(z)
             out.append(f'<line class="cyl" x1="0" y1="{y}" x2="{w}" y2="{y}"/>')
 
     # joint connection points: two marks on one meridian, joined by a guide line
-    for joint in plan.joints:
-        if joint.s_tilde <= 0.0:
+    for i, (z, s, c) in enumerate(zip(starts, folds, plan.circumferential.tolist()), 1):
+        if s <= 0.0:
             continue
-        x = fmt9(joint.circumferential)
-        y0, y1 = fmt9(joint.axial_start), fmt9(joint.axial_start + joint.s_tilde)
+        x, y0, y1 = fmt9(c), fmt9(z), fmt9(z + s)
         out.append(f'<line class="fold" x1="{x}" y1="{y0}" x2="{x}" y2="{y1}"/>')
         out.append(f'<circle class="pt" cx="{x}" cy="{y0}" r="1.2"/>')
         out.append(f'<circle class="pt" cx="{x}" cy="{y1}" r="1.2"/>')
-        out.append(f'<text class="lbl" x="{fmt9(joint.circumferential + 2.5)}" '
-                   f'y="{fmt9(joint.axial_start + joint.s_tilde / 2.0)}">J{joint.index}</text>')
+        out.append(f'<text class="lbl" x="{fmt9(c + 2.5)}" '
+                   f'y="{fmt9(z + s / 2.0)}">J{i}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -55,6 +55,24 @@ def fold_tube(plan, thetas_abs, lengths):
     return np.array(points)
 
 
+def plan_layout_loop(s_tilde, cylinders, arc_offsets, radius):
+    """Axial starts, meridians and total tube length of a plan, joint by joint.
+
+    The accumulation compile_plan ran before plans derived their layout:
+    Z_1 = 0, Z_{i+1} = Z_i + s_i + l_i, c_1 = 0 and
+    c_{i+1} = (c_i + arc_i) mod 2 pi r, in Python floats.
+    """
+    circumference = 2.0 * math.pi * radius
+    z, c, starts, meridians = 0.0, 0.0, [], []
+    for i, (s, l) in enumerate(zip(s_tilde, cylinders)):
+        starts.append(z)
+        meridians.append(c)
+        z += s + l
+        if i < len(cylinders) - 1:
+            c = (c + arc_offsets[i]) % circumference
+    return starts, meridians, z
+
+
 def mp_fold_angle(s_tilde, r, d_g, digits=50):
     """One joint's bend from its fold distance, to `digits` significant digits.
 

@@ -343,6 +343,18 @@ def test_usage_errors_exit_1(tmp_path, argv):
     assert code == 0 and out.startswith(b"usage: vinefab ")
 
 
+def _main_in_process(capsys, argv):
+    """cli.main with numpy warnings raised: (exit code, stderr)."""
+    import warnings
+
+    from vinefab import cli
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(argv)
+    return code, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("chain, message", [
     ({"radius_mm": 16.5, "links": [{"a_mm": "abc"}]},
      "link 1: 'a_mm' must be a number, got 'abc'"),
@@ -363,15 +375,77 @@ def test_usage_errors_exit_1(tmp_path, argv):
 ])
 @pytest.mark.parametrize("command", ["plan", "pattern", "fk", "grow"])
 def test_chain_json_takes_only_json_numbers(tmp_path, capsys, chain, message, command):
-    import warnings
-
-    from vinefab import cli
-
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(chain))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code = cli.main([command, "--chain", str(path), "--out", str(tmp_path)])
-    err = capsys.readouterr().err
+    code, err = _main_in_process(capsys, [command, "--chain", str(path), "--out", str(tmp_path)])
     assert code == 1
     assert err.startswith(f"error: {path}") and message in err
+
+
+@pytest.mark.parametrize("scene, message", [
+    ({"spheres": 5}, "'spheres' must be a list, got 5"),
+    ({"spheres": [{"center_mm": [0, 0], "radius_mm": 5}]},
+     "sphere 1: 'center_mm' must hold 3 numbers, got [0, 0]"),
+    ([1], "a scene must be a JSON object"),
+    ({"boxes": [{"min_mm": [0, 0, 0], "max_mm": [1, 1, 1]},
+                {"min_mm": "abc", "max_mm": [1, 1, 1]}]},
+     "box 2: 'min_mm' must be a list, got 'abc'"),
+    ({"spheres": [{"center_mm": [0, 0, 0], "radius_mm": "5"}]},
+     "sphere 1: 'radius_mm' must be a number, got '5'"),
+    ({"boxes": [{"min_mm": [0, None, 0], "max_mm": [1, 1, 1]}]},
+     "box 1: 'min_mm' item 2 must be a number, got None"),
+    ({"spheres": [7]}, "sphere 1: must be a JSON object, got 7"),
+    ({"spheres": [{"center_mm": [0, 0, 0], "radius_mm": 0}]},
+     "sphere 1: sphere radius must be finite and > 0"),
+], ids=["spheres-int", "center-2", "top-list", "min-string", "radius-string",
+        "min-null", "sphere-int", "radius-0"])
+def test_scene_json_fields_are_typed(tmp_path, capsys, project_config, scene, message):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    code, err = _main_in_process(capsys, ["grow", "--config", project_config,
+                                          "--scene", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    assert err.startswith(f"error: {path}") and message in err
+    assert not (tmp_path / "grow_trace.csv").exists()
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"gap": 5}, "'gap' must be a JSON object, got 5"),
+    ({"gap": {"d_g_mm": "x"}}, "gap: 'd_g_mm' must be a number, got 'x'"),
+    ({"scene": 5}, "'scene' must be a string, got 5"),
+    ({"out_dir": 7}, "'out_dir' must be a string, got 7"),
+    ({"radius_mm": "16.5"}, "'radius_mm' must be a number, got '16.5'"),
+], ids=["gap-int", "d_g-string", "scene-int", "out_dir-int", "radius-string"])
+def test_config_fields_are_typed(tmp_path, capsys, data_dir, fields, message):
+    path = tmp_path / "project.json"
+    path.write_text(json.dumps(
+        {"chain": os.path.join(data_dir, "chain_threebend.json"), **fields}))
+    code, err = _main_in_process(capsys, ["plan", "--config", str(path)])
+    assert code == 1
+    assert err.startswith(f"error: {path}") and message in err
+    assert not (tmp_path / "plan.json").exists()
+
+
+def test_measure_rejects_non_finite_recovery(tmp_path, capsys, project_config, data_dir):
+    """Marker coordinates near float range fail before anything is written."""
+    lines = open(os.path.join(data_dir, "markers_pre.csv")).read().splitlines()
+    first = {}  # the first sample of each marker
+    for line in lines[1:]:
+        first.setdefault(line.split(",")[0], line)
+    path = tmp_path / "markers.csv"
+    for rows, message in (
+            # every base sample at 1e308: the average overflows
+            ({"base": [f"base,{t},1e308,0,0,1,0,0,0" for t in range(3)]},
+             "marker 'base': averaged position [inf  0.  0.] is not finite"),
+            # averages at -1e308 and 1e308: their difference overflows
+            ({"base": ["base,0,-1e308,0,0,1,0,0,0"],
+              "j2_on": ["j2_on,0,1e308,0,0,1,0,0,0"]},
+             "recovered DH values are not finite")):
+        body = [line for key, line in first.items() if key not in rows]
+        path.write_text("\n".join([lines[0], *body, *sum(rows.values(), [])]) + "\n")
+        code, err = _main_in_process(capsys, ["measure", "--config", project_config,
+                                              "--markers", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "measured_dh.json").exists()
+        assert not (tmp_path / "dh_errors.csv").exists()

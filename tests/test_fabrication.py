@@ -16,7 +16,7 @@ from vinefab.fabrication import (GAP_METHODS, FabricationPlan, GapModel,
 from vinefab.geometry import DHChain, dh_to_polyline, fk_chain
 
 from conftest import random_feasible_chain
-from oracles import fold_tube, kabsch_residual, mp_fold_angle
+from oracles import fold_tube, kabsch_residual, mp_fold_angle, plan_layout_loop
 
 R = 16.5
 TAPE = GapModel.for_method("tape")
@@ -178,18 +178,33 @@ def test_compile_straight_chain_any_gap():
         assert plan.total_tube_length == pytest.approx(250.0)
 
 
+def _layout(plan):
+    return plan.axial_start.tolist(), plan.circumferential.tolist(), plan.total_tube_length
+
+
+def _loop_layout(plan):
+    return plan_layout_loop(plan.s_tilde.tolist(), plan.cylinders.tolist(),
+                            plan.arc_offsets.tolist(), plan.radius)
+
+
 def test_compile_layout_recurrence(three_bend_chain):
+    # the derived layout is bit for bit the joint-by-joint accumulation
     plan = compile_plan(three_bend_chain, LOOP)
-    z = 0.0
-    c = 0.0
-    circumference = 2.0 * math.pi * R
-    for i, joint in enumerate(plan.joints):
-        assert joint.axial_start == pytest.approx(z, abs=1e-9)
-        assert joint.circumferential == pytest.approx(c, abs=1e-9)
-        z += joint.s_tilde + plan.cylinders[i]
-        if i < plan.n - 1:
-            c = (c + plan.arc_offsets[i]) % circumference
-    assert plan.total_tube_length == pytest.approx(z, abs=1e-9)
+    assert _layout(plan) == _loop_layout(plan)
+    rng = np.random.default_rng(43)
+    for k in range(300):
+        n = int(rng.integers(1, 60))
+        theta = rng.uniform(-math.pi + 0.05, math.pi - 0.05, n)
+        theta[rng.random(n) < 0.2] = 0.0
+        if k % 3 == 0:
+            theta[0] = 0.0  # a foldless start
+        chain = DHChain.from_arrays(rng.uniform(250.0, 600.0, n),
+                                    rng.uniform(-math.pi, math.pi, n), theta,
+                                    radius=float(rng.uniform(5.0, 40.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateJointWarning)
+            plan = compile_plan(chain, GapModel.for_method(GAP_METHODS[k % 3]))
+        assert _layout(plan) == _loop_layout(plan)
 
 
 def test_feasibility_boundary():
@@ -231,13 +246,9 @@ def test_round_trip_random_chains():
 
 def _fold_plan(s_tilde, r, d_g):
     """A plan whose joints fold by s_tilde, with cylinders long enough for any fold."""
-    joints, z = [], 0.0
-    for i, s in enumerate(s_tilde, start=1):
-        joints.append(JointSpec(i, s, z, 0.0, d_g if s > 0.0 else 0.0))
-        z += s + 1e6
-    return FabricationPlan(radius=r, cylinders=(1e6,) * len(joints),
-                           joints=tuple(joints), arc_offsets=(0.0,) * (len(joints) - 1),
-                           total_tube_length=z)
+    n = len(s_tilde)
+    return FabricationPlan(r, [1e6] * n, s_tilde, [d_g if s > 0.0 else 0.0 for s in s_tilde],
+                           [0.0] * (n - 1))
 
 
 def test_fold_inversion_to_1e15_across_the_angle_range():
@@ -279,6 +290,7 @@ def test_compiled_plan_folds_the_designed_shape(links, r, method):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateJointWarning)
         plan = compile_plan(chain, gap)
+    assert _layout(plan) == _loop_layout(plan)
     assert kabsch_residual(fold_tube(plan, np.abs(theta), a), design) <= 1e-9
     assert kabsch_residual(dh_to_polyline(recover_chain(plan, gap)), design) <= 1e-9
 
@@ -297,39 +309,24 @@ def test_recover_with_gap_round_trip(three_bend_chain):
 
 def test_recover_inconsistent_fold_distance(three_bend_chain):
     plan = compile_plan(three_bend_chain, TAPE)
-    joints = list(plan.joints)
+
+    def with_fold(j, s_tilde, d_g):
+        s, d = plan.s_tilde.copy(), plan.d_g.copy()
+        s[j], d[j] = s_tilde, d_g
+        return FabricationPlan(R, plan.cylinders, s, d, plan.arc_offsets)
+
     # a positive fold distance below the d_g floor has no producing angle
-    joints[1] = JointSpec(index=2, s_tilde=5.0, axial_start=joints[1].axial_start,
-                          circumferential=0.0, d_g=9.3)
-    total = sum(plan.cylinders) + sum(j.s_tilde for j in joints)
-    bad = FabricationPlan(radius=R, cylinders=plan.cylinders,
-                          joints=tuple(joints), arc_offsets=plan.arc_offsets,
-                          total_tube_length=total)
     with pytest.raises(InversionError, match="floor"):
-        recover_chain(bad, LOOP)
-    joints[1] = JointSpec(index=2, s_tilde=1e6, axial_start=joints[1].axial_start,
-                          circumferential=0.0, d_g=0.0)
-    total = sum(plan.cylinders) + sum(j.s_tilde for j in joints)
-    bad = FabricationPlan(radius=R, cylinders=plan.cylinders,
-                          joints=tuple(joints), arc_offsets=plan.arc_offsets,
-                          total_tube_length=total)
+        recover_chain(with_fold(1, 5.0, 9.3), LOOP)
     with pytest.raises(InversionError, match="exceeds"):
-        recover_chain(bad, TAPE)
+        recover_chain(with_fold(1, 1e6, 0.0), TAPE)
 
     # the second of two folds out of range: the error names its s_tilde
     for s_tilde, gap, reason in ((5.0, LOOP, "is below the d_g floor"),
                                  (1e6, TAPE, "exceeds")):
-        joints = list(plan.joints)
-        joints[2] = JointSpec(index=3, s_tilde=s_tilde,
-                              axial_start=joints[2].axial_start,
-                              circumferential=joints[2].circumferential, d_g=0.0)
-        total = sum(plan.cylinders) + sum(j.s_tilde for j in joints)
-        bad = FabricationPlan(radius=R, cylinders=plan.cylinders,
-                              joints=tuple(joints), arc_offsets=plan.arc_offsets,
-                              total_tube_length=total)
         with pytest.raises(InversionError,
                            match=re.escape(f"s_tilde = {s_tilde:.6g} mm {reason}")):
-            recover_chain(bad, gap)
+            recover_chain(with_fold(2, s_tilde, 0.0), gap)
 
 
 def test_twist_carried_across_foldless_joints():
@@ -357,15 +354,72 @@ def test_twist_carried_across_foldless_joints():
 
 
 def test_plan_validation():
-    with pytest.raises(InfeasibleLinkError):
-        FabricationPlan(radius=R, cylinders=(100.0, -1.0),
-                        joints=(JointSpec(1, 0.0, 0.0, 0.0, 0.0),
-                                JointSpec(2, 0.0, 100.0, 0.0, 0.0)),
-                        arc_offsets=(0.0,), total_tube_length=99.0)
-    with pytest.raises(ValidationError, match="total_tube_length"):
-        FabricationPlan(radius=R, cylinders=(100.0,),
-                        joints=(JointSpec(1, 0.0, 0.0, 0.0, 0.0),),
-                        arc_offsets=(), total_tube_length=123.0)
+    with pytest.raises(InfeasibleLinkError) as info:
+        FabricationPlan(R, [100.0, -1.0], [0.0, 0.0], [0.0, 0.0], [0.0])
+    assert info.value.link_index == 2
+    with pytest.raises(InfeasibleLinkError, match="link 1"):
+        FabricationPlan(R, [0.0], [0.0], [0.0], [])
+
+
+# one case per invariant of the plan constructor: (fields, message)
+_PLAN = dict(radius=R, cylinders=[100.0, 90.0], s_tilde=[0.0, 20.0], d_g=[0.0, 9.3],
+             arc_offsets=[3.0])
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(cylinders=[100.0]), "inconsistent joint/cylinder counts"),
+    (dict(s_tilde=[0.0]), "inconsistent joint/cylinder counts"),
+    (dict(d_g=[[0.0, 9.3]]), "inconsistent joint/cylinder counts"),
+    (dict(arc_offsets=[]), "inconsistent joint/cylinder counts"),
+    (dict(cylinders=[], s_tilde=[], d_g=[], arc_offsets=[]),
+     "inconsistent joint/cylinder counts"),
+], ids=["cylinders", "s_tilde", "d_g-2d", "arcs", "empty"])
+def test_plan_rejects_inconsistent_shapes(fields, message):
+    with pytest.raises(ValidationError, match=message):
+        FabricationPlan(**{**_PLAN, **fields})
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(cylinders=[100.0, math.inf]), "cylinders must be finite, got inf"),
+    (dict(cylinders=[math.nan, 90.0]), "cylinders must be finite, got nan"),
+    (dict(s_tilde=[0.0, math.inf]), "s_tilde must be finite, got inf"),
+    (dict(d_g=[math.nan, 9.3]), "d_g must be finite, got nan"),
+    (dict(arc_offsets=[-math.inf]), "arc_offsets must be finite, got -inf"),
+    (dict(cylinders=[1.7e308, 1.7e308]), "total tube length overflows"),
+], ids=["cyl-inf", "cyl-nan", "s-inf", "d_g-nan", "arc-inf", "overflow"])
+def test_plan_rejects_non_finite_values(fields, message):
+    with pytest.raises(ValidationError, match=message):
+        FabricationPlan(**{**_PLAN, **fields})
+
+
+def test_plan_rejects_negative_fold_distance():
+    with pytest.raises(ValidationError, match="joint 2: s_tilde must be >= 0, got -1"):
+        FabricationPlan(**{**_PLAN, "s_tilde": [0.0, -1.0]})
+
+
+def test_plan_rejects_negative_gap():
+    with pytest.raises(ValidationError, match="joint 1: d_g must be >= 0, got -0.5"):
+        FabricationPlan(**{**_PLAN, "d_g": [-0.5, 9.3]})
+
+
+@pytest.mark.parametrize("radius", [0.0, -16.5, math.nan, math.inf])
+def test_plan_rejects_non_positive_radius(radius):
+    with pytest.raises(ValidationError, match="radius must be > 0"):
+        FabricationPlan(**{**_PLAN, "radius": radius})
+
+
+def test_plan_holds_read_only_arrays():
+    cylinders = [100.0, 90.0]
+    plan = FabricationPlan(**{**_PLAN, "cylinders": cylinders})
+    cylinders[0] = -1.0  # the plan keeps its own copy
+    assert plan.cylinders.tolist() == [100.0, 90.0]
+    for name in ("cylinders", "s_tilde", "d_g", "arc_offsets", "axial_start",
+                 "circumferential"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(plan, name)[0] = 1.0
+    assert plan.joints == (JointSpec(1, 0.0, 0.0, 0.0, 0.0),
+                           JointSpec(2, 20.0, 100.0, 3.0, 9.3))
+    assert plan.total_tube_length == 210.0 and type(plan.total_tube_length) is float
 
 
 def test_gap_model_defaults():

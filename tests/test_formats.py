@@ -1,13 +1,16 @@
 import csv
+import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from vinefab import formats
-from vinefab.errors import ValidationError
+from vinefab.errors import DegenerateJointWarning, ValidationError
 from vinefab.fabrication import GapModel, compile_plan, recover_chain
+from vinefab.geometry import DHChain
 from vinefab.growth import Box, ObstacleScene, Sphere
 from vinefab.measurement import recover_dh, synthetic_markers
 from vinefab.stats import group_summary
@@ -97,11 +100,88 @@ def test_plan_json_round_trip(tmp_path, three_bend_chain):
     formats.write_plan(plan, path)
     back = formats.read_plan(path)
     np.testing.assert_allclose(back.cylinders, plan.cylinders, atol=1e-6)
-    np.testing.assert_allclose([j.s_tilde for j in back.joints],
-                               [j.s_tilde for j in plan.joints], atol=1e-6)
+    np.testing.assert_allclose(back.s_tilde, plan.s_tilde, atol=1e-6)
     recovered = recover_chain(back, gap)
     np.testing.assert_allclose(recovered.thetas(), three_bend_chain.thetas(),
                                atol=1e-6)
+
+
+def _independent(path):
+    """The fields of a plan file its layout is derived from."""
+    data = json.loads(path.read_text())
+    return [data["radius_mm"], data["cylinders_mm"], data["arc_offsets_mm"],
+            [(j["index"], j["s_tilde_mm"], j["d_g_mm"]) for j in data["joints"]]]
+
+
+def test_plan_json_rewrites_byte_identical(tmp_path):
+    # tubes up to about 30 m and arc offsets wrapping many times. The layout
+    # read back is derived from 9-digit values, so its last digit may move on
+    # the first rewrite; the independent fields never do, and from then on
+    # the file is a fixed point
+    rng = np.random.default_rng(47)
+    first, second, third = (tmp_path / f"{i}.json" for i in range(3))
+    for k in range(150):
+        n = int(rng.integers(1, 60))
+        theta = rng.uniform(-math.pi + 0.05, math.pi - 0.05, n)
+        theta[rng.random(n) < 0.2] = 0.0
+        if k % 3 == 0:
+            theta[0] = 0.0
+        chain = DHChain.from_arrays(rng.uniform(250.0, 600.0, n),
+                                    rng.uniform(-math.pi, math.pi, n), theta,
+                                    radius=float(rng.uniform(5.0, 40.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateJointWarning)
+            plan = compile_plan(chain, GapModel.for_method(("tape", "weld", "loop")[k % 3]))
+        formats.write_plan(plan, first)
+        formats.write_plan(formats.read_plan(first), second)
+        formats.write_plan(formats.read_plan(second), third)
+        assert _independent(second) == _independent(first)
+        assert third.read_bytes() == second.read_bytes()
+
+
+def _edited_plan(tmp_path, three_bend_chain, edit):
+    data = formats.plan_to_dict(compile_plan(three_bend_chain, GapModel.for_method("loop")))
+    edit(data)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(radius_mm="16.5"), "'radius_mm' must be a number, got '16.5'"),
+    (lambda d: d.update(joints=5), "'joints' must be a list, got 5"),
+    (lambda d: d["joints"].__setitem__(1, 3), "joint 2: must be a JSON object, got 3"),
+    (lambda d: d["joints"][2].update(s_tilde_mm=None),
+     "joint 3: 's_tilde_mm' must be a number, got None"),
+    (lambda d: d.update(cylinders_mm=[100, "90", 80]),
+     "'cylinders_mm' item 2 must be a number, got '90'"),
+    (lambda d: d["joints"][0].update(index=True), "joint 1: 'index' must be 1, got True"),
+    (lambda d: d["joints"][1].update(index=7), "joint 2: 'index' must be 2, got 7"),
+    (lambda d: d["joints"][2].pop("d_g_mm"), "joint 3: missing required field 'd_g_mm'"),
+    (lambda d: d["joints"][1].update(axial_start_mm=d["joints"][1]["axial_start_mm"] + 999),
+     "joint 2: 'axial_start_mm' is "),
+    (lambda d: d["joints"][2].update(
+        circumferential_mm=d["joints"][2]["circumferential_mm"] + 1e-4),
+     "joint 3: 'circumferential_mm' is "),
+    (lambda d: d.update(total_tube_length_mm=123.0), "'total_tube_length_mm' is 123.0 mm"),
+    (lambda d: d.update(arc_offsets_mm=[0.0]), "inconsistent joint/cylinder counts"),
+    (lambda d: d["joints"][1].update(s_tilde_mm=-1.0), "joint 2: s_tilde must be >= 0"),
+], ids=["radius-string", "joints-int", "joint-int", "s_tilde-null", "cylinder-string",
+        "index-bool", "index-7", "d_g-missing", "axial-999", "meridian-1e-4",
+        "total", "counts", "s_tilde-negative"])
+def test_plan_json_fields_are_checked(tmp_path, three_bend_chain, edit, message):
+    path = _edited_plan(tmp_path, three_bend_chain, edit)
+    with pytest.raises(ValidationError) as info:
+        formats.read_plan(path)
+    assert str(info.value).startswith(f"{path}") and message in str(info.value)
+
+
+def test_plan_json_layout_agrees_modulo_the_circumference(tmp_path, three_bend_chain):
+    # a meridian written one circumference off is the same meridian
+    def shift(d):
+        d["joints"][2]["circumferential_mm"] -= 2.0 * math.pi * d["radius_mm"]
+    plan = formats.read_plan(_edited_plan(tmp_path, three_bend_chain, shift))
+    assert plan.circumferential[2] == pytest.approx(16.5 * math.pi / 4.0)
 
 
 def test_markers_round_trip(tmp_path, three_bend_chain):
