@@ -16,7 +16,7 @@ from vinefab.formats import fmt9, write_plan
 OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
 
-chain = DHChain.from_arrays(
+chain = DHChain(
     a=[100.0, 100.0, 100.0],
     alpha=[0.0, math.radians(45.0), 0.0],
     theta=[0.0, math.radians(45.0), math.radians(45.0)],

@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from vinefab import GrowthState, growth_trace, sweep_samples
+from vinefab import growth_trace, sweep_samples
 from vinefab.formats import read_chain, read_scene, write_growth_trace
 
 HERE = os.path.dirname(__file__)
@@ -42,7 +42,7 @@ else:
     print("the body clears every obstacle along the whole growth")
 
 # the swept body itself: centerline samples carrying the tube radius
-_, centers = sweep_samples(GrowthState(chain, total), step=25.0)
+_, centers = sweep_samples(chain, total, step=25.0)
 print(f"swept body at full eversion: {centers.shape[0]} samples, "
       f"radius {chain.radius} mm")
 print(f"wrote {os.path.join(OUT, 'growth_trace.csv')}")

@@ -38,7 +38,7 @@ POST_LENGTH_SHIFT = 0.02
 
 
 def three_bend_chain():
-    return DHChain.from_arrays(
+    return DHChain(
         [TARGET_A_MM] * 3,
         [0.0, math.radians(TARGET_ALPHA_DEG), 0.0],
         [0.0, math.radians(TARGET_THETA_DEG), math.radians(TARGET_THETA_DEG)],
@@ -72,7 +72,7 @@ def write_marker_logs(chain, rng):
                             rng=rng)
     formats.write_markers(pre, os.path.join(HERE, "markers_pre.csv"))
     # after repeated growth the bends settle slightly away from the target
-    post_chain = DHChain.from_arrays(
+    post_chain = DHChain(
         [100.31, 99.74, 100.22],
         [0.0, math.radians(TARGET_ALPHA_DEG + 0.9), 0.0],
         [0.0, math.radians(TARGET_THETA_DEG + 0.62),

@@ -10,15 +10,14 @@ from .fabrication import (DEFAULT_LOOP_GAP_MM, FabricationPlan, GapModel,
                           compile_plan, cylinder_length, recover_chain)
 from .geometry import (DHChain, DHLink, RigidPose, canonicalize_polyline,
                        dh_to_polyline, fk_chain, polyline_to_dh)
-from .growth import (Box, ClearanceResult, GrowthState, ObstacleScene, Sphere,
-                     centerline_points, clearance, growth_trace, sweep_samples,
-                     tip_pose_at)
+from .growth import (Box, ObstacleScene, Sphere, centerline_points, growth_trace,
+                     sweep_samples)
 from .measurement import (MarkerRecord, MeasuredDH, average_samples,
                           dh_errors, recover_dh, synthetic_markers)
 from .pattern import flat_pattern, write_pattern
 from .stats import (SampleRow, SampleTable, TestResult, analyze_table,
                     group_summary, kruskal_wallis, levene_test, one_way_anova,
-                    significance_stars, summarize_by, t_test_independent,
-                    t_test_paired, t_test_welch, tukey_hsd)
+                    significance_stars, t_test_independent, t_test_paired,
+                    t_test_welch, tukey_hsd)
 
 __version__ = "0.1.0"

@@ -109,11 +109,13 @@ def _build_project(args, need_chain=True) -> Project:
     if scene_path:
         scene = formats.read_scene(scene_path)
 
+    units = formats._typed(config, "units", where, str, "deg")
+    if units not in ("deg", "rad"):
+        raise ValidationError(f"{where}: 'units' must be 'deg' or 'rad', got {units!r}")
+    degrees = not args.rad if (args.deg or args.rad) else units == "deg"
+
     out_dir = args.out or formats._typed(config, "out_dir", where, str, ".")
     os.makedirs(out_dir, exist_ok=True)
-
-    units = config.get("units", "deg")
-    degrees = not args.rad if (args.deg or args.rad) else units != "rad"
 
     return Project(chain=chain, gap=gap, scene=scene, out_dir=out_dir,
                    degrees=degrees)
@@ -184,7 +186,7 @@ def cmd_grow(project, args) -> int:
     if not 1 <= args.steps < MAX_SWEEP_SAMPLES:
         raise ValidationError(
             f"--steps must lie in [1, {MAX_SWEEP_SAMPLES - 1}], got {args.steps}")
-    # total * steps / steps can round above total, which GrowthState rejects
+    # total * steps / steps can round above total, which growth_trace rejects
     everted = [min(total * i / args.steps, total) for i in range(args.steps + 1)]
     tips, clearances = growth_trace(project.chain, everted, project.scene,
                                     step=args.sweep_step)

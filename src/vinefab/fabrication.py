@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (DegenerateJointWarning, InfeasibleLinkError,
                      InversionError, SingularityError, ValidationError)
-from .geometry import DHChain, gauge_twist, wrap_angle
+from .geometry import DHChain, float_array, gauge_twist, wrap_angle
 
 GAP_METHODS = ("tape", "weld", "loop")
 
@@ -83,11 +83,12 @@ class FabricationPlan:
     total_tube_length: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        radius = float(self.radius)
-        if not math.isfinite(radius) or radius <= 0.0:
+        radius = float_array(self.radius, "radius")
+        if radius.ndim or not 0.0 < radius < math.inf:
             raise ValidationError(f"radius must be > 0, got {radius}")
-        cyl, s_tilde, d_g, arcs = (np.array(v, float) for v in (
-            self.cylinders, self.s_tilde, self.d_g, self.arc_offsets))
+        radius = float(radius)
+        cyl, s_tilde, d_g, arcs = (float_array(getattr(self, name), name) for name in (
+            "cylinders", "s_tilde", "d_g", "arc_offsets"))
         if not (cyl.ndim == 1 and cyl.size >= 1 and s_tilde.shape == d_g.shape == cyl.shape
                 and arcs.shape == (cyl.size - 1,)):
             raise ValidationError("plan has inconsistent joint/cylinder counts")
@@ -256,52 +257,60 @@ def compile_plan(chain: DHChain, gap: GapModel) -> FabricationPlan:
     return FabricationPlan(r, cylinders, s_tilde, d_g_used, arcs)
 
 
-def _solve_fold_angles(s_tilde: np.ndarray, r: float, d_g: float) -> np.ndarray:
+def _solve_fold_angles(s_tilde: np.ndarray, r: float, d_g: np.ndarray) -> np.ndarray:
     """Invert the fold-distance formula for every theta in [0, pi) at once.
 
     f(theta) = d_g/cos(theta/2) + 2*r*theta is increasing and convex, and both
     terms are nonnegative, so the root lies at or below (s - d_g)/(2r) and
     2*arccos(d_g/s). Newton steps from there decrease to the root; they stop
-    when no angle decreases. With d_g = 0 the start is the root.
+    when no angle decreases. With d_g = 0 the start is the root. Each s_tilde
+    must lie in [f(0), f(_THETA_MAX)] for its own d_g.
     """
-    with np.errstate(over="ignore"):  # a fold distance past float range is inf
-        shortest = np.min(s_tilde, initial=math.inf)
-        if _fold_distance(0.0, r, d_g) > shortest:
-            raise InversionError(
-                f"s_tilde = {shortest:.6g} mm is below the d_g floor {d_g:.6g} mm; "
-                "no joint angle in [0, pi) produces it")
-        longest = np.max(s_tilde, initial=0.0)
-        if _fold_distance(_THETA_MAX, r, d_g) < longest:
-            raise InversionError(
-                f"s_tilde = {longest:.6g} mm exceeds the fold distance of any "
-                "joint angle in [0, pi)")
-        theta = np.minimum(np.minimum((s_tilde - d_g) / (2.0 * r), _THETA_MAX),
-                           2.0 * np.arccos(np.minimum(d_g / s_tilde, 1.0)))
-        while True:
-            half = 0.5 * theta
-            cos = np.cos(half)
-            slope = 0.5 * d_g * np.sin(half) / (cos * cos) + 2.0 * r
-            nxt = np.maximum(theta - (_fold_distance(theta, r, d_g) - s_tilde) / slope, 0.0)
-            down = nxt < theta
-            if not down.any():
-                return theta
-            theta = np.where(down, nxt, theta)
+    theta = np.minimum(np.minimum((s_tilde - d_g) / (2.0 * r), _THETA_MAX),
+                       2.0 * np.arccos(np.minimum(d_g / s_tilde, 1.0)))
+    while True:
+        half = 0.5 * theta
+        cos = np.cos(half)
+        slope = 0.5 * d_g * np.sin(half) / (cos * cos) + 2.0 * r
+        nxt = np.maximum(theta - (_fold_distance(theta, r, d_g) - s_tilde) / slope, 0.0)
+        down = nxt < theta
+        if not down.any():
+            return theta
+        theta = np.where(down, nxt, theta)
 
 
 def recover_chain(plan: FabricationPlan, gap: GapModel) -> DHChain:
     """Invert compile_plan: fabrication parameters back to a DH chain.
 
-    Returns the nonnegative gauge: every recovered joint angle lies in
-    [0, pi) and each twist is its arc offset over r, so the recovered chain
-    folds the designed shape. A chain with negative bends comes back with
-    |theta| and the twists of ``gauge_twist``; when theta_1 < 0 its base
-    frame is also turned by pi about x. The last link's twist leaves
-    no trace in the plan and is 0.
+    Each fold is inverted with the d_g the plan records for its joint; `gap`
+    must agree with it to the 9 significant digits of a plan file (relative
+    1e-8), else ValidationError names the joint. Returns the nonnegative
+    gauge: every recovered joint angle lies in [0, pi) and each twist is its
+    arc offset over r, so the recovered chain folds the designed shape. A
+    chain with negative bends comes back with |theta| and the twists of
+    ``gauge_twist``; when theta_1 < 0 its base frame is also turned by pi
+    about x. The last link's twist leaves no trace in the plan and is 0.
     """
     r, s_tilde = plan.radius, plan.s_tilde
-    folds = s_tilde > 0.0
+    folds = np.flatnonzero(s_tilde > 0.0)
+    s, d_g = s_tilde[folds], plan.d_g[folds]
+    mismatch = np.abs(d_g - gap.d_g) > 1e-8 * np.maximum(d_g, gap.d_g)
+    if mismatch.any():
+        i = int(np.argmax(mismatch))
+        raise ValidationError(
+            f"joint {folds[i] + 1}: the plan records d_g = {d_g[i].item()!r} mm, but the "
+            f"{gap.method} gap has d_g = {gap.d_g!r} mm")
     thetas = np.zeros(plan.n)
-    thetas[folds] = _solve_fold_angles(s_tilde[folds], r, gap.d_g)
+    with np.errstate(over="ignore"):  # a fold distance past float range is inf
+        low = _fold_distance(0.0, r, d_g) > s
+        high = _fold_distance(_THETA_MAX, r, d_g) < s
+        if low.any() or high.any():
+            i = int(np.argmax(low | high))
+            reason = (f"is below the d_g floor {d_g[i]:.6g} mm; no joint angle in [0, pi) "
+                      "produces it" if low[i] else
+                      "exceeds the fold distance of any joint angle in [0, pi)")
+            raise InversionError(f"joint {folds[i] + 1}: s_tilde = {s[i]:.6g} mm {reason}")
+        thetas[folds] = _solve_fold_angles(s, r, d_g)
     lengths = plan.cylinders + (s_tilde + np.append(s_tilde[1:], 0.0)) / 4.0
     alphas = [wrap_angle(arc / r) for arc in plan.arc_offsets.tolist()] + [0.0]
     return DHChain(lengths, alphas, thetas, r)

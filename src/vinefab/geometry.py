@@ -117,14 +117,6 @@ class RigidPose:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    def compose(self, other: "RigidPose") -> "RigidPose":
-        """self applied first in world, then other in self's frame: self * other."""
-        return RigidPose(self.rotation @ other.rotation,
-                         self.translation + self.rotation @ other.translation)
-
-    def __matmul__(self, other: "RigidPose") -> "RigidPose":
-        return self.compose(other)
-
     def inverse(self) -> "RigidPose":
         rt = self.rotation.T
         return RigidPose(rt, -(rt @ self.translation))
@@ -136,6 +128,18 @@ class RigidPose:
 
     def quaternion(self) -> np.ndarray:
         return rotation_to_quaternion(self.rotation)
+
+
+def float_array(values, what: str) -> np.ndarray:
+    """A new C-ordered float array of `values`.
+
+    Ragged, non-numeric or out-of-range input raises ValidationError naming
+    `what`, not numpy's ValueError, TypeError or OverflowError.
+    """
+    try:
+        return np.array(values, float, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} must be numbers in a regular array: {exc}") from None
 
 
 def _check_poses(rots: np.ndarray, origins: np.ndarray) -> None:
@@ -180,7 +184,8 @@ class DHChain:
     radius: float
 
     def __post_init__(self):
-        a, alpha, theta = (np.array(v, float) for v in (self.a, self.alpha, self.theta))
+        a, alpha, theta = (float_array(getattr(self, name), name)
+                           for name in ("a", "alpha", "theta"))
         if a.ndim != 1 or a.size < 1 or not a.shape == alpha.shape == theta.shape:
             raise ValidationError("a chain needs at least one link, and a, alpha and "
                                   "theta must be sequences of equal length")
@@ -196,20 +201,15 @@ class DHChain:
                 f"theta must lie in (-pi, pi], got {theta[i]}",
                 f"link length a must be >= 0, got {a[i]}",
                 f"chain length overflows at a = {a[i]} mm"][int(np.argmin(ok[:, i]))])
-        radius = float(self.radius)
-        if not math.isfinite(radius) or radius <= 0.0:
+        radius = float_array(self.radius, "radius")
+        if radius.ndim or not 0.0 < radius < math.inf:
             raise ValidationError(f"radius must be > 0, got {radius}")
         for x in (alpha, theta):
             x[(x <= -math.pi) | (x > math.pi)] = math.pi  # the same angle as -pi
         for name, x in (("a", a), ("alpha", alpha), ("theta", theta)):
             x.flags.writeable = False
             object.__setattr__(self, name, x)
-        object.__setattr__(self, "radius", radius)
-
-    @classmethod
-    def from_arrays(cls, a, alpha, theta, radius) -> "DHChain":
-        """Build a chain from parallel parameter sequences; same as the constructor."""
-        return cls(a, alpha, theta, radius)
+        object.__setattr__(self, "radius", float(radius))
 
     @property
     def n(self) -> int:
@@ -224,15 +224,6 @@ class DHChain:
         """The links as DHLink records, derived from the arrays."""
         return tuple(map(DHLink, self.a.tolist(), self.alpha.tolist(),
                          self.theta.tolist()))
-
-    def thetas(self) -> np.ndarray:
-        return self.theta
-
-    def alphas(self) -> np.ndarray:
-        return self.alpha
-
-    def lengths(self) -> np.ndarray:
-        return self.a
 
 
 def chain_frames(chain: DHChain) -> tuple[np.ndarray, np.ndarray]:

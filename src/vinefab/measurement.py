@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import (DegenerateGeometryError, MissingMarkerError,
                      ValidationError)
-from .geometry import (DHChain, RigidPose, _trusted, chain_frames, gauge_twist,
-                       nearest_rotation, quaternion_to_rotation,
+from .geometry import (DHChain, RigidPose, _trusted, chain_frames, float_array,
+                       gauge_twist, nearest_rotation, quaternion_to_rotation,
                        rotation_to_quaternion, wrap_angle)
 
 # offset of the neighbor-facing markers from their joint, per the measurement jig
@@ -60,9 +60,9 @@ def check_samples(context: str, times, positions, quaternions, lines=None):
     Quaternions come back normalized. Errors name sample i, or its file line
     ``lines[i]`` when given, after ``context``.
     """
-    t = np.array(times, float, order="C")
-    p = np.array(positions, float, order="C")
-    q = np.array(quaternions, float, order="C")
+    t = float_array(times, f"{context}: times")
+    p = float_array(positions, f"{context}: positions")
+    q = float_array(quaternions, f"{context}: quaternions")
     if t.size == 0:
         raise ValidationError(f"{context}: no samples")
     m = t.shape[0] if t.ndim == 1 else -1

@@ -273,17 +273,6 @@ def _range_cdf(w: np.ndarray, k: int) -> np.ndarray:
     return k * (np.maximum(cdf - shifted, 0.0) ** (k - 1) @ pdf_w)
 
 
-def normal_range_cdf(w: float, k: int) -> float:
-    """P(range of k independent standard normals <= w)."""
-    k = int(k)
-    if k < 2:
-        raise ValidationError(f"k must be >= 2, got {k}")
-    w = float(w)
-    if w <= 0.0:
-        return 0.0
-    return float(min(1.0, _range_cdf(np.array([w]), k)[0]))
-
-
 def _log_sd_log_density(t, df):
     """Log density of t = ln(s), s^2 ~ chi2(df)/df, relative to its peak at t = 0."""
     return df * (t - 0.5 * np.expm1(2.0 * t))

@@ -158,10 +158,6 @@ class TukeyResult:
     alpha: float
     df: float
 
-    @property
-    def significant_pairs(self):
-        return tuple(p for p in self.pairs if p.significant)
-
 
 def tukey_hsd(groups, labels=None, alpha: float = ALPHA_DEFAULT) -> TukeyResult:
     """Tukey's honest significant difference over all group pairs.
@@ -276,12 +272,6 @@ def group_summary(values_by_group: dict, confidence: float = 0.95) -> dict:
         half = t_quantile(0.5 + confidence / 2.0, g.size - 1) * sd / math.sqrt(g.size)
         out[label] = GroupSummary(int(g.size), mean, sd, mean - half, mean + half)
     return out
-
-
-def summarize_by(table: "SampleTable", factor: str,
-                 confidence: float = 0.95) -> dict:
-    """Group summary of a sample table along one factor column."""
-    return group_summary(table.values_by(factor), confidence=confidence)
 
 
 @dataclass(frozen=True)

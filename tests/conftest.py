@@ -39,7 +39,7 @@ def run_cli(*args, cwd=None):
 def three_bend_chain():
     """The reference test robot: 100 mm links, 45 deg bends at joints 2 and 3,
     45 deg twist on link 2, 16.5 mm radius."""
-    return DHChain.from_arrays(
+    return DHChain(
         [100.0, 100.0, 100.0],
         [0.0, math.pi / 4.0, 0.0],
         [0.0, math.pi / 4.0, math.pi / 4.0],
@@ -61,4 +61,4 @@ def random_feasible_chain(rng, max_links=10, theta_deg=(3.0, 150.0),
     alpha = rng.uniform(-math.pi + 1e-6, math.pi, n)
     if zero_last_alpha:
         alpha[-1] = 0.0
-    return DHChain.from_arrays(a, alpha, theta, radius=float(rng.uniform(*r_range)))
+    return DHChain(a, alpha, theta, radius=float(rng.uniform(*r_range)))

@@ -3,13 +3,17 @@
 These deliberately avoid the library's own code paths: forward kinematics is
 done with literal 4x4 homogeneous matrices, a fabrication plan is checked by
 folding the tube it describes, ANOVA with textbook loops, and distribution
-values by Monte Carlo sampling.
+values by Monte Carlo sampling. The one exception is `clearance`, which
+samples each everted body on its own with the library's sweep_samples, so
+that growth_trace's shared sweep must match it bit for bit.
 """
 
 import math
 
 import mpmath
 import numpy as np
+
+from vinefab.growth import sweep_samples
 
 
 def fk_homogeneous(a, alpha, theta):
@@ -36,6 +40,37 @@ def _rx(angle):
 def _rz(angle):
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def tip_pose_at(chain, everted_length):
+    """4x4 pose of the tip of a chain everted to `everted_length`, by matrices.
+
+    Whole links contribute their DH transforms; the remainder runs along the
+    current link after its joint's bend, Rz(theta) Tx(rem). A joint bends the
+    instant it everts, so at a link boundary the pre-bend frame is returned.
+    """
+    frames = fk_homogeneous(chain.a, chain.alpha, chain.theta)
+    cum = np.concatenate([[0.0], np.cumsum(chain.a)])
+    idx = min(int(np.searchsorted(cum, everted_length, side="right")) - 1, chain.n)
+    rem = everted_length - cum[idx]
+    if idx >= chain.n or rem <= 0.0:
+        return frames[idx]
+    step = np.eye(4)
+    step[:3, :3] = _rz(chain.theta[idx])
+    step[:3, 3] = step[:3, :3] @ np.array([rem, 0.0, 0.0])
+    return frames[idx] @ step
+
+
+def clearance(chain, everted_length, scene, step):
+    """Worst (surface distance - body radius) of one everted body, sampled on its own.
+
+    The per-state definition growth_trace must reproduce: the body everted
+    to `everted_length` sampled by sweep_samples; None for an empty scene.
+    """
+    if scene.empty:
+        return None
+    _, centers = sweep_samples(chain, everted_length, step)
+    return float(np.min(scene.surface_distance(centers) - chain.radius))
 
 
 def fold_tube(plan, thetas_abs, lengths):

@@ -39,7 +39,7 @@ def criterion(name, budget_s):
 
 
 def reference_chain():
-    return DHChain.from_arrays(
+    return DHChain(
         [100.0, 100.0, 100.0],
         [0.0, math.pi / 4.0, 0.0],
         [0.0, math.pi / 4.0, math.pi / 4.0],
@@ -80,9 +80,9 @@ def test_round_trip_compile_recover():
             chain = random_feasible_chain(rng, max_links=10)
             for gap in gaps:
                 back = recover_chain(compile_plan(chain, gap), gap)
-                assert np.max(np.abs(back.thetas() - chain.thetas())) < 1e-9
-                assert np.max(np.abs(back.alphas() - chain.alphas())) < 1e-9
-                assert np.max(np.abs(back.lengths() - chain.lengths())) < 1e-9
+                assert np.max(np.abs(back.theta - chain.theta)) < 1e-9
+                assert np.max(np.abs(back.alpha - chain.alpha)) < 1e-9
+                assert np.max(np.abs(back.a - chain.a)) < 1e-9
 
 
 def test_fk_matches_independent_oracle():
@@ -93,8 +93,7 @@ def test_fk_matches_independent_oracle():
                                           theta_deg=(-170.0, 170.0),
                                           zero_last_alpha=False)
             frames = fk_chain(chain)
-            oracle = fk_homogeneous(chain.lengths(), chain.alphas(),
-                                    chain.thetas())
+            oracle = fk_homogeneous(chain.a, chain.alpha, chain.theta)
             for mine, ref in zip(frames, oracle):
                 assert np.max(np.abs(mine.translation - ref[:3, 3])) < 1e-9
                 assert np.max(np.abs(mine.rotation - ref[:3, :3])) < 1e-12
@@ -106,7 +105,7 @@ def _measurement_chain(rng):
     theta = np.concatenate([[0.0], np.radians(rng.uniform(3.0, 150.0, n - 1))])
     alpha = np.concatenate([[0.0], rng.uniform(-math.pi + 1e-6, math.pi, n - 2),
                             [0.0]])
-    return DHChain.from_arrays(a, alpha, theta, radius=16.5)
+    return DHChain(a, alpha, theta, radius=16.5)
 
 
 def test_measurement_inversion():

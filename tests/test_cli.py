@@ -107,7 +107,7 @@ def test_grow_without_scene_leaves_clearance_empty(tmp_path, data_dir):
 def test_grow_last_row_never_overshoots_total(tmp_path):
     # total * 5 / 5 rounds above the 60.6 mm total for these link lengths
     chain = tmp_path / "chain.json"
-    formats.write_chain(DHChain.from_arrays(
+    formats.write_chain(DHChain(
         [10.1, 20.2, 30.3], [0, 0, 0], [0, math.radians(30), math.radians(30)],
         16.5), chain)
     code, _, err = run_cli("grow", "--chain", str(chain), "--steps", "5",
@@ -272,7 +272,7 @@ def test_analyze_bundled_samples(tmp_path, data_dir):
 
 def test_exit_codes(tmp_path, data_dir):
     bad_chain = tmp_path / "bad_chain.json"
-    formats.write_chain(DHChain.from_arrays(
+    formats.write_chain(DHChain(
         [100, 10, 100], [0, 0, 0], [0, math.radians(45), math.radians(45)],
         16.5), bad_chain)
     code, _, err = run_cli("plan", "--chain", str(bad_chain),
@@ -281,7 +281,7 @@ def test_exit_codes(tmp_path, data_dir):
     assert b"minimum feasible link length: 12.9590697 mm" in err
 
     singular = tmp_path / "singular.json"
-    formats.write_chain(DHChain.from_arrays(
+    formats.write_chain(DHChain(
         [100], [0], [math.radians(179.9)], 16.5), singular)
     code, _, err = run_cli("plan", "--chain", str(singular),
                            "--out", str(tmp_path))
@@ -415,7 +415,10 @@ def test_scene_json_fields_are_typed(tmp_path, capsys, project_config, scene, me
     ({"scene": 5}, "'scene' must be a string, got 5"),
     ({"out_dir": 7}, "'out_dir' must be a string, got 7"),
     ({"radius_mm": "16.5"}, "'radius_mm' must be a number, got '16.5'"),
-], ids=["gap-int", "d_g-string", "scene-int", "out_dir-int", "radius-string"])
+    ({"units": "radians"}, "'units' must be 'deg' or 'rad', got 'radians'"),
+    ({"units": 1}, "'units' must be a string, got 1"),
+], ids=["gap-int", "d_g-string", "scene-int", "out_dir-int", "radius-string",
+        "units-radians", "units-int"])
 def test_config_fields_are_typed(tmp_path, capsys, data_dir, fields, message):
     path = tmp_path / "project.json"
     path.write_text(json.dumps(

@@ -69,8 +69,7 @@ def test_fold_distance_near_pi():
 def test_compile_plan_rejects_the_first_singular_fold():
     """compile_plan gives the error axial_fold_distance gives at the first bad joint."""
     def first_error(thetas, d_g):
-        chain = DHChain.from_arrays([1e6] * len(thetas), [0.0] * len(thetas),
-                                    thetas, radius=R)
+        chain = DHChain([1e6] * len(thetas), [0.0] * len(thetas), thetas, radius=R)
         with pytest.raises(SingularityError) as info:
             compile_plan(chain, GapModel("loop", d_g))
         return str(info.value)
@@ -92,10 +91,10 @@ def test_compile_plan_rejects_the_first_singular_fold():
 def test_recover_near_theta_limit(gap):
     # a plan that compiles must also recover, right up to the compile limit
     theta = math.pi - 1e-7
-    chain = DHChain.from_arrays([1e9, 1e9], [0.3, 0.0], [theta, 1.0], radius=R)
+    chain = DHChain([1e9, 1e9], [0.3, 0.0], [theta, 1.0], radius=R)
     back = recover_chain(compile_plan(chain, gap), gap)
-    np.testing.assert_allclose(back.thetas(), chain.thetas(), rtol=0, atol=1e-9)
-    np.testing.assert_allclose(back.lengths(), chain.lengths(), rtol=1e-12)
+    np.testing.assert_allclose(back.theta, chain.theta, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(back.a, chain.a, rtol=1e-12)
 
 
 def test_gap_reduction_identity():
@@ -170,7 +169,7 @@ def test_compile_golden_loop_gap(three_bend_chain):
 
 
 def test_compile_straight_chain_any_gap():
-    chain = DHChain.from_arrays([120, 80, 50], [0, 0, 0], [0, 0, 0], R)
+    chain = DHChain([120, 80, 50], [0, 0, 0], [0, 0, 0], R)
     for gap in (TAPE, LOOP):
         plan = compile_plan(chain, gap)
         assert all(j.s_tilde == 0.0 for j in plan.joints)
@@ -198,9 +197,9 @@ def test_compile_layout_recurrence(three_bend_chain):
         theta[rng.random(n) < 0.2] = 0.0
         if k % 3 == 0:
             theta[0] = 0.0  # a foldless start
-        chain = DHChain.from_arrays(rng.uniform(250.0, 600.0, n),
-                                    rng.uniform(-math.pi, math.pi, n), theta,
-                                    radius=float(rng.uniform(5.0, 40.0)))
+        chain = DHChain(rng.uniform(250.0, 600.0, n),
+                        rng.uniform(-math.pi, math.pi, n), theta,
+                        radius=float(rng.uniform(5.0, 40.0)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateJointWarning)
             plan = compile_plan(chain, GapModel.for_method(GAP_METHODS[k % 3]))
@@ -213,10 +212,9 @@ def test_feasibility_boundary():
     a_min = 2.0 * s / 4.0
     # exactly at the boundary the middle cylinder has zero length: rejected
     with pytest.raises(InfeasibleLinkError, match="link 2"):
-        compile_plan(DHChain.from_arrays([100, a_min, 100], [0, 0, 0],
-                                         [0, theta, theta], R), TAPE)
-    plan = compile_plan(DHChain.from_arrays([100, a_min + 1e-6, 100], [0, 0, 0],
-                                            [0, theta, theta], R), TAPE)
+        compile_plan(DHChain([100, a_min, 100], [0, 0, 0], [0, theta, theta], R), TAPE)
+    plan = compile_plan(DHChain([100, a_min + 1e-6, 100], [0, 0, 0],
+                                [0, theta, theta], R), TAPE)
     assert plan.cylinders[1] == pytest.approx(1e-6, abs=1e-12)
 
 
@@ -229,14 +227,14 @@ def test_round_trip_random_chains():
             # the one array evaluation gives each fold the scalar formula's distance
             np.testing.assert_array_equal([j.s_tilde for j in plan.joints], [
                 axial_fold_distance(abs(th), chain.radius, gap.d_g)
-                if th != 0.0 else 0.0 for th in chain.thetas()])
+                if th != 0.0 else 0.0 for th in chain.theta])
             back = recover_chain(plan, gap)
-            np.testing.assert_allclose(back.thetas(), chain.thetas(), atol=1e-9)
-            np.testing.assert_allclose(back.alphas(), chain.alphas(), atol=1e-9)
-            np.testing.assert_allclose(back.lengths(), chain.lengths(), atol=1e-9)
+            np.testing.assert_allclose(back.theta, chain.theta, atol=1e-9)
+            np.testing.assert_allclose(back.alpha, chain.alpha, atol=1e-9)
+            np.testing.assert_allclose(back.a, chain.a, atol=1e-9)
             assert back.radius == chain.radius
             # each folded joint's angle is its fold distance's root to 1e-15 rad
-            for j, th in zip(plan.joints, back.thetas()):
+            for j, th in zip(plan.joints, back.theta):
                 if j.s_tilde > 0.0:
                     root = mp_fold_angle(j.s_tilde, plan.radius, gap.d_g)
                     assert abs(th - root) <= 1e-15
@@ -261,10 +259,10 @@ def test_fold_inversion_to_1e15_across_the_angle_range():
         thetas = [1e-9, math.pi - 1e-11, *rng.uniform(0.0, math.pi - 1e-11, 6)]
         s_tilde = [axial_fold_distance(t, r, d_g) for t in thetas]
         back = recover_chain(_fold_plan(s_tilde, r, d_g), GapModel("loop", d_g))
-        for s, th in zip(s_tilde, back.thetas()):
+        for s, th in zip(s_tilde, back.theta):
             assert abs(th - mp_fold_angle(s, r, d_g)) <= 1e-15
     floor = recover_chain(_fold_plan([9.3, 20.0], R, 9.3), LOOP)
-    assert floor.thetas()[0] == 0.0
+    assert floor.theta[0] == 0.0
 
 
 _signed_bend = st.one_of(
@@ -284,7 +282,7 @@ def test_compiled_plan_folds_the_designed_shape(links, r, method):
     # signed bends, zero bends included: the tube the plan folds is the
     # designed centerline, and so is the recovered chain
     a, alpha, theta = (list(v) for v in zip(*links))
-    chain = DHChain.from_arrays(a, alpha, theta, radius=r)
+    chain = DHChain(a, alpha, theta, radius=r)
     gap = GapModel.for_method(method)
     design = np.array([f.translation for f in fk_chain(chain)])
     with warnings.catch_warnings():
@@ -296,52 +294,64 @@ def test_compiled_plan_folds_the_designed_shape(links, r, method):
 
 
 def test_recover_straight_plan():
-    chain = DHChain.from_arrays([120, 80], [0, 0], [0, 0], R)
+    chain = DHChain([120, 80], [0, 0], [0, 0], R)
     back = recover_chain(compile_plan(chain, TAPE), TAPE)
-    np.testing.assert_array_equal(back.thetas(), [0.0, 0.0])
-    np.testing.assert_array_equal(back.lengths(), [120.0, 80.0])
+    np.testing.assert_array_equal(back.theta, [0.0, 0.0])
+    np.testing.assert_array_equal(back.a, [120.0, 80.0])
 
 
 def test_recover_with_gap_round_trip(three_bend_chain):
     back = recover_chain(compile_plan(three_bend_chain, LOOP), LOOP)
-    np.testing.assert_allclose(back.thetas(), three_bend_chain.thetas(), atol=1e-9)
+    np.testing.assert_allclose(back.theta, three_bend_chain.theta, atol=1e-9)
 
 
 def test_recover_inconsistent_fold_distance(three_bend_chain):
-    plan = compile_plan(three_bend_chain, TAPE)
-
-    def with_fold(j, s_tilde, d_g):
-        s, d = plan.s_tilde.copy(), plan.d_g.copy()
-        s[j], d[j] = s_tilde, d_g
-        return FabricationPlan(R, plan.cylinders, s, d, plan.arc_offsets)
+    def with_fold(j, s_tilde, gap):
+        plan = compile_plan(three_bend_chain, gap)
+        s = plan.s_tilde.copy()
+        s[j] = s_tilde
+        return FabricationPlan(R, plan.cylinders, s, plan.d_g, plan.arc_offsets)
 
     # a positive fold distance below the d_g floor has no producing angle
     with pytest.raises(InversionError, match="floor"):
-        recover_chain(with_fold(1, 5.0, 9.3), LOOP)
+        recover_chain(with_fold(1, 5.0, LOOP), LOOP)
     with pytest.raises(InversionError, match="exceeds"):
-        recover_chain(with_fold(1, 1e6, 0.0), TAPE)
+        recover_chain(with_fold(1, 1e6, TAPE), TAPE)
 
-    # the second of two folds out of range: the error names its s_tilde
+    # the second of two folds out of range: the error names its joint and s_tilde
     for s_tilde, gap, reason in ((5.0, LOOP, "is below the d_g floor"),
                                  (1e6, TAPE, "exceeds")):
-        with pytest.raises(InversionError,
-                           match=re.escape(f"s_tilde = {s_tilde:.6g} mm {reason}")):
-            recover_chain(with_fold(2, s_tilde, 0.0), gap)
+        with pytest.raises(InversionError, match=re.escape(
+                f"joint 3: s_tilde = {s_tilde:.6g} mm {reason}")):
+            recover_chain(with_fold(2, s_tilde, gap), gap)
+
+
+def test_recover_rejects_a_gap_the_plan_was_not_compiled_with(three_bend_chain):
+    # loop folds read with the tape gap would come back as 62.5 deg bends
+    plan = compile_plan(three_bend_chain, LOOP)
+    with pytest.raises(ValidationError, match=re.escape(
+            "joint 2: the plan records d_g = 9.3 mm, but the tape gap has d_g = 0.0 mm")):
+        recover_chain(plan, TAPE)
+    with pytest.raises(ValidationError, match="joint 2: "):
+        recover_chain(plan, GapModel("loop", 9.3 * (1.0 + 2e-8)))
+    # within the 9 significant digits of a plan file the plan's own d_g is used
+    back = recover_chain(plan, GapModel("loop", 9.3 * (1.0 + 5e-9)))
+    assert back.theta.tobytes() == recover_chain(plan, LOOP).theta.tobytes()
 
 
 def test_twist_carried_across_foldless_joints():
     # base twist before the first fold shifts the first fold's meridian
-    chain = DHChain.from_arrays([100, 100, 100], [0.3, 0.2, 0.0],
-                                [0.0, math.pi / 4, math.pi / 4], R)
+    chain = DHChain([100, 100, 100], [0.3, 0.2, 0.0],
+                    [0.0, math.pi / 4, math.pi / 4], R)
     plan = compile_plan(chain, TAPE)
     assert plan.arc_offsets[0] == pytest.approx(0.3 * R)
     assert plan.arc_offsets[1] == pytest.approx(0.2 * R)
     back = recover_chain(plan, TAPE)
-    np.testing.assert_allclose(back.alphas(), chain.alphas(), atol=1e-12)
+    np.testing.assert_allclose(back.alpha, chain.alpha, atol=1e-12)
 
     # twist across a mid-chain foldless joint accumulates into the next fold
-    chain2 = DHChain.from_arrays([100, 100, 100, 100], [0.1, 0.25, 0.15, 0.0],
-                                 [math.pi / 4, 0.0, math.pi / 4, math.pi / 6], R)
+    chain2 = DHChain([100, 100, 100, 100], [0.1, 0.25, 0.15, 0.0],
+                     [math.pi / 4, 0.0, math.pi / 4, math.pi / 6], R)
     with pytest.warns(DegenerateJointWarning):
         plan2 = compile_plan(chain2, TAPE)
     assert plan2.arc_offsets[0] == 0.0

@@ -41,9 +41,9 @@ def test_chain_json_round_trip(tmp_path, three_bend_chain):
     path = tmp_path / "chain.json"
     formats.write_chain(three_bend_chain, path)
     back = formats.read_chain(path)
-    np.testing.assert_allclose(back.thetas(), three_bend_chain.thetas(), atol=1e-12)
-    np.testing.assert_allclose(back.alphas(), three_bend_chain.alphas(), atol=1e-12)
-    np.testing.assert_allclose(back.lengths(), three_bend_chain.lengths(), atol=1e-9)
+    np.testing.assert_allclose(back.theta, three_bend_chain.theta, atol=1e-12)
+    np.testing.assert_allclose(back.alpha, three_bend_chain.alpha, atol=1e-12)
+    np.testing.assert_allclose(back.a, three_bend_chain.a, atol=1e-9)
     assert back.radius == three_bend_chain.radius
 
 
@@ -102,8 +102,19 @@ def test_plan_json_round_trip(tmp_path, three_bend_chain):
     np.testing.assert_allclose(back.cylinders, plan.cylinders, atol=1e-6)
     np.testing.assert_allclose(back.s_tilde, plan.s_tilde, atol=1e-6)
     recovered = recover_chain(back, gap)
-    np.testing.assert_allclose(recovered.thetas(), three_bend_chain.thetas(),
+    np.testing.assert_allclose(recovered.theta, three_bend_chain.theta,
                                atol=1e-6)
+
+
+def test_plan_round_trip_with_a_gap_of_nine_rounded_digits(tmp_path, three_bend_chain):
+    # the file holds d_g = 0.333333333, which the gap of 1/3 matches to 1e-9
+    gap = GapModel("loop", 1.0 / 3.0)
+    path = tmp_path / "plan.json"
+    formats.write_plan(compile_plan(three_bend_chain, gap), path)
+    back = formats.read_plan(path)
+    assert back.d_g[1] == 0.333333333
+    np.testing.assert_allclose(recover_chain(back, gap).theta, three_bend_chain.theta,
+                               rtol=0, atol=1e-9)
 
 
 def _independent(path):
@@ -126,9 +137,9 @@ def test_plan_json_rewrites_byte_identical(tmp_path):
         theta[rng.random(n) < 0.2] = 0.0
         if k % 3 == 0:
             theta[0] = 0.0
-        chain = DHChain.from_arrays(rng.uniform(250.0, 600.0, n),
-                                    rng.uniform(-math.pi, math.pi, n), theta,
-                                    radius=float(rng.uniform(5.0, 40.0)))
+        chain = DHChain(rng.uniform(250.0, 600.0, n),
+                        rng.uniform(-math.pi, math.pi, n), theta,
+                        radius=float(rng.uniform(5.0, 40.0)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateJointWarning)
             plan = compile_plan(chain, GapModel.for_method(("tape", "weld", "loop")[k % 3]))

@@ -4,98 +4,87 @@ import re
 import numpy as np
 import pytest
 
+from vinefab import growth
 from vinefab.errors import ValidationError
-from vinefab.geometry import (DHChain, RigidPose, dh_to_polyline, fk_chain,
-                              rot_z)
-from vinefab.growth import (MAX_SWEEP_SAMPLES, Box, ClearanceResult,
-                            GrowthState, ObstacleScene, Sphere, clearance,
-                            growth_trace, sweep_samples, tip_pose_at)
+from vinefab.geometry import (DHChain, RigidPose, chain_frames, dh_to_polyline,
+                              fk_chain, rot_z)
+from vinefab.growth import (MAX_SWEEP_SAMPLES, Box, ObstacleScene, Sphere,
+                            centerline_points, growth_trace, sweep_samples)
 
 from conftest import random_feasible_chain
-from oracles import fk_homogeneous, point_segment_distance
+from oracles import (clearance, fk_homogeneous, point_segment_distance,
+                     tip_pose_at)
 
 
 def test_range_error_shows_both_numbers_exactly():
-    chain = DHChain.from_arrays([10.1, 20.2, 30.3], [0.0, 0.0, 0.0],
-                                [0.0, 0.5, 0.5], radius=5.0)
-    total = chain.total_length
-    with pytest.raises(ValidationError) as info:
-        GrowthState(chain, math.nextafter(total, math.inf))
-    bound, got = re.search(r"\[0, (\S+)\] mm, got (\S+)$", str(info.value)).groups()
-    assert bound != got
-    assert float(bound) == total
-    assert float(got) == math.nextafter(total, math.inf)
+    chain = DHChain([10.1, 20.2, 30.3], [0.0, 0.0, 0.0], [0.0, 0.5, 0.5], radius=5.0)
+    total, past = chain.total_length, math.nextafter(chain.total_length, math.inf)
+    for grow in (lambda L: sweep_samples(chain, L), lambda L: growth_trace(chain, [L], None)):
+        with pytest.raises(ValidationError) as info:
+            grow(past)
+        bound, got = re.search(r"\[0, (\S+)\] mm, got (\S+)$", str(info.value)).groups()
+        assert bound != got
+        assert float(bound) == total
+        assert float(got) == past
 
 
 def test_tip_at_zero_is_base_frame(three_bend_chain):
-    pose = tip_pose_at(GrowthState(three_bend_chain, 0.0))
-    np.testing.assert_array_equal(pose.rotation, np.eye(3))
-    np.testing.assert_array_equal(pose.translation, np.zeros(3))
+    tips, _ = growth_trace(three_bend_chain, [0.0], None)
+    np.testing.assert_array_equal(tips[0], np.zeros(3))
 
 
 def test_tip_at_full_length_matches_fk(three_bend_chain):
-    pose = tip_pose_at(GrowthState(three_bend_chain, 300.0))
+    tips, _ = growth_trace(three_bend_chain, [300.0], None)
     tip = fk_chain(three_bend_chain)[-1]
-    np.testing.assert_allclose(pose.translation, tip.translation, atol=1e-9)
-    np.testing.assert_allclose(pose.rotation, tip.rotation, atol=1e-12)
+    np.testing.assert_allclose(tips[0], tip.translation, atol=1e-9)
 
 
 def test_tip_mid_link_matches_matrix_oracle(three_bend_chain):
     # 150 mm everted: one full link, the joint-2 bend, then 50 mm into link 2
-    pose = tip_pose_at(GrowthState(three_bend_chain, 150.0))
-    frames = fk_homogeneous(three_bend_chain.lengths(),
-                            three_bend_chain.alphas(),
-                            three_bend_chain.thetas())
+    (point,) = centerline_points(three_bend_chain, [150.0])
+    frames = fk_homogeneous(three_bend_chain.a, three_bend_chain.alpha,
+                            three_bend_chain.theta)
     rz = np.eye(4)
     rz[:3, :3] = rot_z(math.pi / 4)
     tx = np.eye(4)
     tx[0, 3] = 50.0
     ref = frames[1] @ rz @ tx
-    np.testing.assert_allclose(pose.translation, ref[:3, 3], atol=1e-9)
+    np.testing.assert_allclose(point, ref[:3, 3], atol=1e-9)
 
 
 def test_everted_length_out_of_range(three_bend_chain):
-    with pytest.raises(ValidationError):
-        GrowthState(three_bend_chain, -1.0)
-    with pytest.raises(ValidationError):
-        GrowthState(three_bend_chain, 300.1)
+    for bad in (-1.0, 300.1):
+        with pytest.raises(ValidationError, match="everted_length must lie in"):
+            sweep_samples(three_bend_chain, bad)
+        with pytest.raises(ValidationError):
+            growth_trace(three_bend_chain, [bad], None)
 
 
-def test_translation_continuity_rotation_piecewise(three_bend_chain):
+def test_tip_translation_is_continuous(three_bend_chain):
     step = 0.5
-    lengths = np.arange(0.0, 300.0 + step, step)
-    prev = None
-    for of in lengths:
-        pose = tip_pose_at(GrowthState(three_bend_chain, float(of)))
-        if prev is not None:
-            jump = np.linalg.norm(pose.translation - prev.translation)
-            assert jump <= step * 1.01
-        prev = pose
-    # rotation is constant strictly inside a link
-    r_a = tip_pose_at(GrowthState(three_bend_chain, 120.0)).rotation
-    r_b = tip_pose_at(GrowthState(three_bend_chain, 180.0)).rotation
-    np.testing.assert_allclose(r_a, r_b, atol=1e-12)
+    tips = centerline_points(three_bend_chain, np.arange(0.0, 300.0 + step, step))
+    assert np.linalg.norm(np.diff(tips, axis=0), axis=1).max() <= step * 1.01
 
 
 def test_sweep_sample_counts():
-    chain = DHChain.from_arrays([100, 100], [0, 0], [0, 0], 16.5)
-    arc_lengths, centers = sweep_samples(GrowthState(chain, 200.0), step=200.0)
+    chain = DHChain([100, 100], [0, 0], [0, 0], 16.5)
+    arc_lengths, centers = sweep_samples(chain, 200.0, step=200.0)
     assert centers.shape[0] >= 2
     assert arc_lengths[0] == 0.0 and arc_lengths[-1] == 200.0
     for L, step in ((200.0, 7.0), (155.5, 10.0), (0.0, 5.0)):
-        _, centers = sweep_samples(GrowthState(chain, L), step=step)
+        _, centers = sweep_samples(chain, L, step=step)
         assert centers.shape[0] == math.floor(L / step) + 2
     for bad in (0.0, math.inf, math.nan):
         with pytest.raises(ValidationError):
-            sweep_samples(GrowthState(chain, 100.0), step=bad)
+            sweep_samples(chain, 100.0, step=bad)
     # one sample past the cap, and steps whose count overflows a float
     for bad in (100.0 / (MAX_SWEEP_SAMPLES - 1), 1e-9, 5e-324):
         with pytest.raises(ValidationError, match=f"more than {MAX_SWEEP_SAMPLES}"):
-            sweep_samples(GrowthState(chain, 100.0), step=bad)
+            sweep_samples(chain, 100.0, step=bad)
 
 
 def test_sweep_samples_lie_on_centerline(three_bend_chain):
-    _, centers = sweep_samples(GrowthState(three_bend_chain, 300.0), step=3.7)
+    _, centers = sweep_samples(three_bend_chain, 300.0, step=3.7)
     verts = dh_to_polyline(three_bend_chain)
     for p in centers:
         d = min(point_segment_distance(p, verts[i], verts[i + 1])
@@ -104,51 +93,52 @@ def test_sweep_samples_lie_on_centerline(three_bend_chain):
 
 
 def test_centerline_points_domain(three_bend_chain):
-    from vinefab.growth import centerline_points
-
-    state = GrowthState(three_bend_chain, 150.0)
-    pts = centerline_points(state, np.array([0.0, 100.0, 150.0]))
+    pts = centerline_points(three_bend_chain, np.array([0.0, 100.0, 150.0]))
     np.testing.assert_allclose(pts[0], [0.0, 0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(pts[1], [100.0, 0.0, 0.0], atol=1e-12)
-    with pytest.raises(ValidationError):
-        centerline_points(state, np.array([200.0]))
+    for bad in (-1.0, 300.1):
+        with pytest.raises(ValidationError, match="within the everted body"):
+            centerline_points(three_bend_chain, np.array([bad]))
 
 
 def test_clearance_point_to_sphere_hand_geometry():
-    chain = DHChain.from_arrays([300], [0], [0], 16.5)
+    chain = DHChain([300], [0], [0], 16.5)
     scene = ObstacleScene(spheres=(Sphere(center=[150.0, 100.0, 0.0], radius=30.0),))
-    res = clearance(GrowthState(chain, 300.0), scene, step=1.0)
-    assert res.clearance == pytest.approx(100.0 - 30.0 - 16.5, abs=1e-9)
-    np.testing.assert_allclose(res.location, [150.0, 0.0, 0.0], atol=1e-9)
+    _, (clr,) = growth_trace(chain, [300.0], scene, step=1.0)
+    assert clr == pytest.approx(100.0 - 30.0 - 16.5, abs=1e-9)
+    # the worst sample of the body is the one nearest the sphere
+    _, centers = sweep_samples(chain, 300.0, step=1.0)
+    worst = centers[np.argmin(scene.surface_distance(centers))]
+    np.testing.assert_allclose(worst, [150.0, 0.0, 0.0], atol=1e-9)
 
 
 def test_clearance_penetration_is_negative():
-    chain = DHChain.from_arrays([300], [0], [0], 16.5)
+    chain = DHChain([300], [0], [0], 16.5)
     scene = ObstacleScene(spheres=(Sphere(center=[150.0, 0.0, 0.0], radius=20.0),))
-    res = clearance(GrowthState(chain, 300.0), scene, step=1.0)
-    assert res.clearance == pytest.approx(-20.0 - 16.5, abs=1e-9)
-    assert res.clearance < 0.0
+    _, (clr,) = growth_trace(chain, [300.0], scene, step=1.0)
+    assert clr == pytest.approx(-20.0 - 16.5, abs=1e-9)
+    assert clr < 0.0
 
 
 def test_clearance_empty_scene():
-    chain = DHChain.from_arrays([300], [0], [0], 16.5)
-    res = clearance(GrowthState(chain, 300.0), ObstacleScene())
-    assert isinstance(res, ClearanceResult)
-    assert res.no_obstacles and res.clearance == math.inf
-    assert res.location is None
+    chain = DHChain([300], [0], [0], 16.5)
+    _, clearances = growth_trace(chain, [100.0, 300.0], ObstacleScene())
+    assert clearances == [None, None]
+    assert (ObstacleScene().surface_distance(np.zeros((2, 3))) == math.inf).all()
 
 
 def test_clearance_monotone_under_inflation():
     rng = np.random.default_rng(37)
     chain = random_feasible_chain(rng, max_links=4)
-    state = GrowthState(chain, chain.total_length)
     center = dh_to_polyline(chain)[-1] + np.array([50.0, 40.0, 30.0])
-    base = clearance(state, ObstacleScene(spheres=(Sphere(center, 10.0),)), 2.0)
+
+    def worst(radius):
+        scene = ObstacleScene(spheres=(Sphere(center, radius),))
+        return growth_trace(chain, [chain.total_length], scene, 2.0)[1][0]
+
+    base = worst(10.0)
     for delta in (1.0, 5.0, 20.0):
-        grown = clearance(state,
-                          ObstacleScene(spheres=(Sphere(center, 10.0 + delta),)),
-                          2.0)
-        assert grown.clearance == pytest.approx(base.clearance - delta, abs=1e-9)
+        assert worst(10.0 + delta) == pytest.approx(base - delta, abs=1e-9)
 
 
 def test_box_signed_distance():
@@ -191,10 +181,8 @@ def test_growth_trace_matches_per_state_functions(seed):
         tips, clearances = growth_trace(chain, lengths, scene, step=step)
         assert tips.shape == (steps + 1, 3)
         for L, tip, clr in zip(lengths, tips, clearances):
-            state = GrowthState(chain, L)
-            assert clr == clearance(state, scene, step).clearance
-            np.testing.assert_allclose(tip, tip_pose_at(state).translation,
-                                       rtol=0, atol=1e-9)
+            assert clr == clearance(chain, L, scene, step)
+            np.testing.assert_allclose(tip, tip_pose_at(chain, L)[:3, 3], rtol=0, atol=1e-9)
         for no_scene in (None, ObstacleScene()):
             bare_tips, bare = growth_trace(chain, lengths, no_scene, step=step)
             assert bare == [None] * (steps + 1)
@@ -203,15 +191,29 @@ def test_growth_trace_matches_per_state_functions(seed):
 
 def test_growth_trace_last_grid_sample_can_be_worst():
     # grid samples at 98.9 and 101.2 mm, tip at 101.5: 101.2 is nearest
-    chain = DHChain.from_arrays([300], [0], [0], 16.5)
+    chain = DHChain([300], [0], [0], 16.5)
     scene = ObstacleScene(spheres=(Sphere(center=[101.0, 20.0, 0.0], radius=5.0),))
     _, (clr,) = growth_trace(chain, [101.5], scene, step=2.3)
-    assert clr == clearance(GrowthState(chain, 101.5), scene, 2.3).clearance
+    assert clr == clearance(chain, 101.5, scene, 2.3)
     assert clr == pytest.approx(math.hypot(0.2, 20.0) - 5.0 - 16.5, abs=1e-9)
 
 
+def test_growth_trace_builds_the_frames_once(monkeypatch, three_bend_chain):
+    calls = []
+
+    def counted(chain):
+        calls.append(chain)
+        return chain_frames(chain)
+
+    monkeypatch.setattr(growth, "chain_frames", counted)
+    scene = ObstacleScene(spheres=(Sphere(center=[150.0, 60.0, 0.0], radius=10.0),))
+    tips, clearances = growth_trace(three_bend_chain, np.linspace(0.0, 300.0, 11), scene,
+                                    step=2.0)
+    assert len(calls) == 1 and tips.shape == (11, 3) and None not in clearances
+
+
 def test_growth_trace_rejects_lengths_outside_the_body(three_bend_chain):
-    for lengths in ([0.0, 300.1], [-1.0, 10.0], []):
+    for lengths in ([0.0, 300.1], [-1.0, 10.0], [-1e-13, 300.0], []):
         with pytest.raises(ValidationError):
             growth_trace(three_bend_chain, lengths, None)
 

@@ -22,7 +22,7 @@ def _measurement_chain(rng, n=None):
     theta = np.concatenate([[0.0], np.radians(rng.uniform(3.0, 150.0, n - 1))])
     alpha = np.concatenate([[0.0], rng.uniform(-math.pi + 1e-6, math.pi, n - 2),
                             [0.0]])
-    return DHChain.from_arrays(a, alpha, theta, radius=16.5)
+    return DHChain(a, alpha, theta, radius=16.5)
 
 
 def test_parse_marker_id():
@@ -70,7 +70,7 @@ def test_average_samples_order_invariant():
 def test_average_samples_recovers_noisy_rotation():
     rng = np.random.default_rng(43)
     truth = rot_z(0.7) @ rot_x(-0.2)
-    chain = DHChain.from_arrays([100], [math.radians(-11.5)], [0.7], 16.5)
+    chain = DHChain([100], [math.radians(-11.5)], [0.7], 16.5)
     _ = chain  # truth rotation equals this link's orientation; kept explicit
     samples = []
     for k in range(100):
@@ -138,8 +138,7 @@ def test_recover_exact_on_reference_robot(three_bend_chain):
 
 
 def test_recover_collinear_markers_give_zero_angle():
-    chain = DHChain.from_arrays([100, 100, 100], [0, 0, 0],
-                                [0, 0, 0], 16.5)
+    chain = DHChain([100, 100, 100], [0, 0, 0], [0, 0, 0], 16.5)
     measured = recover_dh(synthetic_markers(chain))
     for (_, th) in measured.joint_thetas:
         assert th == pytest.approx(0.0, abs=1e-12)
@@ -202,7 +201,7 @@ def test_duplicate_marker_rejected(three_bend_chain):
 
 
 # bends of both signs: joints 2/3 and 4/5 flip once, joints 3/4 are both negative
-MIXED_SIGN_CHAIN = DHChain.from_arrays(
+MIXED_SIGN_CHAIN = DHChain(
     [200.0] * 5, [0.0, 0.4, -1.1, 2.5, 0.0],
     np.radians([0.0, 45.0, -60.0, -30.0, 50.0]), radius=16.5)
 

@@ -19,7 +19,7 @@ def _circles(svg):
 
 
 def test_straight_chain_has_no_marks():
-    chain = DHChain.from_arrays([100, 100], [0, 0], [0, 0], 16.5)
+    chain = DHChain([100, 100], [0, 0], [0, 0], 16.5)
     svg = flat_pattern(compile_plan(chain, TAPE))
     assert _circles(svg) == []
     m = re.search(r'width="([0-9.]+)mm" height="([0-9.]+)mm"', svg)
@@ -39,7 +39,7 @@ def test_three_bend_mark_layout(three_bend_chain):
 
 def test_wraparound_marks_stay_in_rectangle():
     # large twists push the accumulated meridian past a full circumference
-    chain = DHChain.from_arrays(
+    chain = DHChain(
         [200, 200, 200, 200],
         [3.0, 3.0, 3.0, 0.0],
         [math.pi / 4, math.pi / 4, math.pi / 4, math.pi / 4], 16.5)

@@ -6,7 +6,7 @@ import pytest
 from vinefab.errors import DegenerateDataError, ValidationError
 from vinefab.stats import (SampleRow, SampleTable, analyze_table,
                            group_summary, kruskal_wallis, levene_test,
-                           one_way_anova, significance_stars, summarize_by,
+                           one_way_anova, significance_stars,
                            t_test_independent, t_test_paired, t_test_welch,
                            tukey_hsd)
 
@@ -99,7 +99,7 @@ def test_tukey_identical_groups_not_significant():
     rng = np.random.default_rng(103)
     g = rng.normal(0, 1, 10)
     res = tukey_hsd([g, g + 0.0, np.array(g)], labels=["a", "b", "c"])
-    assert res.significant_pairs == ()
+    assert not any(p.significant for p in res.pairs)
     assert all(p.p_value == pytest.approx(1.0, abs=1e-9) for p in res.pairs)
 
 
@@ -208,7 +208,7 @@ def test_summarize_by_factor():
     table = SampleTable(rows=(
         _row(1.0, method="tape"), _row(3.0, method="tape"),
         _row(10.0, method="loop"), _row(12.0, method="loop")))
-    summaries = summarize_by(table, "method")
+    summaries = group_summary(table.values_by("method"))
     assert list(summaries) == ["tape", "loop"]
     assert summaries["tape"].mean == 2.0
     assert summaries["loop"].ci_low < 11.0 < summaries["loop"].ci_high
