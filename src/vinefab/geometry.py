@@ -108,8 +108,8 @@ class RigidPose:
     translation: np.ndarray
 
     def __post_init__(self):
-        r = np.array(self.rotation, float)
-        t = np.array(self.translation, float).reshape(3)
+        r = float_array(self.rotation, "rotation")
+        t = point3(self.translation, "translation")
         if r.shape != (3, 3):
             raise ValidationError(f"rotation must be 3x3, got {r.shape}")
         _check_poses(r[None], t[None])
@@ -140,6 +140,14 @@ def float_array(values, what: str) -> np.ndarray:
         return np.array(values, float, order="C")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} must be numbers in a regular array: {exc}") from None
+
+
+def point3(values, what: str) -> np.ndarray:
+    """Three coordinates as a new (3,) float array."""
+    p = float_array(values, what)
+    if p.size != 3:
+        raise ValidationError(f"{what} must hold 3 numbers, got {p.size}")
+    return p.reshape(3)
 
 
 def _check_poses(rots: np.ndarray, origins: np.ndarray) -> None:

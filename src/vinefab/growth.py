@@ -14,19 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import DHChain, chain_frames, float_array
+from .geometry import DHChain, chain_frames, float_array, point3
 
 DEFAULT_SWEEP_STEP_MM = 1.0
 # most centerline samples one sweep may take: a few hundred MB of arrays
 MAX_SWEEP_SAMPLES = 10_000_000
-
-
-def _point(values, what: str) -> np.ndarray:
-    """Three coordinates as a new (3,) float array."""
-    p = float_array(values, what)
-    if p.size != 3:
-        raise ValidationError(f"{what} must hold 3 numbers, got {p.size}")
-    return p.reshape(3)
 
 
 @dataclass(frozen=True)
@@ -35,7 +27,7 @@ class Sphere:
     radius: float
 
     def __post_init__(self):
-        c = _point(self.center, "sphere center")
+        c = point3(self.center, "sphere center")
         radius = float_array(self.radius, "sphere radius")
         if not np.isfinite(c).all():
             raise ValidationError(f"sphere center must be finite, got {c}")
@@ -59,8 +51,8 @@ class Box:
     max_corner: np.ndarray
 
     def __post_init__(self):
-        lo = _point(self.min_corner, "box min corner")
-        hi = _point(self.max_corner, "box max corner")
+        lo = point3(self.min_corner, "box min corner")
+        hi = point3(self.max_corner, "box max corner")
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValidationError("box corners must be finite")
         if not np.all(lo < hi):
@@ -113,14 +105,20 @@ def _everted(chain: DHChain, everted_length) -> float:
     return everted_length
 
 
+def _step(step) -> float:
+    """The sweep step as a float, checked to be finite and > 0."""
+    step = float(step)
+    if not 0.0 < step < math.inf:
+        raise ValidationError(f"step must be finite and > 0, got {step!r}")
+    return step
+
+
 def _sweep_grid(everted_length: float, step: float) -> np.ndarray:
     """Arc lengths 0, step, ... up to everted_length: floor(everted/step) + 1 of them.
 
-    A step that would take more than MAX_SWEEP_SAMPLES samples is rejected
-    before allocating.
+    `step` is checked by _step. A step that would take more than
+    MAX_SWEEP_SAMPLES samples is rejected before allocating.
     """
-    if not 0.0 < step < math.inf:
-        raise ValidationError(f"step must be finite and > 0, got {step}")
     if not everted_length / step < MAX_SWEEP_SAMPLES - 1:
         raise ValidationError(
             f"step {step!r} mm would sample the {everted_length!r} mm "
@@ -151,7 +149,7 @@ def sweep_samples(chain: DHChain, everted_length: float,
     Returns (arc_lengths, centers): floor(everted/step) + 1 grid samples and
     one tip sample, so both endpoints are always present.
     """
-    everted_length = _everted(chain, everted_length)
+    everted_length, step = _everted(chain, everted_length), _step(step)
     s = np.append(_sweep_grid(everted_length, step), everted_length)
     return s, centerline_points(chain, s)
 
@@ -174,6 +172,7 @@ def growth_trace(chain: DHChain, everted_lengths, scene: ObstacleScene | None,
     # every length, not only the longest: one just below 0 would read grid row -1
     _everted(chain, np.min(lengths))
     longest = _everted(chain, np.max(lengths))
+    step = _step(step)
     if scene is None or scene.empty:
         return centerline_points(chain, lengths), [None] * len(lengths)
     points = centerline_points(chain, np.concatenate([lengths, _sweep_grid(longest, step)]))

@@ -172,17 +172,20 @@ def tukey_hsd(groups, labels=None, alpha: float = ALPHA_DEFAULT) -> TukeyResult:
         raise ValidationError("labels must match the number of groups")
     k = len(arrays)
     _, _, df2, ms_within = _anova_f(arrays)
-    pairs = []
+    index, diffs, qs = [], [], []
     for i in range(k):
         for j in range(i + 1, k):
             gi, gj = arrays[i], arrays[j]
             diff = float(gi.mean() - gj.mean())
             se = math.sqrt(ms_within / 2.0 * (1.0 / gi.size + 1.0 / gj.size))
-            q = abs(diff) / se
-            p = 1.0 - studentized_range_cdf(q, k, df2)
-            pairs.append(PairResult(labels[i], labels[j], diff, q, p,
-                                    significance_stars(p), p < alpha))
-    return TukeyResult(pairs=tuple(pairs), alpha=alpha, df=float(df2))
+            index.append((i, j))
+            diffs.append(diff)
+            qs.append(abs(diff) / se)
+    # one call for the family: every pair shares k and df
+    ps = (1.0 - studentized_range_cdf(np.array(qs), k, df2)).tolist()
+    pairs = tuple(PairResult(labels[i], labels[j], diff, q, p, significance_stars(p), p < alpha)
+                  for (i, j), diff, q, p in zip(index, diffs, qs, ps))
+    return TukeyResult(pairs=pairs, alpha=alpha, df=float(df2))
 
 
 def _t_result(name, t, df) -> TestResult:

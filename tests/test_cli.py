@@ -147,6 +147,16 @@ def test_grow_sweep_step_sample_cap(tmp_path, project_config):
                           b"body at more than 10000000 points")
 
 
+def test_grow_rejects_bad_sweep_step_without_a_scene(tmp_path, data_dir):
+    # no scene means no clearance sweep, but the step is checked all the same
+    chain = os.path.join(data_dir, "chain_threebend.json")
+    code, _, err = run_cli("grow", "--chain", chain, "--steps", "3",
+                           "--sweep-step", "-5", "--out", str(tmp_path))
+    assert code == 1
+    assert err == b"error: step must be finite and > 0, got -5.0\n"
+    assert not (tmp_path / "grow_trace.csv").exists()
+
+
 def test_grow_steps_cap(tmp_path, project_config):
     # one row per step: --steps is capped like a sweep, before any row is built
     for steps in ("10000000", "0"):

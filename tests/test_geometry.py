@@ -356,10 +356,12 @@ def test_single_link_tip_is_polar_point(theta, a):
     lambda: Sphere(center=[0, 0, 0], radius="r"),
     lambda: Box(min_corner=[0, [0], 0], max_corner=[10, 10, 10]),
     lambda: Box(min_corner=[0, 0, 0], max_corner=[10, 10, 10, 10]),
+    lambda: RigidPose(np.eye(3), [0, 0]),
+    lambda: RigidPose([[1, 0, 0], [0, 1], [0, 0, 1]], np.zeros(3)),
 ], ids=["chain-ragged", "chain-string", "chain-radius-string", "chain-radius-list",
         "chain-huge-int", "plan-radius-string", "plan-ragged", "samples-string", "samples-ragged",
         "sphere-center-string", "sphere-center-2", "sphere-radius-string",
-        "box-ragged", "box-corner-4"])
+        "box-ragged", "box-corner-4", "pose-translation-2", "pose-rotation-ragged"])
 def test_constructors_reject_ragged_or_non_numeric_input(build):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

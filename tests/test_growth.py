@@ -218,6 +218,13 @@ def test_growth_trace_rejects_lengths_outside_the_body(three_bend_chain):
             growth_trace(three_bend_chain, lengths, None)
 
 
+@pytest.mark.parametrize("scene", [None, ObstacleScene()], ids=["no-scene", "empty-scene"])
+def test_growth_trace_checks_step_without_a_scene(three_bend_chain, scene):
+    for bad in (0.0, -5.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="step must be finite and > 0"):
+            growth_trace(three_bend_chain, [0.0, 300.0], scene, step=bad)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("build", [
     lambda v: RigidPose(np.full((3, 3), v), np.zeros(3)),

@@ -8,7 +8,7 @@ from scipy.special import gammainc, gammaincc
 from scipy.stats import studentized_range
 
 from vinefab.errors import ValidationError
-from vinefab.special import (_range_cdf, chi2_sf, f_sf, log_gamma, normal_cdf,
+from vinefab.special import (_ERFC_CHEB, _erfc, _range_cdf, chi2_sf, f_sf, log_gamma, normal_cdf,
                              regularized_incomplete_beta,
                              regularized_incomplete_gamma_p,
                              regularized_incomplete_gamma_q,
@@ -151,6 +151,34 @@ def test_t_quantile_inverts_cdf():
         t_quantile(1.0, 10.0)
 
 
+def test_erfc_kernel_against_math_erfc():
+    x = np.linspace(-40.0, 40.0, 400_001)
+    ref = np.array([math.erfc(v) for v in x])
+    got = _erfc(x)
+    normal = ref > 1e-300
+    ulps = np.abs(got[normal] - ref[normal]) / np.spacing(ref[normal])
+    assert ulps.max() <= 10.0, x[normal][np.argmax(ulps)]
+    assert np.all(got[~normal] <= 1e-300) and np.all(got >= 0.0)
+    assert _erfc(np.array([0.0, -0.0, math.inf, -math.inf])).tolist() == [1.0, 1.0, 0.0, 2.0]
+
+
+def test_erfc_chebyshev_coefficients_refit():
+    # c(y) = log(erfc(z)/t) + z^2, t = 2/(2+z), y = 2t - 1, interpolated at
+    # n Chebyshev points of y with 40 digits; the first coefficient is halved
+    n = 400
+    with mpmath.workdps(40):
+        angles = [mpmath.pi * (j + mpmath.mpf(0.5)) / n for j in range(n)]
+        values = []
+        for angle in angles:
+            t = (1 + mpmath.cos(angle)) / 2
+            z = 2 / t - 2
+            values.append(mpmath.log(mpmath.erfc(z) / t) + z * z)
+        refit = [2 * mpmath.fsum(v * mpmath.cos(m * a) for v, a in zip(values, angles)) / n
+                 for m in range(len(_ERFC_CHEB))]
+        refit[0] /= 2
+    np.testing.assert_allclose(np.array(refit, float), _ERFC_CHEB, rtol=0, atol=1e-14)
+
+
 def test_normal_range_cdf_against_monte_carlo():
     # the known-sigma range kernel that studentized_range_cdf integrates
     for w, k in ((2.0, 3), (3.5, 5), (1.0, 2)):
@@ -177,11 +205,32 @@ def test_studentized_range_against_scipy(k):
     qs = np.array([0.05, 0.3, 1.0, 2.5, 4.0, 6.0, 10.0, 20.0, 40.0])
     # df < 2 puts most of the pooled SD's density far below its mode, where
     # the fixed rule is widest
+    worst = 0.0
     for df in (0.5, 1.0, 1.5, 2.0, 4.0, 7.0, 30.0, 120.0, 500.0, 1000.0):
         ref = studentized_range.cdf(qs, k, df)
         for q, r in zip(qs, ref):
             assert studentized_range_cdf(q, k, df) == pytest.approx(r, abs=1e-10), \
                 (q, k, df)
+        worst = max(worst, np.abs(studentized_range_cdf(qs, k, df) - ref).max())
+    # the 112 x 48 rule reaches 5.1e-13 over this grid
+    assert worst <= 1e-12
+
+
+def test_studentized_range_array_form_equals_scalar_form():
+    rng = np.random.default_rng(89)
+    for k, df in ((2, 0.5), (3, 10.0), (6, 27.0), (20, 1000.0)):
+        qs = np.concatenate([[0.0, -1.0, 1e-300, math.inf, 60.0], rng.uniform(0.0, 12.0, 40)])
+        values = studentized_range_cdf(qs, k, df)
+        assert values.shape == qs.shape
+        scalars = [studentized_range_cdf(q, k, df) for q in qs]
+        assert all(type(v) is float for v in scalars)
+        np.testing.assert_array_equal(values, scalars)
+        np.testing.assert_array_equal(studentized_range_cdf(qs[:1], k, df), scalars[:1])
+    assert studentized_range_cdf(np.array([]), 3, 10.0).shape == (0,)
+    with pytest.raises(ValidationError):
+        studentized_range_cdf(np.ones((2, 2)), 3, 10.0)
+    with pytest.raises(ValidationError):
+        studentized_range_cdf([2.0, math.nan], 3, 10.0)
 
 
 def test_studentized_range_domain():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vinefab.errors import DegenerateDataError, ValidationError
+from vinefab.special import studentized_range_cdf
 from vinefab.stats import (SampleRow, SampleTable, analyze_table,
                            group_summary, kruskal_wallis, levene_test,
                            one_way_anova, significance_stars,
@@ -124,6 +125,20 @@ def test_tukey_one_shifted_group():
     for p in res.pairs:
         if p.significant:
             assert p.stars != ""
+
+
+def test_tukey_p_values_are_one_minus_the_scalar_cdf():
+    # the family goes to studentized_range_cdf in one call; each pair's p is
+    # still exactly what a call for that pair alone gives
+    rng = np.random.default_rng(113)
+    for n_groups in (2, 3, 5, 8):
+        groups = [rng.normal(rng.uniform(0, 3), 1, rng.integers(3, 12))
+                  for _ in range(n_groups)]
+        res = tukey_hsd(groups)
+        assert len(res.pairs) == n_groups * (n_groups - 1) // 2
+        for pair in res.pairs:
+            assert type(pair.p_value) is float
+            assert pair.p_value == 1.0 - studentized_range_cdf(pair.q, n_groups, res.df)
 
 
 def test_significance_star_levels():
