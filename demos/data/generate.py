@@ -8,7 +8,7 @@ import os
 
 import numpy as np
 
-from vinefab import (DHChain, GapModel, ObstacleScene, SampleRow, SampleTable,
+from vinefab import (DHChain, GapModel, ObstacleScene, SampleTable,
                      Sphere, Box, compile_plan, synthetic_markers)
 from vinefab import formats
 
@@ -116,10 +116,8 @@ def write_sample_table(rng):
             value = fabricated + rng.normal(0.0, noise[param])
             if phase == "post":
                 value += shift[param]
-            rows.append(SampleRow(value=value, method=method,
-                                  material=material, phase=phase,
-                                  parameter=param, robot_id=robot))
-    formats.write_samples(SampleTable(rows=tuple(rows)),
+            rows.append((value, method, material, phase, param, robot))
+    formats.write_samples(SampleTable(*zip(*rows)),
                           os.path.join(HERE, "dh_samples.csv"))
 
 

@@ -15,8 +15,8 @@ from .growth import (Box, ObstacleScene, Sphere, centerline_points, growth_trace
 from .measurement import (MarkerRecord, MeasuredDH, average_samples,
                           dh_errors, recover_dh, synthetic_markers)
 from .pattern import flat_pattern, write_pattern
-from .stats import (SampleRow, SampleTable, TestResult, analyze_table,
-                    group_summary, kruskal_wallis, levene_test, one_way_anova,
+from .stats import (SampleTable, TestResult, analyze_table, group_summary,
+                    kruskal_wallis, levene_test, one_way_anova,
                     significance_stars, t_test_independent, t_test_paired,
                     t_test_welch, tukey_hsd)
 

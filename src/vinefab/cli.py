@@ -115,7 +115,11 @@ def _build_project(args, need_chain=True) -> Project:
     degrees = not args.rad if (args.deg or args.rad) else units == "deg"
 
     out_dir = args.out or formats._typed(config, "out_dir", where, str, ".")
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {out_dir}: "
+                              f"{exc.strerror or exc}") from exc
 
     return Project(chain=chain, gap=gap, scene=scene, out_dir=out_dir,
                    degrees=degrees)
@@ -134,6 +138,9 @@ def _out(project, name):
 # ------------------------------------------------------------------ commands
 
 def cmd_plan(project, args) -> int:
+    if not 0.0 < args.max_theta_deg <= 180.0:  # NaN too
+        raise ValidationError(
+            f"--max-theta-deg must lie in (0, 180], got {args.max_theta_deg}")
     for i, theta in enumerate(project.chain.theta.tolist(), start=1):
         if abs(math.degrees(theta)) >= args.max_theta_deg:
             raise SingularityError(

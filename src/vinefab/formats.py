@@ -19,7 +19,7 @@ from .fabrication import FabricationPlan
 from .geometry import DHChain
 from .growth import Box, ObstacleScene, Sphere
 from .measurement import MarkerRecord, MeasuredDH, check_samples
-from .stats import SampleRow, SampleTable
+from .stats import COLUMNS, SampleTable
 
 
 def fmt9(value) -> str:
@@ -85,13 +85,25 @@ def load_json(path):
     def reject_constant(name):
         raise ValidationError(f"{path}: non-finite number {name} is not allowed")
 
+    with _reading(path), open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=reject_constant)
+
+
+@contextmanager
+def _reading(path):
+    """Turn a failure to open, decode or parse a file into a ValidationError that names it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=reject_constant)
+        yield
     except FileNotFoundError as exc:
         raise ValidationError(f"file not found: {path}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: malformed CSV ({exc})") from exc
 
 
 def _require(mapping, key, path):
@@ -381,24 +393,18 @@ SAMPLE_HEADER = ["value", "method", "material", "phase", "parameter", "robot_id"
 
 def read_samples(path) -> SampleTable:
     lines, columns = _read_csv(path, SAMPLE_HEADER)
-    out = []
-    for i, value, method, material, phase, parameter, robot_id in zip(
-            lines, *(columns[c] for c in SAMPLE_HEADER)):
-        try:
-            out.append(SampleRow(value=float(value), method=method,
-                                 material=material, phase=phase,
-                                 parameter=parameter, robot_id=robot_id))
-        except (ValueError, ValidationError) as exc:
-            raise ValidationError(f"{path}: line {i}: {exc}") from exc
-    if not out:
+    if not lines:
         raise ValidationError(f"{path}: no sample rows")
-    return SampleTable(rows=tuple(out))
+    value = _floats(path, lines, columns, SAMPLE_HEADER[:1])[:, 0]
+    with _context(path):
+        return SampleTable(value, *(columns[c] for c in SAMPLE_HEADER[1:]), lines=lines)
 
 
 def write_samples(table: SampleTable, path) -> None:
+    names = [np.array(levels)[getattr(table, c)].tolist() for c, levels in COLUMNS.items()]
     _write_csv(path, SAMPLE_HEADER,
-               [[fmt9(r.value), r.method, r.material, r.phase, r.parameter,
-                 r.robot_id] for r in table.rows])
+               [[fmt9(v), *row] for v, *row in zip(table.value.tolist(), *names,
+                                                   table.robot_id.tolist())])
 
 
 # ------------------------------------------------------------- trace outputs
@@ -433,30 +439,25 @@ def _read_csv(path, header):
     Blank lines are skipped; line numbers count them. A row whose field
     count differs from the header's is rejected.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            fieldnames = next(reader, None)
-            if fieldnames is None:
-                raise ValidationError(f"{path}: empty file")
-            missing = [c for c in header if c not in fieldnames]
-            if missing:
+    with _reading(path), open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        fieldnames = next(reader, None)
+        if fieldnames is None:
+            raise ValidationError(f"{path}: empty file")
+        missing = [c for c in header if c not in fieldnames]
+        if missing:
+            raise ValidationError(
+                f"{path}: missing columns {missing}; header is {fieldnames}")
+        lines, rows = [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(fieldnames):
                 raise ValidationError(
-                    f"{path}: missing columns {missing}; header is {fieldnames}")
-            lines, rows = [], []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(fieldnames):
-                    raise ValidationError(
-                        f"{path}: line {reader.line_num}: expected "
-                        f"{len(fieldnames)} fields, got {len(row)}")
-                lines.append(reader.line_num)
-                rows.append(row)
-    except FileNotFoundError as exc:
-        raise ValidationError(f"file not found: {path}") from exc
-    except csv.Error as exc:
-        raise ValidationError(f"{path}: malformed CSV ({exc})") from exc
+                    f"{path}: line {reader.line_num}: expected "
+                    f"{len(fieldnames)} fields, got {len(row)}")
+            lines.append(reader.line_num)
+            rows.append(row)
     index = {c: fieldnames.index(c) for c in header}
     return lines, {c: [row[i] for row in rows] for c, i in index.items()}
 

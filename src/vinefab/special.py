@@ -151,16 +151,6 @@ def _gamma_args(a: float, x: float) -> tuple[float, float]:
     return a, x
 
 
-def regularized_incomplete_gamma_p(a: float, x: float) -> float:
-    """P(a, x): lower regularized incomplete gamma."""
-    a, x = _gamma_args(a, x)
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_cf(a, x)
-
-
 def regularized_incomplete_gamma_q(a: float, x: float) -> float:
     """Q(a, x) = 1 - P(a, x): upper regularized incomplete gamma."""
     a, x = _gamma_args(a, x)
@@ -169,10 +159,6 @@ def regularized_incomplete_gamma_q(a: float, x: float) -> float:
     if x < a + 1.0:
         return 1.0 - _gamma_series(a, x)
     return _gamma_cf(a, x)
-
-
-def normal_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-float(z) / math.sqrt(2.0))
 
 
 def t_sf_two_sided(t: float, df: float) -> float:
@@ -350,6 +336,7 @@ def _log_sd_log_density(t, df):
     return df * (t - 0.5 * np.expm1(2.0 * t))
 
 
+@lru_cache(maxsize=256)
 def _log_sd_bounds(df: float) -> tuple[float, float]:
     """The t-interval outside which the density of t is below e^-_LOG_TAIL of its peak."""
     level = -_LOG_TAIL

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
+from .geometry import _trusted, float_array
 from .special import chi2_sf, f_sf, studentized_range_cdf, t_quantile, t_sf_two_sided
 
 METHOD_LEVELS = ("tape", "weld", "loop")
@@ -104,22 +105,14 @@ def levene_test(groups) -> TestResult:
 
 
 def _ranks_with_ties(pooled):
+    """Ranks from 1, each tied run at its average rank, and the sizes of the tied runs."""
     order = np.argsort(pooled, kind="stable")
+    ordered = pooled[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])  # where each run starts
+    counts = np.diff(np.r_[first, pooled.size])
     ranks = np.empty(pooled.size)
-    ranks[order] = np.arange(1, pooled.size + 1, dtype=float)
-    # average ranks over tied runs
-    sorted_vals = pooled[order]
-    i = 0
-    tie_sizes = []
-    while i < sorted_vals.size:
-        j = i
-        while j + 1 < sorted_vals.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            ranks[order[i:j + 1]] = 0.5 * (i + 1 + j + 1)
-            tie_sizes.append(j - i + 1)
-        i = j + 1
-    return ranks, tie_sizes
+    ranks[order] = np.repeat(0.5 * (2 * first + counts + 1), counts)
+    return ranks, counts[counts > 1].tolist()
 
 
 def kruskal_wallis(groups) -> TestResult:
@@ -128,12 +121,8 @@ def kruskal_wallis(groups) -> TestResult:
     pooled = np.concatenate(arrays)
     total = pooled.size
     ranks, tie_sizes = _ranks_with_ties(pooled)
-    h = 0.0
-    start = 0
-    for g in arrays:
-        r = ranks[start:start + g.size]
-        h += r.sum() ** 2 / g.size
-        start += g.size
+    splits = np.cumsum([g.size for g in arrays])[:-1]
+    h = sum(r.sum() ** 2 / r.size for r in np.split(ranks, splits))
     h = 12.0 / (total * (total + 1)) * h - 3.0 * (total + 1)
     correction = 1.0 - sum(t ** 3 - t for t in tie_sizes) / (total ** 3 - total)
     h = 0.0 if correction <= 0.0 else h / correction
@@ -277,98 +266,116 @@ def group_summary(values_by_group: dict, confidence: float = 0.95) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class SampleRow:
-    value: float
-    method: str
-    material: str
-    phase: str
-    parameter: str
-    robot_id: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-        if not math.isfinite(self.value):
-            raise ValidationError(f"sample value must be finite, got {self.value}")
-        for field, levels in (("method", METHOD_LEVELS),
-                              ("material", MATERIAL_LEVELS),
-                              ("phase", PHASE_LEVELS),
-                              ("parameter", PARAMETER_LEVELS)):
-            v = getattr(self, field)
-            if v not in levels:
-                raise ValidationError(
-                    f"{field} must be one of {levels}, got {v!r}")
-        object.__setattr__(self, "robot_id", str(self.robot_id))
+# the coded columns of a sample table, in the order its check reports them
+COLUMNS = {**FACTORS, "parameter": PARAMETER_LEVELS}
+# each code's place in the alphabetical order of its level names, which the pairing sorts by
+_ALPHABETICAL = {name: np.array([sorted(COLUMNS[name]).index(level) for level in COLUMNS[name]])
+                 for name in ("method", "material")}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class SampleTable:
-    """Long-format labeled observations with fabrication factor columns."""
+    """Long-format labeled observations as read-only columns, checked once.
 
-    rows: tuple
+    ``value`` is an (m,) float array; ``method``, ``material``, ``phase`` and
+    ``parameter`` are small-int codes into the ``*_LEVELS`` tuples; and
+    ``robot_id`` is an (m,) str array. The constructor takes level names and
+    checks every row: each value finite, each name one of its levels. Errors
+    name the first bad row, or its file line ``lines[i]`` when given, and its
+    first bad field in the order value, method, material, phase, parameter.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
+    value: np.ndarray
+    method: np.ndarray
+    material: np.ndarray
+    phase: np.ndarray
+    parameter: np.ndarray
+    robot_id: np.ndarray
+
+    def __init__(self, value, method, material, phase, parameter, robot_id, lines=None):
+        value = float_array(value, "sample values")
+        names = [np.asarray(c, dtype=object) for c in (method, material, phase, parameter)]
+        robot_id = np.array(robot_id, dtype=str)
+        if value.ndim != 1 or any(a.shape != value.shape for a in (*names, robot_id)):
+            raise ValidationError("a sample table needs six columns of equal length")
+        codes = [np.full(value.shape, -1, np.intp) for _ in COLUMNS]
+        for code, levels, column in zip(codes, COLUMNS.values(), names):
+            for i, level in enumerate(levels):
+                code[column == level] = i
+        ok = np.array([np.isfinite(value), *(code >= 0 for code in codes)])
+        if not ok.all():
+            i = int(np.argmin(ok.all(axis=0)))  # the first bad row, then its first bad field
+            field = int(np.argmin(ok[:, i]))
+            where = f"row {i + 1}" if lines is None else f"line {lines[i]}"
+            if field == 0:
+                raise ValidationError(f"{where}: sample value must be finite, got {value[i]}")
+            name, levels = list(COLUMNS.items())[field - 1]
+            raise ValidationError(
+                f"{where}: {name} must be one of {levels}, got {names[field - 1][i]!r}")
+        for name, column in zip(("value", *COLUMNS, "robot_id"), (value, *codes, robot_id)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def __len__(self):
-        return len(self.rows)
+        return self.value.shape[0]
 
     def subset(self, **criteria) -> "SampleTable":
-        rows = [r for r in self.rows
-                if all(getattr(r, k) == v for k, v in criteria.items())]
-        return SampleTable(rows=tuple(rows))
+        """The rows whose columns equal the given values (level names for coded columns)."""
+        mask = np.ones(len(self), bool)
+        for name, wanted in criteria.items():
+            if name in COLUMNS:
+                wanted = COLUMNS[name].index(wanted) if wanted in COLUMNS[name] else -1
+            elif name not in ("value", "robot_id"):
+                raise ValidationError(f"unknown sample column {name!r}")
+            mask &= getattr(self, name) == wanted
+        columns = {name: getattr(self, name)[mask] for name in ("value", *COLUMNS, "robot_id")}
+        for column in columns.values():
+            column.flags.writeable = False
+        return _trusted(SampleTable, **columns)
 
     def parameters(self):
-        present = {r.parameter for r in self.rows}
-        return tuple(p for p in PARAMETER_LEVELS if p in present)
+        return tuple(p for i, p in enumerate(PARAMETER_LEVELS) if (self.parameter == i).any())
 
     def values_by(self, factor: str) -> dict:
         """Values grouped by a factor, keyed in canonical level order."""
         if factor not in FACTORS:
             raise ValidationError(f"unknown factor {factor!r}")
-        out = {}
-        for level in FACTORS[factor]:
-            vals = [r.value for r in self.rows if getattr(r, factor) == level]
-            if vals:
-                out[level] = np.array(vals)
-        return out
+        codes = getattr(self, factor)
+        groups = {level: self.value[codes == i] for i, level in enumerate(FACTORS[factor])}
+        return {level: values for level, values in groups.items() if values.size}
 
     def paired_phases(self):
         """Pre/post value pairs matched by (method, material, robot_id, order).
 
-        Rows describing the same physical quantity must appear in the same
-        relative order within each phase for the positional match to be valid.
+        Each phase's rows are sorted stably by their method, material and
+        robot_id names, alphabetically, so rows describing the same physical
+        quantity must keep the same relative order in both phases.
         """
         def keyed(phase):
-            rows = [r for r in self.rows if r.phase == phase]
-            rows.sort(key=lambda r: (r.method, r.material, r.robot_id))
-            return rows
+            rows = np.flatnonzero(self.phase == PHASE_LEVELS.index(phase))
+            return rows[np.lexsort((self.robot_id[rows],  # the last key sorts first
+                                    _ALPHABETICAL["material"][self.material[rows]],
+                                    _ALPHABETICAL["method"][self.method[rows]]))]
 
         pre, post = keyed("pre"), keyed("post")
         if len(pre) != len(post):
             raise ValidationError(
                 f"cannot pair phases: {len(pre)} pre rows vs {len(post)} post rows")
-        for a, b in zip(pre, post):
-            if (a.method, a.material, a.robot_id) != (b.method, b.material, b.robot_id):
-                raise ValidationError(
-                    "cannot pair phases: pre/post rows do not match up "
-                    f"({a.method}/{a.material}/{a.robot_id} vs "
-                    f"{b.method}/{b.material}/{b.robot_id})")
-        return (np.array([r.value for r in pre]),
-                np.array([r.value for r in post]))
+        differ = ((self.method[pre] != self.method[post])
+                  | (self.material[pre] != self.material[post])
+                  | (self.robot_id[pre] != self.robot_id[post]))
+        if differ.any():
+            i = int(np.argmax(differ))
+            a, b = (f"{METHOD_LEVELS[self.method[j]]}/{MATERIAL_LEVELS[self.material[j]]}/"
+                    f"{self.robot_id[j]}" for j in (pre[i], post[i]))
+            raise ValidationError(
+                f"cannot pair phases: pre/post rows do not match up ({a} vs {b})")
+        return self.value[pre], self.value[post]
 
 
 def _test_dict(result: TestResult) -> dict:
     return {"test": result.name, "statistic": result.statistic,
             "df": list(result.df), "p_value": result.p_value}
-
-
-def _summary_dict(summaries: dict) -> dict:
-    out = {}
-    for label, s in summaries.items():
-        out[label] = {"n": s.n, "mean": s.mean, "sd": s.sd,
-                      "ci_low": s.ci_low, "ci_high": s.ci_high}
-    return out
 
 
 def analyze_table(table: SampleTable, alpha: float = ALPHA_DEFAULT) -> dict:
@@ -391,7 +398,8 @@ def analyze_table(table: SampleTable, alpha: float = ALPHA_DEFAULT) -> dict:
 
         for factor in ("method", "material", "phase"):
             groups = sub.values_by(factor)
-            block = {"groups": _summary_dict(group_summary(groups)),
+            block = {"groups": {label: dict(vars(summary)) for label, summary
+                                in group_summary(groups).items()},
                      "homogeneity": None, "omnibus": None, "pairwise": None}
             param_block[factor] = block
             labels = list(groups)
@@ -418,28 +426,18 @@ def analyze_table(table: SampleTable, alpha: float = ALPHA_DEFAULT) -> dict:
                 equal_var = homogeneity.p_value >= alpha
 
                 if factor == "method":
-                    omnibus = one_way_anova(arrays) if equal_var \
-                        else kruskal_wallis(arrays)
-                    if not equal_var:
-                        notices.append(
-                            f"{param}/{factor}: homogeneity of variance failed "
-                            f"(p = {homogeneity.p_value:.4g}), using "
-                            "Kruskal-Wallis")
-                    block["omnibus"] = _test_dict(omnibus)
-                    hsd = tukey_hsd(arrays, labels=labels, alpha=alpha)
-                    block["pairwise"] = [
-                        {"a": p.a, "b": p.b, "mean_diff": p.mean_diff,
-                         "q": p.q, "p_value": p.p_value, "stars": p.stars,
-                         "significant": p.significant}
-                        for p in hsd.pairs]
+                    omnibus = (one_way_anova if equal_var else kruskal_wallis)(arrays)
                 else:
-                    omnibus = t_test_independent(*arrays) if equal_var \
-                        else t_test_welch(*arrays)
-                    if not equal_var:
-                        notices.append(
-                            f"{param}/{factor}: homogeneity of variance failed "
-                            f"(p = {homogeneity.p_value:.4g}), using Welch")
-                    block["omnibus"] = _test_dict(omnibus)
+                    omnibus = (t_test_independent if equal_var else t_test_welch)(*arrays)
+                if not equal_var:
+                    fallback = "Kruskal-Wallis" if factor == "method" else "Welch"
+                    notices.append(
+                        f"{param}/{factor}: homogeneity of variance failed "
+                        f"(p = {homogeneity.p_value:.4g}), using {fallback}")
+                block["omnibus"] = _test_dict(omnibus)
+                if factor == "method":
+                    hsd = tukey_hsd(arrays, labels=labels, alpha=alpha)
+                    block["pairwise"] = [dict(vars(pair)) for pair in hsd.pairs]
             except (DegenerateDataError, ValidationError) as exc:
                 notices.append(f"{param}/{factor}: {exc}")
 

@@ -3,17 +3,25 @@
 These deliberately avoid the library's own code paths: forward kinematics is
 done with literal 4x4 homogeneous matrices, a fabrication plan is checked by
 folding the tube it describes, ANOVA with textbook loops, and distribution
-values by Monte Carlo sampling. The one exception is `clearance`, which
+values by Monte Carlo sampling. There are three exceptions. `clearance`
 samples each everted body on its own with the library's sweep_samples, so
 that growth_trace's shared sweep must match it bit for bit.
+`regularized_incomplete_gamma_p` assembles P(a, x) from the library's series
+and continued fraction, so that its tests pin both. And `RowTable` and
+`ranks_with_ties_loop` are the row and rank loops that the library replaced
+with array code, kept as the reference that code must match bit for bit.
 """
 
 import math
+from collections import namedtuple
 
 import mpmath
 import numpy as np
 
+from vinefab.errors import ValidationError
 from vinefab.growth import sweep_samples
+from vinefab.special import _gamma_args, _gamma_cf, _gamma_series
+from vinefab.stats import FACTORS, PARAMETER_LEVELS
 
 
 def fk_homogeneous(a, alpha, theta):
@@ -238,3 +246,85 @@ def ks_uniform_distance(p_values):
     grid_hi = np.arange(1, n + 1) / n
     grid_lo = np.arange(0, n) / n
     return float(max(np.max(np.abs(grid_hi - p)), np.max(np.abs(p - grid_lo))))
+
+
+def regularized_incomplete_gamma_p(a, x):
+    """P(a, x), the lower regularized incomplete gamma, from the library's parts."""
+    a, x = _gamma_args(a, x)
+    if x == 0.0:
+        return 0.0
+    if x < a + 1.0:
+        return _gamma_series(a, x)
+    return 1.0 - _gamma_cf(a, x)
+
+
+SampleRecord = namedtuple("SampleRecord",
+                          ["value", "method", "material", "phase", "parameter", "robot_id"])
+
+
+class RowTable:
+    """A sample table as a tuple of SampleRecords, grouped by row loops.
+
+    The interface analyze_table reads, as SampleTable implemented it before
+    its rows became columns.
+    """
+
+    def __init__(self, rows):
+        self.rows = tuple(SampleRecord(*r) for r in rows)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def subset(self, **criteria):
+        return RowTable(r for r in self.rows
+                        if all(getattr(r, k) == v for k, v in criteria.items()))
+
+    def parameters(self):
+        present = {r.parameter for r in self.rows}
+        return tuple(p for p in PARAMETER_LEVELS if p in present)
+
+    def values_by(self, factor):
+        out = {}
+        for level in FACTORS[factor]:
+            vals = [r.value for r in self.rows if getattr(r, factor) == level]
+            if vals:
+                out[level] = np.array(vals)
+        return out
+
+    def paired_phases(self):
+        def keyed(phase):
+            rows = [r for r in self.rows if r.phase == phase]
+            rows.sort(key=lambda r: (r.method, r.material, r.robot_id))
+            return rows
+
+        pre, post = keyed("pre"), keyed("post")
+        if len(pre) != len(post):
+            raise ValidationError(
+                f"cannot pair phases: {len(pre)} pre rows vs {len(post)} post rows")
+        for a, b in zip(pre, post):
+            if (a.method, a.material, a.robot_id) != (b.method, b.material, b.robot_id):
+                raise ValidationError(
+                    "cannot pair phases: pre/post rows do not match up "
+                    f"({a.method}/{a.material}/{a.robot_id} vs "
+                    f"{b.method}/{b.material}/{b.robot_id})")
+        return (np.array([r.value for r in pre]),
+                np.array([r.value for r in post]))
+
+
+def ranks_with_ties_loop(pooled):
+    """Ranks from 1 and tied-run sizes by walking the sorted values run by run."""
+    order = np.argsort(pooled, kind="stable")
+    ranks = np.empty(pooled.size)
+    ranks[order] = np.arange(1, pooled.size + 1, dtype=float)
+    sorted_vals = pooled[order]
+    i = 0
+    tie_sizes = []
+    while i < sorted_vals.size:
+        j = i
+        while j + 1 < sorted_vals.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        if j > i:
+            ranks[order[i:j + 1]] = 0.5 * (i + 1 + j + 1)
+            tie_sizes.append(j - i + 1)
+        i = j + 1
+    return ranks, tie_sizes

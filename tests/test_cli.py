@@ -462,3 +462,38 @@ def test_measure_rejects_non_finite_recovery(tmp_path, capsys, project_config, d
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "measured_dh.json").exists()
         assert not (tmp_path / "dh_errors.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["samples is a directory", "samples are not UTF-8",
+                                  "config is not UTF-8", "chain is a directory",
+                                  "out is a file"])
+def test_unreadable_inputs_exit_1(tmp_path, capsys, data_dir, case):
+    binary, a_file = tmp_path / "binary", tmp_path / "file"
+    binary.write_bytes(b"value,method\n\xff\n")
+    a_file.write_text("")
+    samples, out = os.path.join(data_dir, "dh_samples.csv"), str(tmp_path)
+    argv, message = {
+        "samples is a directory": (["analyze", "--samples", out, "--out", out],
+                                   f"cannot read {out}: Is a directory"),
+        "samples are not UTF-8": (["analyze", "--samples", str(binary), "--out", out],
+                                  f"{binary}: not UTF-8 text"),
+        "config is not UTF-8": (["plan", "--config", str(binary), "--out", out],
+                                f"{binary}: not UTF-8 text"),
+        "chain is a directory": (["fk", "--chain", out, "--out", out],
+                                 f"cannot read {out}: Is a directory"),
+        "out is a file": (["analyze", "--samples", samples, "--out", str(a_file)],
+                          f"cannot create output directory {a_file}: File exists"),
+    }[case]
+    code, err = _main_in_process(capsys, argv)
+    assert code == 1
+    assert err.startswith(f"error: {message}"), err
+
+
+@pytest.mark.parametrize("value, code", [("nan", 1), ("1e9", 1), ("-5", 1), ("0", 1),
+                                         ("180", 0)])
+def test_plan_max_theta_lies_in_0_180(tmp_path, capsys, project_config, value, code):
+    got, err = _main_in_process(capsys, ["plan", "--config", project_config,
+                                         "--max-theta-deg", value, "--out", str(tmp_path)])
+    assert got == code
+    if code:
+        assert err == f"error: --max-theta-deg must lie in (0, 180], got {float(value)}\n"

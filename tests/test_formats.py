@@ -280,17 +280,36 @@ def test_samples_round_trip_and_validation(tmp_path, data_dir):
     formats.write_samples(table, path)
     again = formats.read_samples(path)
     assert len(again) == len(table)
-    np.testing.assert_allclose([r.value for r in again.rows],
-                               [r.value for r in table.rows], atol=1e-6)
+    np.testing.assert_allclose(again.value, table.value, atol=1e-6)
+    for column in ("method", "material", "phase", "parameter", "robot_id"):
+        np.testing.assert_array_equal(getattr(again, column), getattr(table, column))
 
+    header = "value,method,material,phase,parameter,robot_id\n"
+    good = "1.0,tape,ldpe,pre,joint,r1\n"
     bad = tmp_path / "bad.csv"
-    bad.write_text("value,method,material,phase,parameter,robot_id\n"
-                   "1.0,glue,ldpe,pre,joint,r1\n")
-    with pytest.raises(ValidationError, match="line 2"):
-        formats.read_samples(bad)
+    for body, message in (
+            (good + "1.0,glue,ldpe,pre,joint,r1\n",
+             "line 3: method must be one of ('tape', 'weld', 'loop'), got 'glue'"),
+            ("nan,tape,ldpe,pre,joint,r1\n", "line 2: sample value must be finite, got nan"),
+            (good + "1e999,tape,ldpe,pre,joint,r1\n",
+             "line 3: sample value must be finite, got inf"),
+            (good + "1.0.0,tape,ldpe,pre,joint,r1\n",
+             "line 3: could not convert string to float: '1.0.0'"),
+            (good + "1.0,tape,ldpe,during,joint,r1\n",
+             "line 3: phase must be one of ('pre', 'post'), got 'during'"),
+            # line numbers count blank lines
+            (good + "\n\n2.0,tape,ldpe,pre,angle,r1\n",
+             "line 5: parameter must be one of ('twist', 'joint', 'length'), got 'angle'"),
+            # of two bad rows the first is named, and in it the first bad field
+            (good + "1.0,tape,foil,later,joint,r1\n" + "inf,glue,ldpe,pre,joint,r1\n",
+             "line 3: material must be one of ('ldpe', 'fabric'), got 'foil'")):
+        bad.write_text(header + body)
+        with pytest.raises(ValidationError) as err:
+            formats.read_samples(bad)
+        assert str(err.value) == f"{bad}: {message}"
 
     empty = tmp_path / "empty.csv"
-    empty.write_text("value,method,material,phase,parameter,robot_id\n")
+    empty.write_text(header)
     with pytest.raises(ValidationError, match="no sample rows"):
         formats.read_samples(empty)
 

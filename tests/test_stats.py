@@ -5,13 +5,13 @@ import pytest
 
 from vinefab.errors import DegenerateDataError, ValidationError
 from vinefab.special import studentized_range_cdf
-from vinefab.stats import (SampleRow, SampleTable, analyze_table,
+from vinefab.stats import (SampleTable, _ranks_with_ties, analyze_table,
                            group_summary, kruskal_wallis, levene_test,
                            one_way_anova, significance_stars,
                            t_test_independent, t_test_paired, t_test_welch,
                            tukey_hsd)
 
-from oracles import anova_brute, t_independent_brute
+from oracles import RowTable, anova_brute, ranks_with_ties_loop, t_independent_brute
 
 
 def test_anova_equal_means_zero_f():
@@ -85,6 +85,17 @@ def test_kruskal_wallis_all_tied():
     res = kruskal_wallis([[5.0, 5.0, 5.0], [5.0, 5.0], [5.0, 5.0, 5.0]])
     assert res.statistic == 0.0
     assert math.isfinite(res.p_value)
+
+
+def test_kruskal_ranks_match_the_loop_oracle():
+    rng = np.random.default_rng(149)
+    for _ in range(300):
+        # rounded values tie; -0.0 and 0.0 tie too
+        pooled = np.round(rng.normal(0, 1, rng.integers(1, 40)), rng.integers(0, 3))
+        pooled[rng.random(pooled.size) < 0.1] *= -0.0
+        ranks, ties = _ranks_with_ties(pooled)
+        want_ranks, want_ties = ranks_with_ties_loop(pooled)
+        assert np.array_equal(ranks, want_ranks) and ties == want_ties
 
 
 def test_kruskal_wallis_monotone_invariance():
@@ -208,21 +219,48 @@ def test_group_summary_coverage():
 
 def _row(value, method="tape", material="ldpe", phase="pre", parameter="joint",
          robot="r1"):
-    return SampleRow(value=value, method=method, material=material,
-                     phase=phase, parameter=parameter, robot_id=robot)
+    return (value, method, material, phase, parameter, robot)
+
+
+def _table(rows):
+    return SampleTable(*zip(*rows))
 
 
 def test_sample_row_validation():
     with pytest.raises(ValidationError, match="method"):
-        _row(1.0, method="glue")
+        _table([_row(1.0, method="glue")])
     with pytest.raises(ValidationError, match="finite"):
-        _row(math.nan)
+        _table([_row(math.nan)])
+    # the first bad row, and in it the first bad field in column order
+    with pytest.raises(ValidationError) as err:
+        _table([_row(1.0), _row(2.0, material="foil", phase="during"),
+                _row(math.inf, method="glue")])
+    assert str(err.value) == ("row 2: material must be one of ('ldpe', 'fabric'), "
+                              "got 'foil'")
+    with pytest.raises(ValidationError, match="^line 7: sample value must be finite, got inf$"):
+        SampleTable(*zip(_row(1.0), _row(math.inf, method="glue")), lines=[4, 7])
+    with pytest.raises(ValidationError, match="six columns of equal length"):
+        SampleTable([1.0, 2.0], ["tape"], ["ldpe"], ["pre"], ["joint"], ["r1"])
+
+
+def test_sample_table_columns_are_read_only_codes():
+    table = _table([_row(1.5, method="loop", robot="a"), _row(2.5, phase="post", robot=7)])
+    assert table.value.dtype == np.float64 and table.robot_id.tolist() == ["a", "7"]
+    np.testing.assert_array_equal(table.method, [2, 0])
+    np.testing.assert_array_equal(table.phase, [0, 1])
+    sub = table.subset(phase="post")
+    for t in (table, sub):
+        assert not any(getattr(t, c).flags.writeable for c in
+                       ("value", "method", "material", "phase", "parameter", "robot_id"))
+    assert len(sub) == 1 and sub.value.tolist() == [2.5]
+    assert len(table.subset(method="glue")) == 0
+    with pytest.raises(ValidationError, match="unknown sample column"):
+        table.subset(colour="red")
 
 
 def test_summarize_by_factor():
-    table = SampleTable(rows=(
-        _row(1.0, method="tape"), _row(3.0, method="tape"),
-        _row(10.0, method="loop"), _row(12.0, method="loop")))
+    table = _table([_row(1.0, method="tape"), _row(3.0, method="tape"),
+                    _row(10.0, method="loop"), _row(12.0, method="loop")])
     summaries = group_summary(table.values_by("method"))
     assert list(summaries) == ["tape", "loop"]
     assert summaries["tape"].mean == 2.0
@@ -230,9 +268,8 @@ def test_summarize_by_factor():
 
 
 def test_values_by_canonical_order():
-    table = SampleTable(rows=(
-        _row(1.0, method="loop"), _row(2.0, method="tape"),
-        _row(3.0, method="weld"), _row(4.0, method="tape")))
+    table = _table([_row(1.0, method="loop"), _row(2.0, method="tape"),
+                    _row(3.0, method="weld"), _row(4.0, method="tape")])
     groups = table.values_by("method")
     assert list(groups) == ["tape", "weld", "loop"]
     np.testing.assert_array_equal(groups["tape"], [2.0, 4.0])
@@ -245,25 +282,75 @@ def test_paired_phases_matching():
     for robot in ("r1", "r2"):
         rows.append(_row(1.0, phase="pre", robot=robot))
         rows.append(_row(2.0, phase="post", robot=robot))
-    pre, post = SampleTable(rows=tuple(rows)).paired_phases()
+    pre, post = _table(rows).paired_phases()
     np.testing.assert_array_equal(pre, [1.0, 1.0])
     np.testing.assert_array_equal(post, [2.0, 2.0])
-    bad = SampleTable(rows=tuple(rows[:-1]))
+    bad = _table(rows[:-1])
     with pytest.raises(ValidationError, match="pair"):
         bad.paired_phases()
+    swapped = _table(rows[:-1] + [_row(2.0, phase="post", robot="r3")])
+    with pytest.raises(ValidationError) as err:
+        swapped.paired_phases()
+    assert str(err.value) == ("cannot pair phases: pre/post rows do not match up "
+                              "(tape/ldpe/r2 vs tape/ldpe/r3)")
+
+
+def _random_rows(rng):
+    """Shuffled pre/post rows of random quantities: unequal groups, levels
+    left out at random, robot ids repeated across methods and materials."""
+    methods = [m for m in ("tape", "weld", "loop") if rng.random() < 0.8] or ["loop"]
+    materials = [m for m in ("ldpe", "fabric") if rng.random() < 0.8] or ["fabric"]
+    params = [p for p in ("twist", "joint", "length") if rng.random() < 0.8] or ["joint"]
+    quantities = [(rng.choice(methods), rng.choice(materials), rng.choice(params),
+                   f"r{rng.integers(4)}", rng.normal(45.0, 2.0))
+                  for _ in range(rng.integers(2, 40))]
+    phases = ("pre", "post") if rng.random() < 0.8 else ("pre",)
+    rows = [(value + (phase == "post") * rng.normal(0.5, 0.3), method, material, phase,
+             param, robot)
+            for phase in phases for method, material, param, robot, value in quantities]
+    if rng.random() < 0.2:  # a robot id that has no partner in the other phase
+        rows[-1] = (*rows[-1][:5], "r9")
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+def _paired_or_error(table):
+    try:
+        return table.paired_phases()
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_grouping_matches_the_row_loop_oracle():
+    rng = np.random.default_rng(139)
+    for _ in range(60):
+        rows = _random_rows(rng)
+        table, oracle = _table(rows), RowTable(rows)
+        assert table.parameters() == oracle.parameters()
+        for param in (None, *oracle.parameters()):
+            sub = table if param is None else table.subset(parameter=param)
+            ref = oracle if param is None else oracle.subset(parameter=param)
+            for factor in ("method", "material", "phase"):
+                got, want = sub.values_by(factor), ref.values_by(factor)
+                assert list(got) == list(want)
+                assert all(np.array_equal(got[k], want[k]) for k in want)
+            got, want = _paired_or_error(sub), _paired_or_error(ref)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert analyze_table(table) == analyze_table(oracle)
 
 
 def test_analyze_single_group_notices():
-    table = SampleTable(rows=tuple(_row(v) for v in (1.0, 2.0, 3.0)))
+    table = _table([_row(v) for v in (1.0, 2.0, 3.0)])
     report = analyze_table(table)
     assert report["parameters"]["joint"]["method"]["omnibus"] is None
     assert any("single group" in n for n in report["notices"])
 
 
 def test_analyze_constant_data_trips_guards():
-    rows = tuple(_row(5.0, method=m, robot=f"r{i}")
-                 for m in ("tape", "weld") for i in range(4))
-    report = analyze_table(SampleTable(rows=rows))
+    rows = [_row(5.0, method=m, robot=f"r{i}") for m in ("tape", "weld") for i in range(4)]
+    report = analyze_table(_table(rows))
     assert any("zero variance" in n.lower() or "deviations" in n.lower()
                for n in report["notices"])
 
@@ -276,10 +363,10 @@ def test_analyze_full_table_runs_expected_tests():
             for k in range(3):
                 robot = f"{method}-{material}-{k}"
                 base = rng.normal(mean, 1.0)
-                rows.append(SampleRow(base, method, material, "pre", "joint", robot))
-                rows.append(SampleRow(base + 0.5 + rng.normal(0, 0.1), method,
-                                      material, "post", "joint", robot))
-    report = analyze_table(SampleTable(rows=tuple(rows)))
+                rows.append((base, method, material, "pre", "joint", robot))
+                rows.append((base + 0.5 + rng.normal(0, 0.1), method,
+                             material, "post", "joint", robot))
+    report = analyze_table(_table(rows))
     block = report["parameters"]["joint"]
     assert block["method"]["homogeneity"]["test"].startswith("Levene")
     assert block["method"]["omnibus"]["test"] in ("one-way ANOVA", "Kruskal-Wallis")
