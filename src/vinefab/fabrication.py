@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (DegenerateJointWarning, InfeasibleLinkError,
                      InversionError, SingularityError, ValidationError)
-from .geometry import DHChain, float_array, gauge_twist, wrap_angle
+from .geometry import DHChain, check_items, float_array, gauge_twist, wrap_angle
 
 GAP_METHODS = ("tape", "weld", "loop")
 
@@ -97,10 +97,9 @@ class FabricationPlan:
             if not np.isfinite(v).all():
                 raise ValidationError(
                     f"{name} must be finite, got {v[np.argmin(np.isfinite(v))]}")
-        for name, v in (("s_tilde", s_tilde), ("d_g", d_g)):
-            if not (v >= 0.0).all():
-                i = int(np.argmin(v >= 0.0))
-                raise ValidationError(f"joint {i + 1}: {name} must be >= 0, got {v[i]}")
+        check_items("joint", [s_tilde >= 0.0, d_g >= 0.0],
+                    lambda i: [f"s_tilde must be >= 0, got {s_tilde[i]}",
+                               f"d_g must be >= 0, got {d_g[i]}"])
         if not (cyl > 0.0).all():
             i = int(np.argmin(cyl > 0.0))
             raise InfeasibleLinkError(i + 1, cyl[i], 0.0)
@@ -294,12 +293,10 @@ def recover_chain(plan: FabricationPlan, gap: GapModel) -> DHChain:
     r, s_tilde = plan.radius, plan.s_tilde
     folds = np.flatnonzero(s_tilde > 0.0)
     s, d_g = s_tilde[folds], plan.d_g[folds]
-    mismatch = np.abs(d_g - gap.d_g) > 1e-8 * np.maximum(d_g, gap.d_g)
-    if mismatch.any():
-        i = int(np.argmax(mismatch))
-        raise ValidationError(
-            f"joint {folds[i] + 1}: the plan records d_g = {d_g[i].item()!r} mm, but the "
-            f"{gap.method} gap has d_g = {gap.d_g!r} mm")
+    check_items(lambda i: f"joint {folds[i] + 1}",
+                [np.abs(d_g - gap.d_g) <= 1e-8 * np.maximum(d_g, gap.d_g)],
+                lambda i: [f"the plan records d_g = {d_g[i].item()!r} mm, but the "
+                           f"{gap.method} gap has d_g = {gap.d_g!r} mm"])
     thetas = np.zeros(plan.n)
     with np.errstate(over="ignore"):  # a fold distance past float range is inf
         low = _fold_distance(0.0, r, d_g) > s

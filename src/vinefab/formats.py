@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .fabrication import FabricationPlan
-from .geometry import DHChain
-from .growth import Box, ObstacleScene, Sphere
+from .geometry import DHChain, check_items
+from .growth import ObstacleScene
 from .measurement import MarkerRecord, MeasuredDH, check_samples
 from .stats import COLUMNS, SampleTable
 
@@ -220,10 +220,8 @@ def read_polyline(path) -> np.ndarray:
     pts = _floats(path, lines, columns, POLYLINE_HEADER)
     if pts.shape[0] < 2:
         raise ValidationError(f"{path}: polyline needs at least 2 points")
-    finite = np.isfinite(pts).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValidationError(f"{path}: line {lines[i]}: non-finite coordinate {pts[i]}")
+    check_items(lambda i: f"{path}: line {lines[i]}", [np.isfinite(pts).all(axis=1)],
+                lambda i: [f"non-finite coordinate {pts[i]}"])
     return pts
 
 
@@ -238,25 +236,18 @@ def write_polyline(points: np.ndarray, path) -> None:
 def read_scene(path) -> ObstacleScene:
     """Spheres and boxes of a scene JSON; every coordinate list holds 3 numbers."""
     data = _top(load_json(path), path, "scene")
-    spheres, boxes = [], []
-    for where, entry in _objects(data, "spheres", path, "sphere", []):
-        center, radius = _numbers(entry, "center_mm", where, 3), _number(entry, "radius_mm", where)
-        with _context(where):
-            spheres.append(Sphere(center=center, radius=radius))
-    for where, entry in _objects(data, "boxes", path, "box", []):
-        lo, hi = _numbers(entry, "min_mm", where, 3), _numbers(entry, "max_mm", where, 3)
-        with _context(where):
-            boxes.append(Box(min_corner=lo, max_corner=hi))
-    return ObstacleScene(spheres=tuple(spheres), boxes=tuple(boxes))
+    spheres = [(_numbers(entry, "center_mm", where, 3), _number(entry, "radius_mm", where))
+               for where, entry in _objects(data, "spheres", path, "sphere", [])]
+    boxes = [(_numbers(entry, "min_mm", where, 3), _numbers(entry, "max_mm", where, 3))
+             for where, entry in _objects(data, "boxes", path, "box", [])]
+    with _context(path):
+        return ObstacleScene(spheres=spheres, boxes=boxes)
 
 
 def write_scene(scene: ObstacleScene, path) -> None:
-    write_json({
-        "spheres": [{"center_mm": list(s.center), "radius_mm": s.radius}
-                    for s in scene.spheres],
-        "boxes": [{"min_mm": list(b.min_corner), "max_mm": list(b.max_corner)}
-                  for b in scene.boxes],
-    }, path)
+    write_json({"spheres": [{"center_mm": c.tolist(), "radius_mm": r} for c, r in scene.spheres],
+                "boxes": [{"min_mm": lo.tolist(), "max_mm": hi.tolist()}
+                          for lo, hi in scene.boxes]}, path)
 
 
 # ----------------------------------------------------------------- plan JSON

@@ -150,6 +150,20 @@ def point3(values, what: str) -> np.ndarray:
     return p.reshape(3)
 
 
+def check_items(where, ok, messages) -> None:
+    """Raise for the first item that fails a check, naming the item and its first failed check.
+
+    `ok` holds one row of booleans per check and one column per item.
+    `where` is the item kind, as in 'link 3: ...', or a function of the item
+    index i; messages(i) lists item i's texts, one per check.
+    """
+    ok = np.asarray(ok)
+    if not ok.all():
+        i = int(np.argmin(ok.all(axis=0)))  # the first bad item, then its first check
+        name = where(i) if callable(where) else f"{where} {i + 1}"
+        raise ValidationError(f"{name}: {messages(i)[int(np.argmin(ok[:, i]))]}")
+
+
 def _check_poses(rots: np.ndarray, origins: np.ndarray) -> None:
     """The RigidPose invariants on stacks (m, 3, 3) and (m, 3), in one pass."""
     with np.errstate(invalid="ignore", over="ignore"):
@@ -200,15 +214,12 @@ class DHChain:
         with np.errstate(over="ignore", invalid="ignore"):
             running = np.cumsum(a)
         # NaN and inf fail the range tests too
-        ok = np.array([np.abs(alpha) <= math.pi + 1e-12, np.abs(theta) <= math.pi + 1e-12,
-                       (a >= 0.0) & (a < math.inf), np.isfinite(running)])
-        if not ok.all():
-            i = int(np.argmin(ok.all(axis=0)))  # the first bad link, then its first check
-            raise ValidationError(f"link {i + 1}: " + [
-                f"alpha must lie in (-pi, pi], got {alpha[i]}",
-                f"theta must lie in (-pi, pi], got {theta[i]}",
-                f"link length a must be >= 0, got {a[i]}",
-                f"chain length overflows at a = {a[i]} mm"][int(np.argmin(ok[:, i]))])
+        check_items("link", [np.abs(alpha) <= math.pi + 1e-12, np.abs(theta) <= math.pi + 1e-12,
+                             (a >= 0.0) & (a < math.inf), np.isfinite(running)],
+                    lambda i: [f"alpha must lie in (-pi, pi], got {alpha[i]}",
+                               f"theta must lie in (-pi, pi], got {theta[i]}",
+                               f"link length a must be >= 0, got {a[i]}",
+                               f"chain length overflows at a = {a[i]} mm"])
         radius = float_array(self.radius, "radius")
         if radius.ndim or not 0.0 < radius < math.inf:
             raise ValidationError(f"radius must be > 0, got {radius}")
@@ -258,9 +269,8 @@ def chain_frames(chain: DHChain) -> tuple[np.ndarray, np.ndarray]:
         steps = rots[:-1] @ (rz[:, :, 0] * chain.a[:, None])[:, :, None]
         np.cumsum(steps[:, :, 0], axis=0, out=origins[1:])
     if not np.isfinite(origins[-1]).all():  # an overflow carries to the tip
-        i = int(np.argmin(np.isfinite(origins).all(axis=1)))
-        raise ValidationError(
-            f"link {i}: translation must be finite, got {origins[i]}")
+        check_items(lambda i: f"link {i}", [np.isfinite(origins).all(axis=1)],
+                    lambda i: [f"translation must be finite, got {origins[i]}"])
     return rots, origins
 
 

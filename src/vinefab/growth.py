@@ -9,90 +9,102 @@ are modeled as instantaneous at the (zero-length) joints.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import DHChain, chain_frames, float_array, point3
+from .geometry import DHChain, chain_frames, check_items, float_array, point3
 
 DEFAULT_SWEEP_STEP_MM = 1.0
 # most centerline samples one sweep may take: a few hundred MB of arrays
 MAX_SWEEP_SAMPLES = 10_000_000
 
 
-@dataclass(frozen=True)
-class Sphere:
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        c = point3(self.center, "sphere center")
-        radius = float_array(self.radius, "sphere radius")
-        if not np.isfinite(c).all():
-            raise ValidationError(f"sphere center must be finite, got {c}")
-        if radius.ndim or not 0.0 < radius < math.inf:
-            raise ValidationError(f"sphere radius must be finite and > 0, got {radius}")
-        c.flags.writeable = False
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", float(radius))
-
-    def surface_distance(self, points: np.ndarray) -> np.ndarray:
-        """Signed distance from points to the sphere surface (negative inside)."""
-        p = np.atleast_2d(np.asarray(points, float))
-        return np.linalg.norm(p - self.center, axis=1) - self.radius
+Sphere = namedtuple("Sphere", "center radius")
+Box = namedtuple("Box", "min_corner max_corner")  # an axis-aligned box
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box given by min and max corners."""
-
-    min_corner: np.ndarray
-    max_corner: np.ndarray
-
-    def __post_init__(self):
-        lo = point3(self.min_corner, "box min corner")
-        hi = point3(self.max_corner, "box max corner")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ValidationError("box corners must be finite")
-        if not np.all(lo < hi):
-            raise ValidationError("box min corner must be < max corner per axis")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
-        object.__setattr__(self, "min_corner", lo)
-        object.__setattr__(self, "max_corner", hi)
-
-    def surface_distance(self, points: np.ndarray) -> np.ndarray:
-        """Signed distance from points to the box surface (negative inside)."""
-        p = np.atleast_2d(np.asarray(points, float))
-        center = 0.5 * (self.min_corner + self.max_corner)
-        half = 0.5 * (self.max_corner - self.min_corner)
-        q = np.abs(p - center) - half
-        outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
-        inside = np.minimum(np.max(q, axis=1), 0.0)
-        return outside + inside
+def _rows(kind: str, records, convert, form: str) -> np.ndarray:
+    """convert(*record) of each `kind` record as one float row; errors name the record."""
+    rows = []
+    for i, record in enumerate(records, start=1):
+        try:
+            rows.append(convert(*record))
+        except (TypeError, ValueError, OverflowError):  # convert's own are ValidationErrors
+            raise ValidationError(f"{kind} {i}: must be {form}, got {record!r}") from None
+        except ValidationError as exc:
+            raise ValidationError(f"{kind} {i}: {exc}") from None
+    return np.array(rows, float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ObstacleScene:
-    spheres: tuple = ()
-    boxes: tuple = ()
+    """Spheres and axis-aligned boxes as read-only arrays, checked once.
 
-    def __post_init__(self):
-        object.__setattr__(self, "spheres", tuple(self.spheres))
-        object.__setattr__(self, "boxes", tuple(self.boxes))
+    Sphere and Box records (or pairs like them) become sphere centers (s, 3)
+    and radii (s,) and box min and max corners (b, 3): all finite, radii > 0,
+    and per axis min < max with max - min finite. Errors name the first bad one.
+    """
+
+    centers: np.ndarray
+    radii: np.ndarray
+    lows: np.ndarray
+    highs: np.ndarray
+
+    def __init__(self, spheres=(), boxes=()):
+        s = _rows("sphere", spheres, lambda c, r: [*point3(c, "sphere center"), float(r)],
+                  "a (center, radius) pair with one number as radius").reshape(-1, 4)
+        b = _rows("box", boxes, lambda lo, hi: [*point3(lo, "box min corner"),
+                                                *point3(hi, "box max corner")],
+                  "a (min_corner, max_corner) pair").reshape(-1, 6)
+        s.flags.writeable = b.flags.writeable = False
+        centers, radii, lows, highs = s[:, :3], s[:, 3], b[:, :3], b[:, 3:]
+        check_items("sphere", [np.isfinite(centers).all(axis=1), (radii > 0) & (radii < math.inf)],
+                    lambda i: [f"sphere center must be finite, got {centers[i]}",
+                               f"sphere radius must be finite and > 0, got {radii[i]}"])
+        with np.errstate(over="ignore", invalid="ignore"):  # max - min may overflow
+            check_items("box", [np.isfinite(b).all(axis=1), (lows < highs).all(axis=1),
+                                np.isfinite(highs - lows).all(axis=1)],
+                        lambda i: ["box corners must be finite",
+                                   "box min corner must be < max corner per axis",
+                                   f"box extent max - min overflows, got {highs[i] - lows[i]}"])
+        for name, x in zip(("centers", "radii", "lows", "highs"), (centers, radii, lows, highs)):
+            object.__setattr__(self, name, x)
+
+    @property
+    def spheres(self) -> tuple:
+        return tuple(map(Sphere, self.centers, self.radii.tolist()))
+
+    @property
+    def boxes(self) -> tuple:
+        return tuple(map(Box, self.lows, self.highs))
 
     @property
     def empty(self) -> bool:
-        return not self.spheres and not self.boxes
+        return not (self.radii.size or self.lows.size)
 
     def surface_distance(self, points: np.ndarray) -> np.ndarray:
-        """Signed distance to the nearest obstacle surface, per point."""
-        p = np.atleast_2d(np.asarray(points, float))
-        if self.empty:
-            return np.full(p.shape[0], math.inf)
-        dists = [ob.surface_distance(p) for ob in (*self.spheres, *self.boxes)]
-        return np.min(np.vstack(dists), axis=0)
+        """Signed distance to the nearest obstacle surface per point (negative inside).
+
+        A running minimum over the obstacles, each taken on the points' x, y
+        and z columns; inf for an empty scene or past float range.
+        """
+        x, y, z = np.array(np.atleast_2d(points).T, float, order="C")
+        best = np.full(x.shape, math.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (cx, cy, cz), r in zip(self.centers.tolist(), self.radii.tolist()):
+                dx, dy, dz = x - cx, y - cy, z - cz
+                np.minimum(best, np.sqrt(dx * dx + dy * dy + dz * dz) - r, out=best)
+            # halves first: 0.5 * (lows + highs) overflows for two corners past 9e307
+            for (cx, cy, cz), (hx, hy, hz) in zip((0.5 * self.lows + 0.5 * self.highs).tolist(),
+                                                  (0.5 * (self.highs - self.lows)).tolist()):
+                qx, qy, qz = np.abs(x - cx) - hx, np.abs(y - cy) - hy, np.abs(z - cz) - hz
+                mx, my, mz = np.maximum(qx, 0.0), np.maximum(qy, 0.0), np.maximum(qz, 0.0)
+                inside = np.minimum(np.maximum(np.maximum(qx, qy), qz), 0.0)
+                np.minimum(best, np.sqrt(mx * mx + my * my + mz * mz) + inside, out=best)
+        return best
 
 
 def _everted(chain: DHChain, everted_length) -> float:
@@ -176,8 +188,10 @@ def growth_trace(chain: DHChain, everted_lengths, scene: ObstacleScene | None,
     if scene is None or scene.empty:
         return centerline_points(chain, lengths), [None] * len(lengths)
     points = centerline_points(chain, np.concatenate([lengths, _sweep_grid(longest, step)]))
-    tips, grid = points[:lengths.size], points[lengths.size:]
-    grid_worst = np.minimum.accumulate(scene.surface_distance(grid) - chain.radius)
-    tip_gaps = scene.surface_distance(tips) - chain.radius
-    rows = np.floor(lengths / step).astype(int)
-    return tips, np.minimum(grid_worst[rows], tip_gaps).tolist()
+    gaps = scene.surface_distance(points) - chain.radius
+    grid_worst = np.minimum.accumulate(gaps[lengths.size:])
+    clearances = np.minimum(grid_worst[np.floor(lengths / step).astype(int)], gaps[:lengths.size])
+    if not np.isfinite(clearances).all():
+        raise ValidationError("clearance is not finite: the body and the obstacles "
+                              "are too far apart to difference")
+    return points[:lengths.size], clearances.tolist()

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (DegenerateGeometryError, MissingMarkerError,
                      ValidationError)
-from .geometry import (DHChain, RigidPose, _trusted, chain_frames, float_array,
+from .geometry import (DHChain, RigidPose, _trusted, chain_frames, check_items, float_array,
                        gauge_twist, nearest_rotation, quaternion_to_rotation,
                        rotation_to_quaternion, wrap_angle)
 
@@ -70,17 +70,14 @@ def check_samples(context: str, times, positions, quaternions, lines=None):
         raise ValidationError(
             f"{context}: times, positions and quaternions must have shapes "
             f"(m,), (m, 3) and (m, 4), got {t.shape}, {p.shape} and {q.shape}")
-    finite = np.isfinite(t) & np.isfinite(p).all(axis=1) & np.isfinite(q).all(axis=1)
     norms = np.linalg.norm(q, axis=1)
-    # written as `not (err <= tol)` so that a NaN norm is rejected too
-    bad = ~finite | ~(np.abs(norms - 1.0) <= 1e-6)
-    if bad.any():
-        i = int(np.argmax(bad))
-        where = f"{context}: sample {i}" if lines is None else f"{context}: line {lines[i]}"
-        if not finite[i]:
-            values = [float(t[i]), *p[i].tolist(), *q[i].tolist()]
-            raise ValidationError(f"{where}: non-finite number in {values}")
-        raise ValidationError(f"{where}: quaternion norm {norms[i]:.6g} is not 1")
+    # a NaN norm fails `<= tol` too; a non-finite sample is named for that first
+    check_items(lambda i: f"{context}: sample {i}" if lines is None
+                else f"{context}: line {lines[i]}",
+                [np.isfinite(t) & np.isfinite(p).all(axis=1) & np.isfinite(q).all(axis=1),
+                 np.abs(norms - 1.0) <= 1e-6],
+                lambda i: [f"non-finite number in {[float(t[i]), *p[i].tolist(), *q[i].tolist()]}",
+                           f"quaternion norm {norms[i]:.6g} is not 1"])
     q /= norms[:, None]
     for a in (t, p, q):
         a.flags.writeable = False

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
-from .geometry import _trusted, float_array
+from .geometry import _trusted, check_items, float_array
 from .special import chi2_sf, f_sf, studentized_range_cdf, t_quantile, t_sf_two_sided
 
 METHOD_LEVELS = ("tape", "weld", "loop")
@@ -302,16 +302,11 @@ class SampleTable:
         for code, levels, column in zip(codes, COLUMNS.values(), names):
             for i, level in enumerate(levels):
                 code[column == level] = i
-        ok = np.array([np.isfinite(value), *(code >= 0 for code in codes)])
-        if not ok.all():
-            i = int(np.argmin(ok.all(axis=0)))  # the first bad row, then its first bad field
-            field = int(np.argmin(ok[:, i]))
-            where = f"row {i + 1}" if lines is None else f"line {lines[i]}"
-            if field == 0:
-                raise ValidationError(f"{where}: sample value must be finite, got {value[i]}")
-            name, levels = list(COLUMNS.items())[field - 1]
-            raise ValidationError(
-                f"{where}: {name} must be one of {levels}, got {names[field - 1][i]!r}")
+        check_items(lambda i: f"row {i + 1}" if lines is None else f"line {lines[i]}",
+                    [np.isfinite(value), *(code >= 0 for code in codes)],
+                    lambda i: [f"sample value must be finite, got {value[i]}",
+                               *(f"{name} must be one of {levels}, got {column[i]!r}"
+                                 for (name, levels), column in zip(COLUMNS.items(), names))])
         for name, column in zip(("value", *COLUMNS, "robot_id"), (value, *codes, robot_id)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)

@@ -5,11 +5,13 @@ done with literal 4x4 homogeneous matrices, a fabrication plan is checked by
 folding the tube it describes, ANOVA with textbook loops, and distribution
 values by Monte Carlo sampling. There are three exceptions. `clearance`
 samples each everted body on its own with the library's sweep_samples, so
-that growth_trace's shared sweep must match it bit for bit.
+that growth_trace's shared sweep must match it bit for bit; it measures
+distances with `scene_distance_loop`, not the library's kernel.
 `regularized_incomplete_gamma_p` assembles P(a, x) from the library's series
-and continued fraction, so that its tests pin both. And `RowTable` and
-`ranks_with_ties_loop` are the row and rank loops that the library replaced
-with array code, kept as the reference that code must match bit for bit.
+and continued fraction, so that its tests pin both. And `RowTable`,
+`ranks_with_ties_loop` and `scene_distance_loop` are the row, rank and
+per-obstacle loops that the library replaced with array code, kept as the
+reference that code must match bit for bit.
 """
 
 import math
@@ -78,7 +80,31 @@ def clearance(chain, everted_length, scene, step):
     if scene.empty:
         return None
     _, centers = sweep_samples(chain, everted_length, step)
-    return float(np.min(scene.surface_distance(centers) - chain.radius))
+    return float(np.min(scene_distance_loop(scene, centers) - chain.radius))
+
+
+def _sphere_distance(sphere, p):
+    return np.linalg.norm(p - sphere.center, axis=1) - sphere.radius
+
+
+def _box_distance(box, p):
+    center = 0.5 * (box.min_corner + box.max_corner)
+    half = 0.5 * (box.max_corner - box.min_corner)
+    q = np.abs(p - center) - half
+    outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
+    inside = np.minimum(np.max(q, axis=1), 0.0)
+    return outside + inside
+
+
+def scene_distance_loop(scene, points):
+    """Signed distance to the nearest obstacle surface, per point: one method
+    call per Sphere and Box record, stacked and reduced."""
+    p = np.atleast_2d(np.asarray(points, float))
+    if scene.empty:
+        return np.full(p.shape[0], math.inf)
+    dists = [_sphere_distance(s, p) for s in scene.spheres]
+    dists += [_box_distance(b, p) for b in scene.boxes]
+    return np.min(np.vstack(dists), axis=0)
 
 
 def fold_tube(plan, thetas_abs, lengths):

@@ -419,6 +419,46 @@ def test_scene_json_fields_are_typed(tmp_path, capsys, project_config, scene, me
     assert not (tmp_path / "grow_trace.csv").exists()
 
 
+@pytest.mark.parametrize("scene, message", [
+    ({"spheres": [{"center_mm": [1e308, 1e308, 0], "radius_mm": 5}]},
+     "error: clearance is not finite: the body and the obstacles are too far apart"),
+    ({"boxes": [{"min_mm": [-1e308] * 3, "max_mm": [1e308] * 3}]},
+     "box 1: box extent max - min overflows, got [inf inf inf]"),
+], ids=["far-sphere", "huge-box"])
+def test_grow_rejects_scenes_past_float_range(tmp_path, capsys, project_config, scene,
+                                              message):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    code, err = _main_in_process(capsys, ["grow", "--config", project_config,
+                                          "--scene", str(path), "--out", str(tmp_path)])
+    assert code == 1 and message in err
+    assert not (tmp_path / "grow_trace.csv").exists()
+
+
+def test_grow_far_body_keeps_its_clearance(tmp_path, capsys, data_dir):
+    # the far samples' squared distances overflow; the base's clearance is the worst
+    import warnings
+
+    from vinefab import cli
+
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"radius_mm": 1, "links": [{"a_mm": 1e300}, {"a_mm": 1e300}]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["grow", "--chain", str(path), "--scene",
+                         os.path.join(data_dir, "scene.json"), "--steps", "3",
+                         "--sweep-step", "1e296", "--out", str(tmp_path)])
+    trace = tmp_path / "grow_trace.csv"
+    assert code == 0
+    assert capsys.readouterr().out == (f"wrote {trace} (4 rows, total 2e+300 mm)\n"
+                                       "worst clearance: 83.8528137 mm\n")
+    assert trace.read_text().splitlines()[1:] == [
+        "0,0,0,0,83.8528137",
+        "6.66666667e+299,6.66666667e+299,0,0,83.8528137",
+        "1.33333333e+300,1.33333333e+300,0,0,83.8528137",
+        "2e+300,2e+300,0,0,83.8528137"]
+
+
 @pytest.mark.parametrize("fields, message", [
     ({"gap": 5}, "'gap' must be a JSON object, got 5"),
     ({"gap": {"d_g_mm": "x"}}, "gap: 'd_g_mm' must be a number, got 'x'"),

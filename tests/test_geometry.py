@@ -13,7 +13,7 @@ from vinefab.geometry import (DHChain, DHLink, RigidPose, canonicalize_polyline,
                               chain_frames, dh_to_polyline, fk_chain,
                               polyline_to_dh, quaternion_to_rotation,
                               rotation_to_quaternion, wrap_angle)
-from vinefab.growth import Box, Sphere, centerline_points
+from vinefab.growth import Box, ObstacleScene, Sphere, centerline_points
 from vinefab.measurement import check_samples
 
 from conftest import random_feasible_chain
@@ -351,17 +351,20 @@ def test_single_link_tip_is_polar_point(theta, a):
     lambda: FabricationPlan(16.5, [10.0, [1.0]], [0.0, 0.0], [0.0, 0.0], [0.0]),
     lambda: check_samples("log", ["t"], [[0, 0, 0]], [[1, 0, 0, 0]]),
     lambda: check_samples("log", [0.0, 1.0], [[0, 0, 0], [0, 0]], [[1, 0, 0, 0]] * 2),
-    lambda: Sphere(center=["a", 0, 0], radius=10.0),
-    lambda: Sphere(center=[0, 0], radius=10.0),
-    lambda: Sphere(center=[0, 0, 0], radius="r"),
-    lambda: Box(min_corner=[0, [0], 0], max_corner=[10, 10, 10]),
-    lambda: Box(min_corner=[0, 0, 0], max_corner=[10, 10, 10, 10]),
+    lambda: ObstacleScene(spheres=(Sphere(center=["a", 0, 0], radius=10.0),)),
+    lambda: ObstacleScene(spheres=(Sphere(center=[0, 0], radius=10.0),)),
+    lambda: ObstacleScene(spheres=(Sphere(center=[0, 0, 0], radius="r"),)),
+    lambda: ObstacleScene(boxes=(Box(min_corner=[0, [0], 0], max_corner=[10, 10, 10]),)),
+    lambda: ObstacleScene(boxes=(Box(min_corner=[0, 0, 0], max_corner=[10, 10, 10, 10]),)),
+    lambda: ObstacleScene(spheres=(5,)),
+    lambda: ObstacleScene(spheres=(([0, 0], 10.0),)),
     lambda: RigidPose(np.eye(3), [0, 0]),
     lambda: RigidPose([[1, 0, 0], [0, 1], [0, 0, 1]], np.zeros(3)),
 ], ids=["chain-ragged", "chain-string", "chain-radius-string", "chain-radius-list",
         "chain-huge-int", "plan-radius-string", "plan-ragged", "samples-string", "samples-ragged",
         "sphere-center-string", "sphere-center-2", "sphere-radius-string",
-        "box-ragged", "box-corner-4", "pose-translation-2", "pose-rotation-ragged"])
+        "box-ragged", "box-corner-4", "scene-sphere-int", "scene-pair-center-2",
+        "pose-translation-2", "pose-rotation-ragged"])
 def test_constructors_reject_ragged_or_non_numeric_input(build):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -13,7 +13,7 @@ from vinefab.growth import (MAX_SWEEP_SAMPLES, Box, ObstacleScene, Sphere,
 
 from conftest import random_feasible_chain
 from oracles import (clearance, fk_homogeneous, point_segment_distance,
-                     tip_pose_at)
+                     scene_distance_loop, tip_pose_at)
 
 
 def test_range_error_shows_both_numbers_exactly():
@@ -142,19 +142,77 @@ def test_clearance_monotone_under_inflation():
 
 
 def test_box_signed_distance():
-    box = Box(min_corner=[0, 0, 0], max_corner=[10, 10, 10])
+    box = ObstacleScene(boxes=(Box(min_corner=[0, 0, 0], max_corner=[10, 10, 10]),))
     np.testing.assert_allclose(box.surface_distance(np.array([[5, 5, 5]])), [-5.0])
     np.testing.assert_allclose(box.surface_distance(np.array([[15, 5, 5]])), [5.0])
     np.testing.assert_allclose(box.surface_distance(np.array([[13, 14, 5]])),
                                [5.0])  # corner: hypot(3, 4)
     np.testing.assert_allclose(box.surface_distance(np.array([[5, 5, 9]])), [-1.0])
+    # min + max overflows on x; the point is still 100 mm inside
+    far = ObstacleScene(boxes=(Box([1e308, -100, -100], [1.5e308, 100, 100]),))
+    np.testing.assert_array_equal(far.surface_distance(np.array([[1.2e308, 0, 0]])), [-100.0])
 
 
 def test_scene_validation():
-    with pytest.raises(ValidationError):
-        Sphere(center=[0, 0, 0], radius=0.0)
-    with pytest.raises(ValidationError):
-        Box(min_corner=[0, 0, 0], max_corner=[10, -1, 10])
+    ok = Sphere(center=[0, 0, 0], radius=1.0)
+    for scene, message in [
+        (lambda: ObstacleScene(spheres=(ok, Sphere(center=[0, 0, 0], radius=0.0))),
+         "sphere 2: sphere radius must be finite and > 0, got 0.0"),
+        (lambda: ObstacleScene(boxes=(Box(min_corner=[0, 0, 0], max_corner=[10, -1, 10]),)),
+         "box 1: box min corner must be < max corner per axis"),
+        (lambda: ObstacleScene(boxes=(Box([-1e308] * 3, [1e308] * 3),)),
+         "box 1: box extent max - min overflows, got [inf inf inf]"),
+        (lambda: ObstacleScene(spheres=(5,)),
+         "sphere 1: must be a (center, radius) pair with one number as radius, got 5"),
+        (lambda: ObstacleScene(spheres=(ok, ([0, 0], 1.0))),
+         "sphere 2: sphere center must hold 3 numbers, got 2"),
+    ]:
+        with pytest.raises(ValidationError) as info:
+            scene()
+        assert str(info.value) == message
+
+
+def test_scene_is_read_only_arrays_with_derived_records():
+    scene = ObstacleScene(spheres=[([1, 2, 3], 4)], boxes=[Box([0, 0, 0], [5, 6, 7])])
+    assert scene.centers.shape == (1, 3) and scene.radii.shape == (1,)
+    assert scene.lows.shape == scene.highs.shape == (1, 3)
+    for x in (scene.centers, scene.radii, scene.lows, scene.highs):
+        assert not x.flags.writeable
+    (sphere,), (box,) = scene.spheres, scene.boxes
+    assert sphere.center.tolist() == [1.0, 2.0, 3.0] and sphere.radius == 4.0
+    assert type(sphere.radius) is float
+    assert box.max_corner.tolist() == [5.0, 6.0, 7.0]
+    bare = ObstacleScene()
+    assert bare.empty and bare.centers.shape == bare.lows.shape == (0, 3)
+
+
+def _kernel_scene_and_points(rng):
+    """0-4 spheres and 0-4 boxes, and points inside, outside, on their faces,
+    edges and corners, and at the sphere centers."""
+    spheres = [Sphere(rng.uniform(-100, 100, 3), rng.uniform(1, 50))
+               for _ in range(rng.integers(0, 5))]
+    boxes = []
+    for _ in range(rng.integers(0, 5)):
+        lo = rng.uniform(-100, 100, 3)
+        boxes.append(Box(lo, lo + rng.uniform(1, 80, 3)))
+    points = [rng.uniform(-200, 200, (50, 3))] + [np.atleast_2d(s.center) for s in spheres]
+    for lo, hi in boxes:
+        points.append(rng.uniform(lo, hi, (10, 3)))  # inside
+        for fixed in (1, 2, 3):  # on a face, an edge and at a corner
+            p = rng.uniform(lo, hi, (10, 3))
+            for row in p:
+                axes = rng.choice(3, fixed, replace=False)
+                row[axes] = np.where(rng.random(fixed) < 0.5, lo[axes], hi[axes])
+            points.append(p)
+    return ObstacleScene(spheres=spheres, boxes=boxes), np.concatenate(points)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_surface_distance_matches_the_per_obstacle_loop(seed):
+    scene, points = _kernel_scene_and_points(np.random.default_rng(seed))
+    got = scene.surface_distance(points)
+    assert np.array_equal(got, scene_distance_loop(scene, points))
+    assert got.shape == (len(points),)
 
 
 def _random_scene(rng, chain):
@@ -229,10 +287,12 @@ def test_growth_trace_checks_step_without_a_scene(three_bend_chain, scene):
 @pytest.mark.parametrize("build", [
     lambda v: RigidPose(np.full((3, 3), v), np.zeros(3)),
     lambda v: RigidPose(np.eye(3), [0.0, v, 0.0]),
-    lambda v: Sphere(center=[0.0, 0.0, v], radius=10.0),
-    lambda v: Sphere(center=[0.0, 0.0, 0.0], radius=v),
-    lambda v: Box(min_corner=[v, 0.0, 0.0], max_corner=[10.0, 10.0, 10.0]),
-    lambda v: Box(min_corner=[0.0, 0.0, 0.0], max_corner=[10.0, 10.0, v]),
+    lambda v: ObstacleScene(spheres=(Sphere(center=[0.0, 0.0, v], radius=10.0),)),
+    lambda v: ObstacleScene(spheres=(Sphere(center=[0.0, 0.0, 0.0], radius=v),)),
+    lambda v: ObstacleScene(boxes=(Box(min_corner=[v, 0.0, 0.0],
+                                       max_corner=[10.0, 10.0, 10.0]),)),
+    lambda v: ObstacleScene(boxes=(Box(min_corner=[0.0, 0.0, 0.0],
+                                       max_corner=[10.0, 10.0, v]),)),
 ], ids=["pose-rotation", "pose-translation", "sphere-center",
         "sphere-radius", "box-min", "box-max"])
 def test_constructors_reject_non_finite(build, bad):
