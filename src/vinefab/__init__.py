@@ -6,8 +6,7 @@ from .errors import (DegenerateDataError, DegenerateGeometryError,
                      InversionError, MissingMarkerError, SingularityError,
                      ValidationError, VinefabError)
 from .fabrication import (DEFAULT_LOOP_GAP_MM, FabricationPlan, GapModel,
-                          JointSpec, arc_offset, axial_fold_distance,
-                          compile_plan, cylinder_length, recover_chain)
+                          JointSpec, compile_plan, recover_chain)
 from .geometry import (DHChain, DHLink, RigidPose, canonicalize_polyline,
                        dh_to_polyline, fk_chain, polyline_to_dh)
 from .growth import (Box, ObstacleScene, Sphere, centerline_points, growth_trace,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (DegenerateJointWarning, InfeasibleLinkError,
                      InversionError, SingularityError, ValidationError)
-from .geometry import DHChain, check_items, float_array, gauge_twist, wrap_angle
+from .geometry import DHChain, check_items, float_array, float_scalar, gauge_twist, wrap_angle
 
 GAP_METHODS = ("tape", "weld", "loop")
 
@@ -44,9 +44,7 @@ class GapModel:
         if self.method not in GAP_METHODS:
             raise ValidationError(
                 f"method must be one of {GAP_METHODS}, got {self.method!r}")
-        object.__setattr__(self, "d_g", float(self.d_g))
-        if not math.isfinite(self.d_g) or self.d_g < 0.0:
-            raise ValidationError(f"d_g must be >= 0, got {self.d_g}")
+        object.__setattr__(self, "d_g", float_scalar(self.d_g, "d_g", positive=False))
 
     @classmethod
     def for_method(cls, method: str, d_g: float | None = None) -> "GapModel":
@@ -83,10 +81,7 @@ class FabricationPlan:
     total_tube_length: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        radius = float_array(self.radius, "radius")
-        if radius.ndim or not 0.0 < radius < math.inf:
-            raise ValidationError(f"radius must be > 0, got {radius}")
-        radius = float(radius)
+        radius = float_scalar(self.radius, "radius")
         cyl, s_tilde, d_g, arcs = (float_array(getattr(self, name), name) for name in (
             "cylinders", "s_tilde", "d_g", "arc_offsets"))
         if not (cyl.ndim == 1 and cyl.size >= 1 and s_tilde.shape == d_g.shape == cyl.shape
@@ -134,82 +129,23 @@ class FabricationPlan:
                          self.d_g.tolist()))
 
 
-def axial_fold_distance(theta: float, r: float, d_g: float = 0.0) -> float:
-    """Axial distance between the two points joined to create a bend of theta.
-
-    Equals ``2*d_g/sqrt(2 + 2*cos(theta)) + 2*r*theta``; with d_g = 0 this
-    reduces to ``2*r*theta`` exactly. Diverges as |theta| approaches pi, and
-    raises SingularityError past ``_THETA_MAX`` or where the gap term overflows.
-    """
-    theta, r, d_g = float(theta), float(r), float(d_g)
-    if not math.isfinite(r) or r <= 0.0:
-        raise ValidationError(f"r must be > 0, got {r}")
-    if not math.isfinite(d_g) or d_g < 0.0:
-        raise ValidationError(f"d_g must be >= 0, got {d_g}")
-    if not math.isfinite(theta):
-        raise ValidationError(f"theta must be finite, got {theta}")
-    if abs(theta) > _THETA_MAX:
-        raise SingularityError(
-            f"theta = {theta:.6g} rad: fold distance diverges at |theta| = pi")
-    with np.errstate(over="ignore"):
-        s_tilde = float(_fold_distance(theta, r, d_g))
-    if not math.isfinite(s_tilde):
-        raise SingularityError(
-            f"theta = {theta!r} rad: fold distance overflows for r = {r!r} mm, "
-            f"d_g = {d_g!r} mm")
-    return s_tilde
-
-
 def _fold_distance(theta, r, d_g):
-    """Elementwise ``d_g/|cos(theta/2)| + 2*r*theta``; inf where it overflows."""
+    """The fold model: axial distance ``2*d_g/sqrt(2 + 2*cos(theta)) + 2*r*theta``
+    between the points joined for a bend of theta, elementwise; inf where it overflows."""
     # sqrt(2 + 2cos(theta)) = 2|cos(theta/2)|; the right side stays accurate
     # near pi, where 2 + 2cos(theta) rounds to 0, and _THETA_MAX keeps it > 0
     return d_g / np.abs(np.cos(0.5 * theta)) + 2.0 * r * theta
 
 
-def cylinder_length(a: float, s_tilde_i: float, s_tilde_next: float,
-                    link_index: int | None = None) -> float:
-    """Length of the cylinder realizing a link: ``a - (s_i + s_next)/4``.
-
-    Raises InfeasibleLinkError when the folds consume the whole link.
-    """
-    a, s_tilde_i, s_tilde_next = float(a), float(s_tilde_i), float(s_tilde_next)
-    for name, v in (("a", a), ("s_tilde_i", s_tilde_i), ("s_tilde_next", s_tilde_next)):
-        if not math.isfinite(v) or v < 0.0:
-            raise ValidationError(f"{name} must be >= 0, got {v}")
-    consumed = (s_tilde_i + s_tilde_next) / 4.0
-    l = a - consumed
-    if l <= 0.0:
-        raise InfeasibleLinkError(link_index if link_index is not None else 0,
-                                  a, consumed)
-    return l
-
-
-def arc_offset(alpha: float, theta_i: float, theta_next: float, r: float) -> float:
-    """Circumferential arc between consecutive joints realizing twist alpha.
-
-    ``r * gauge_twist(alpha, theta_i, theta_next)``, not wrapped. A zero
-    joint angle has no fold to place, so the offset collapses to 0; when that
-    discards a nonzero twist a DegenerateJointWarning is emitted.
-    """
-    if not math.isfinite(r) or r <= 0.0:
-        raise ValidationError(f"r must be > 0, got {r}")
-    if theta_i == 0.0 or theta_next == 0.0:
-        if alpha != 0.0:
-            warnings.warn(f"zero joint angle collapses arc offset for "
-                          f"twist {alpha:.6g} rad",
-                          DegenerateJointWarning, stacklevel=2)
-        return 0.0
-    return r * gauge_twist(alpha, theta_i, theta_next)
-
-
 def compile_plan(chain: DHChain, gap: GapModel) -> FabricationPlan:
     """Compile a chain into tube fabrication parameters.
 
-    Cylinder i spans [Z_i + s_i, Z_{i+1}] of the plan's layout. Joints with
-    zero angle receive no fold (s_i = 0) regardless of the gap model, and
-    twist accumulated across such joints is carried into the placement of
-    the next joint that actually folds.
+    Joint i folds s_i = _fold_distance(|theta_i|, r, d_g); cylinder i, of length
+    a_i - (s_i + s_{i+1})/4, spans [Z_i + s_i, Z_{i+1}] of the plan's layout.
+    Joints with zero angle receive no fold (s_i = 0) regardless of the gap
+    model, and twist accumulated across such joints is carried into the
+    placement of the next joint that actually folds. Raises SingularityError,
+    then InfeasibleLinkError, naming the first bad joint or link.
     """
     r, thetas, alphas, lengths, n = chain.radius, chain.theta, chain.alpha, chain.a, chain.n
 
@@ -217,20 +153,24 @@ def compile_plan(chain: DHChain, gap: GapModel) -> FabricationPlan:
     # singular range and overflow are left to reject, at the first joint
     folds = thetas != 0.0
     theta_abs = np.abs(thetas[folds])
-    with np.errstate(over="ignore"):
-        s_folds = _fold_distance(theta_abs, r, gap.d_g)
-    bad = (theta_abs > _THETA_MAX) | ~np.isfinite(s_folds)
-    if bad.any():
-        axial_fold_distance(theta_abs[np.argmax(bad)], r, gap.d_g)  # raises
     s_tilde = np.zeros(n)
-    s_tilde[folds] = s_folds
-    d_g_used = np.where(folds, gap.d_g, 0.0)
-
-    s_next = np.append(s_tilde[1:], 0.0)
-    cylinders = lengths - (s_tilde + s_next) / 4.0
+    with np.errstate(over="ignore"):  # a fold or a fold sum past float range is inf
+        s_tilde[folds] = _fold_distance(theta_abs, r, gap.d_g)
+        s_next = np.append(s_tilde[1:], 0.0)
+        consumed = (s_tilde + s_next) / 4.0
+    diverges = theta_abs > _THETA_MAX
+    bad = diverges | ~np.isfinite(s_tilde[folds])
+    if bad.any():
+        i = int(np.argmax(bad))
+        theta = theta_abs[i].item()
+        raise SingularityError(
+            f"theta = {theta:.6g} rad: fold distance diverges at |theta| = pi" if diverges[i]
+            else f"theta = {theta!r} rad: fold distance overflows for r = {r!r} mm, "
+                 f"d_g = {gap.d_g!r} mm")
+    cylinders = lengths - consumed
     if not (cylinders > 0.0).all():
         i = int(np.argmin(cylinders > 0.0))
-        cylinder_length(lengths[i], s_tilde[i], s_next[i], link_index=i + 1)  # raises
+        raise InfeasibleLinkError(i + 1, lengths[i].item(), consumed[i].item())
 
     # stored arc offsets: zero across foldless joints, with their twist carried
     # into the next folding joint so that c accumulates correctly
@@ -241,8 +181,11 @@ def compile_plan(chain: DHChain, gap: GapModel) -> FabricationPlan:
     last_fold = thetas[0]
     for i in range(n - 1):
         pending += alphas[i]
-        if thetas[i + 1] == 0.0:
-            arcs.append(arc_offset(alphas[i], thetas[i], thetas[i + 1], r))
+        if thetas[i + 1] == 0.0:  # no fold to place: the twist waits for the next one
+            if alphas[i] != 0.0:
+                warnings.warn(f"zero joint angle collapses arc offset for "
+                              f"twist {alphas[i]:.6g} rad", DegenerateJointWarning, stacklevel=2)
+            arcs.append(0.0)
             continue
         if i > 0 and thetas[i] == 0.0 and pending != 0.0:
             warnings.warn(
@@ -253,7 +196,7 @@ def compile_plan(chain: DHChain, gap: GapModel) -> FabricationPlan:
         pending = 0.0
         last_fold = thetas[i + 1]
 
-    return FabricationPlan(r, cylinders, s_tilde, d_g_used, arcs)
+    return FabricationPlan(r, cylinders, s_tilde, np.where(folds, gap.d_g, 0.0), arcs)
 
 
 def _solve_fold_angles(s_tilde: np.ndarray, r: float, d_g: np.ndarray) -> np.ndarray:

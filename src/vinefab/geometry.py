@@ -142,6 +142,14 @@ def float_array(values, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must be numbers in a regular array: {exc}") from None
 
 
+def float_scalar(value, what: str, positive: bool = True) -> float:
+    """One finite number > 0 (>= 0 unless `positive`) as a float, else ValidationError."""
+    x = float_array(value, what)
+    if x.ndim or not (0.0 < x if positive else 0.0 <= x) or not x < math.inf:
+        raise ValidationError(f"{what} must be {'>' if positive else '>='} 0, got {x}")
+    return float(x)
+
+
 def point3(values, what: str) -> np.ndarray:
     """Three coordinates as a new (3,) float array."""
     p = float_array(values, what)
@@ -220,15 +228,13 @@ class DHChain:
                                f"theta must lie in (-pi, pi], got {theta[i]}",
                                f"link length a must be >= 0, got {a[i]}",
                                f"chain length overflows at a = {a[i]} mm"])
-        radius = float_array(self.radius, "radius")
-        if radius.ndim or not 0.0 < radius < math.inf:
-            raise ValidationError(f"radius must be > 0, got {radius}")
+        radius = float_scalar(self.radius, "radius")
         for x in (alpha, theta):
             x[(x <= -math.pi) | (x > math.pi)] = math.pi  # the same angle as -pi
         for name, x in (("a", a), ("alpha", alpha), ("theta", theta)):
             x.flags.writeable = False
             object.__setattr__(self, name, x)
-        object.__setattr__(self, "radius", float(radius))
+        object.__setattr__(self, "radius", radius)
 
     @property
     def n(self) -> int:

@@ -39,6 +39,8 @@ class TestResult:
 
     def __post_init__(self):
         object.__setattr__(self, "statistic", float(self.statistic))
+        if not math.isfinite(self.statistic):
+            raise DegenerateDataError(f"{self.name}: the statistic overflows, got {self.statistic}")
         object.__setattr__(self, "df", tuple(float(v) for v in self.df))
         p = float(self.p_value)
         if math.isnan(p) or p < -1e-12 or p > 1.0 + 1e-12:
@@ -73,11 +75,13 @@ def _as_groups(groups, min_groups=2, min_size=2, context="test"):
 def _anova_f(arrays):
     """F statistic and degrees of freedom from between/within sums of squares."""
     n = np.array([g.size for g in arrays], float)
-    means = np.array([g.mean() for g in arrays])
     total = int(n.sum())
-    grand = float(np.concatenate(arrays).mean())
-    ss_between = float(np.sum(n * (means - grand) ** 2))
-    ss_within = float(sum(np.sum((g - m) ** 2) for g, m in zip(arrays, means)))
+    # sums past float range are inf: TestResult rejects an F that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.array([g.mean() for g in arrays])
+        grand = float(np.concatenate(arrays).mean())
+        ss_between = float(np.sum(n * (means - grand) ** 2))
+        ss_within = float(sum(np.sum((g - m) ** 2) for g, m in zip(arrays, means)))
     df1, df2 = len(arrays) - 1, total - len(arrays)
     if ss_within <= 0.0:
         raise DegenerateDataError(
@@ -250,19 +254,22 @@ def group_summary(values_by_group: dict, confidence: float = 0.95) -> dict:
     if not 0.0 < confidence < 1.0:
         raise ValidationError(f"confidence must lie in (0, 1), got {confidence}")
     out = {}
-    for label, values in values_by_group.items():
-        g = np.asarray(values, float).ravel()
-        if g.size == 0:
-            raise ValidationError(f"group {label!r} is empty")
-        if not np.all(np.isfinite(g)):
-            raise ValidationError(f"group {label!r} has non-finite values")
-        mean = float(g.mean())
-        if g.size == 1:
-            out[label] = GroupSummary(1, mean, None, None, None)
-            continue
-        sd = float(g.std(ddof=1))
-        half = t_quantile(0.5 + confidence / 2.0, g.size - 1) * sd / math.sqrt(g.size)
-        out[label] = GroupSummary(int(g.size), mean, sd, mean - half, mean + half)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        for label, values in values_by_group.items():
+            g = np.asarray(values, float).ravel()
+            if g.size == 0:
+                raise ValidationError(f"group {label!r} is empty")
+            if not np.all(np.isfinite(g)):
+                raise ValidationError(f"group {label!r} has non-finite values")
+            mean = float(g.mean())
+            sd = float(g.std(ddof=1)) if g.size > 1 else 0.0
+            if not (math.isfinite(mean) and math.isfinite(sd)):
+                raise ValidationError(f"group {label!r}: values overflow the mean or SD")
+            if g.size == 1:
+                out[label] = GroupSummary(1, mean, None, None, None)
+                continue
+            half = t_quantile(0.5 + confidence / 2.0, g.size - 1) * sd / math.sqrt(g.size)
+            out[label] = GroupSummary(int(g.size), mean, sd, mean - half, mean + half)
     return out
 
 

@@ -124,6 +124,12 @@ def fold_tube(plan, thetas_abs, lengths):
     return np.array(points)
 
 
+def fold_distance(theta, r, d_g):
+    """One fold's axial distance in the README's form, in Python floats:
+    2*d_g/sqrt(2 + 2*cos(theta)) + 2*r*theta."""
+    return 2.0 * d_g / math.sqrt(2.0 + 2.0 * math.cos(theta)) + 2.0 * r * theta
+
+
 def plan_layout_loop(s_tilde, cylinders, arc_offsets, radius):
     """Axial starts, meridians and total tube length of a plan, joint by joint.
 

@@ -14,8 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from vinefab.fabrication import (GapModel, axial_fold_distance, compile_plan,
-                                 recover_chain)
+from vinefab.fabrication import GapModel, _fold_distance, compile_plan, recover_chain
 from vinefab.geometry import DHChain, fk_chain
 from vinefab.measurement import recover_dh, synthetic_markers
 from vinefab.special import studentized_range_cdf
@@ -67,8 +66,9 @@ def test_gap_reduction_identity():
         rng = np.random.default_rng(2024)
         thetas = rng.uniform(-math.pi + 0.01, math.pi - 0.01, 10_000)
         radii = rng.uniform(1.0, 60.0, 10_000)
-        worst = max(abs(axial_fold_distance(t, r, 0.0) - 2.0 * r * t)
-                    for t, r in zip(thetas, radii))
+        # the fold model compile_plan evaluates, on |theta| as the plan does
+        worst = np.max(np.abs(_fold_distance(np.abs(thetas), radii, 0.0)
+                              - 2.0 * radii * np.abs(thetas)))
         assert worst < 1e-12
 
 

@@ -365,6 +365,19 @@ def _main_in_process(capsys, argv):
     return code, capsys.readouterr().err
 
 
+def test_analyze_rejects_values_that_overflow_a_summary(tmp_path, capsys):
+    # two robots per method at +-1e308: each method's SD passes float range
+    samples = tmp_path / "samples.csv"
+    samples.write_text("value,method,material,phase,parameter,robot_id\n" + "".join(
+        f"{sign}1e308,{method},ldpe,pre,joint,{method}-{k}\n"
+        for method in ("tape", "weld", "loop") for k, sign in enumerate("+-")))
+    code, err = _main_in_process(capsys, ["analyze", "--samples", str(samples),
+                                          "--out", str(tmp_path)])
+    assert code == 1
+    assert err == "error: group 'tape': values overflow the mean or SD\n"
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("chain, message", [
     ({"radius_mm": 16.5, "links": [{"a_mm": "abc"}]},
      "link 1: 'a_mm' must be a number, got 'abc'"),

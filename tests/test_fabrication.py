@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from vinefab.errors import (DegenerateJointWarning, InfeasibleLinkError,
                             InversionError, SingularityError, ValidationError,
                             VinefabError)
-from vinefab.fabrication import (GAP_METHODS, FabricationPlan, GapModel,
-                                 JointSpec, arc_offset, axial_fold_distance,
-                                 compile_plan, cylinder_length, recover_chain)
+from vinefab.fabrication import (GAP_METHODS, FabricationPlan, GapModel, JointSpec,
+                                 _fold_distance, compile_plan, recover_chain)
 from vinefab.geometry import DHChain, dh_to_polyline, fk_chain
 
 from conftest import random_feasible_chain
-from oracles import fold_tube, kabsch_residual, mp_fold_angle, plan_layout_loop
+from oracles import (fold_distance, fold_tube, kabsch_residual, mp_fold_angle,
+                     plan_layout_loop)
 
 R = 16.5
 TAPE = GapModel.for_method("tape")
@@ -27,64 +27,87 @@ S45 = 2.0 * R * math.pi / 4.0                       # 25.91813939...
 S45_GAP = 2.0 * 9.3 / math.sqrt(2.0 + 2.0 * math.cos(math.pi / 4.0)) + S45
 
 
+def _folds(thetas, d_g=0.0, r=R):
+    """The fold distances compile_plan gives `thetas` on links long enough for any fold."""
+    n = len(thetas)
+    return compile_plan(DHChain([1e300] * n, [0.0] * n, thetas, radius=r),
+                        GapModel("loop", d_g)).s_tilde
+
+
 def test_fold_distance_trivial_and_golden():
-    assert axial_fold_distance(0.0, R, 0.0) == 0.0
-    assert axial_fold_distance(math.pi / 4, R, 0.0) == pytest.approx(25.918, abs=1e-3)
-    assert axial_fold_distance(math.pi / 4, R, 0.0) == pytest.approx(S45, abs=1e-12)
-    assert axial_fold_distance(math.pi / 4, R, 9.3) == pytest.approx(35.984, abs=1e-3)
-    assert axial_fold_distance(math.pi / 4, R, 9.3) == pytest.approx(S45_GAP, abs=1e-12)
+    s = _folds([0.0, math.pi / 4, -math.pi / 4])
+    assert s[0] == 0.0
+    assert s[1] == pytest.approx(25.918, abs=1e-3)
+    assert s[1] == pytest.approx(S45, abs=1e-12)
+    # a bend of -theta folds |theta|
+    assert s[2] == s[1]
+    s_gap = _folds([math.pi / 4, -math.pi / 4], 9.3)
+    assert s_gap[0] == pytest.approx(35.984, abs=1e-3)
+    assert s_gap[0] == pytest.approx(S45_GAP, abs=1e-12)
+    assert s_gap[1] == s_gap[0]
 
 
 def test_fold_distance_domain():
-    with pytest.raises(SingularityError):
-        axial_fold_distance(math.pi, R, 0.0)
-    with pytest.raises(SingularityError):
-        axial_fold_distance(-math.pi, R, 0.0)
-    with pytest.raises(ValidationError):
-        axial_fold_distance(0.5, -1.0, 0.0)
-    with pytest.raises(ValidationError):
-        axial_fold_distance(0.5, R, -0.1)
+    # DHChain stores -pi as pi, and a fold at pi diverges
+    for theta in (math.pi, -math.pi):
+        with pytest.raises(SingularityError, match=re.escape(
+                "theta = 3.14159 rad: fold distance diverges at |theta| = pi")):
+            _folds([theta])
+    # the radius and the gap are checked once, by DHChain and GapModel
+    with pytest.raises(ValidationError, match="radius must be > 0, got -1.0"):
+        _folds([0.5], r=-1.0)
+    with pytest.raises(ValidationError, match="d_g must be >= 0, got -0.1"):
+        _folds([0.5], d_g=-0.1)
 
 
 def test_fold_distance_near_pi():
     # 2 + 2cos(theta) rounds to 0 here; the fold distance is still finite
     theta = math.pi - 1e-10
-    assert axial_fold_distance(theta, R, 0.0) == 2.0 * R * theta
-    assert axial_fold_distance(-theta, R, 0.0) == -2.0 * R * theta
+    assert _folds([theta, -theta]).tolist() == [2.0 * R * theta] * 2
     # the gap term is d_g / sin((pi - theta)/2), with pi - theta ~ 1e-10
-    assert axial_fold_distance(theta, R, 9.3) == pytest.approx(
+    assert _folds([theta], 9.3)[0] == pytest.approx(
         9.3 / math.sin(5e-11) + 2.0 * R * theta, rel=1e-5)
-    # the |cos(theta/2)| form agrees with the formula where both are accurate
-    for th in np.linspace(-3.0, 3.0, 61):
-        assert axial_fold_distance(th, R, 9.3) == pytest.approx(
-            2.0 * 9.3 / math.sqrt(2.0 + 2.0 * math.cos(th)) + 2.0 * R * th,
-            rel=1e-13)
     # a gap term that overflows is a singularity, not an infinite fold
-    with pytest.raises(SingularityError):
-        axial_fold_distance(math.pi - 2e-12, R, 1e300)
+    with pytest.raises(SingularityError, match="overflows"):
+        _folds([math.pi - 2e-12], 1e300)
     with pytest.raises(VinefabError):
-        axial_fold_distance(math.pi - 1e-13, R, 0.0)
+        _folds([math.pi - 1e-13])
 
 
 def test_compile_plan_rejects_the_first_singular_fold():
-    """compile_plan gives the error axial_fold_distance gives at the first bad joint."""
     def first_error(thetas, d_g):
-        chain = DHChain([1e6] * len(thetas), [0.0] * len(thetas), thetas, radius=R)
         with pytest.raises(SingularityError) as info:
-            compile_plan(chain, GapModel("loop", d_g))
+            _folds(thetas, d_g)
         return str(info.value)
 
-    def message(theta, d_g):
-        with pytest.raises(SingularityError) as info:
-            axial_fold_distance(theta, R, d_g)
-        return str(info.value)
-
-    assert first_error([0.0, 0.3, math.pi, -math.pi + 1e-13], 0.0) == message(math.pi, 0.0)
-    assert "diverges" in message(math.pi, 0.0)
+    diverges = "theta = 3.14159 rad: fold distance diverges at |theta| = pi"
+    assert first_error([0.0, 0.3, math.pi, -math.pi + 1e-13], 0.0) == diverges
     big = math.pi - 2e-12  # folds, but its gap term overflows with d_g = 1e300
-    assert first_error([0.3, -big, math.pi], 1e300) == message(big, 1e300)
-    assert "overflows" in message(big, 1e300)
-    assert first_error([0.3, math.pi - 1e-13, big], 1e300) == message(math.pi - 1e-13, 1e300)
+    assert first_error([0.3, -big, math.pi], 1e300) == (
+        "theta = 3.141592653587793 rad: fold distance overflows for r = 16.5 mm, "
+        "d_g = 1e+300 mm")
+    assert first_error([0.3, math.pi - 1e-13, big], 1e300) == diverges
+
+
+def test_plan_folds_match_the_fold_distance_oracle():
+    # random signed chains: each fold is the README formula at |theta|, and a
+    # chain with every bend negated folds the same distances bit for bit
+    rng = np.random.default_rng(47)
+    for k in range(200):
+        n = int(rng.integers(1, 12))
+        theta = rng.uniform(-3.0, 3.0, n)
+        theta[rng.random(n) < 0.2] = 0.0
+        r = float(rng.uniform(1.0, 50.0))
+        gap = GapModel("loop", 0.0 if k % 3 == 0 else float(rng.uniform(0.0, 30.0)))
+        alpha = rng.uniform(-math.pi, math.pi, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateJointWarning)
+            plan = compile_plan(DHChain([1e6] * n, alpha, theta, r), gap)
+            mirror = compile_plan(DHChain([1e6] * n, alpha, -theta, r), gap)
+        assert plan.s_tilde.tobytes() == mirror.s_tilde.tobytes()
+        for s, th in zip(plan.s_tilde.tolist(), theta.tolist()):
+            expected = fold_distance(abs(th), r, gap.d_g) if th != 0.0 else 0.0
+            assert s == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("gap", [TAPE, LOOP])
@@ -102,49 +125,83 @@ def test_gap_reduction_identity():
     theta = rng.uniform(-math.pi + 0.05, math.pi - 0.05, 1000)
     r = rng.uniform(1.0, 60.0, 1000)
     for th, rr in zip(theta, r):
-        assert abs(axial_fold_distance(th, rr, 0.0) - 2.0 * rr * th) < 1e-12
+        chain = DHChain([1e6], [0.0], [th], radius=rr)
+        assert abs(compile_plan(chain, TAPE).s_tilde[0] - 2.0 * rr * abs(th)) < 1e-12
 
 
 @settings(max_examples=100, deadline=None)
 @given(theta=st.floats(0.0, math.pi - 0.02), delta=st.floats(1e-6, 0.02),
        r=st.floats(1.0, 60.0), d_g=st.floats(0.0, 20.0))
 def test_fold_distance_strictly_increasing(theta, delta, r, d_g):
-    lo = axial_fold_distance(theta, r, d_g)
-    hi = axial_fold_distance(min(theta + delta, math.pi - 1e-9), r, d_g)
+    lo = _fold_distance(theta, r, d_g)
+    hi = _fold_distance(min(theta + delta, math.pi - 1e-9), r, d_g)
     assert hi > lo
 
 
 def test_cylinder_length_values():
-    assert cylinder_length(100.0, 0.0, 0.0) == 100.0
-    assert cylinder_length(100.0, S45, S45) == pytest.approx(87.041, abs=1e-3)
-    assert cylinder_length(100.0, S45, 0.0) == pytest.approx(93.520, abs=1e-3)
+    plan = compile_plan(DHChain([100.0] * 3, [0.0] * 3, [0.0, math.pi / 4, math.pi / 4], R),
+                        TAPE)
+    # l_i = a_i - (s_i + s_{i+1})/4
+    assert plan.cylinders.tolist() == [100.0 - S45 / 4.0, 100.0 - 2.0 * S45 / 4.0,
+                                       100.0 - S45 / 4.0]
+    np.testing.assert_allclose(plan.cylinders, [93.520, 87.041, 93.520], atol=1e-3)
+    assert compile_plan(DHChain([100.0], [0.0], [0.0], R), LOOP).cylinders.tolist() == [100.0]
 
 
 def test_cylinder_length_infeasible_reports_minimum():
-    with pytest.raises(InfeasibleLinkError) as exc:
-        cylinder_length(10.0, S45, S45, link_index=2)
+    # links 2 and 3 are both too short: the first is reported
+    chain = DHChain([100.0, 10.0, 10.0], [0.0] * 3, [0.0, math.pi / 4, math.pi / 4], R)
+    with pytest.raises(InfeasibleLinkError, match=re.escape(
+            "link 2: length 10 mm <= minimum feasible 12.9591 mm required by its end folds")
+            ) as exc:
+        compile_plan(chain, TAPE)
     assert exc.value.link_index == 2
-    assert exc.value.min_feasible == pytest.approx(2.0 * S45 / 4.0)
-    with pytest.raises(ValidationError):
-        cylinder_length(-1.0, 0.0, 0.0)
+    assert exc.value.a == 10.0 and type(exc.value.a) is float
+    assert exc.value.min_feasible == 2.0 * S45 / 4.0 and type(exc.value.min_feasible) is float
+    # two folds whose sum passes float range consume any link, with no numpy warning
+    huge = DHChain([1e308, 1e300, 1e300], [0.0] * 3, [0.0, 3.0, 3.0], radius=2.5e307)
+    with pytest.raises(InfeasibleLinkError) as exc:
+        compile_plan(huge, TAPE)
+    assert (exc.value.link_index, exc.value.a, exc.value.min_feasible) == (2, 1e300, math.inf)
+    with pytest.raises(ValidationError, match="link 1: link length a must be >= 0"):
+        DHChain([-1.0], [0.0], [0.0], R)
 
 
 def test_arc_offset_values():
-    assert arc_offset(0.0, math.pi / 4, math.pi / 4, R) == 0.0
-    assert arc_offset(math.pi / 4, math.pi / 4, math.pi / 4, R) == \
+    def arcs(alpha, theta):
+        return compile_plan(DHChain([100.0] * len(theta), alpha, theta, R), TAPE).arc_offsets
+
+    assert arcs([0.0, 0.0], [math.pi / 4, math.pi / 4]).tolist() == [0.0]
+    assert arcs([math.pi / 4, 0.0], [math.pi / 4, math.pi / 4])[0] == \
         pytest.approx(12.959, abs=1e-3)
-    assert arc_offset(0.0, math.pi / 4, -math.pi / 4, R) == \
+    # mixed signs: -theta at meridian c is +theta at c + pi*r
+    assert arcs([0.0, 0.0], [math.pi / 4, -math.pi / 4])[0] == \
         pytest.approx(-51.836, abs=1e-3)
-    assert arc_offset(0.0, math.pi / 4, -math.pi / 4, R) == \
+    assert arcs([0.0, 0.0], [math.pi / 4, -math.pi / 4])[0] == \
         pytest.approx(-R * math.pi, abs=1e-12)
+    assert arcs([0.0, 0.0], [-math.pi / 4, -math.pi / 4]).tolist() == [0.0]
+    # near pi: the twist of a pair of nearly straight-back folds is still placed
+    near = math.pi - 1e-10
+    assert arcs([0.3, 0.0], [near, -near])[0] == pytest.approx(R * (0.3 - math.pi), abs=1e-12)
 
 
 def test_arc_offset_zero_theta_warns_only_when_twist_lost():
-    with pytest.warns(DegenerateJointWarning):
-        assert arc_offset(0.3, 0.0, math.pi / 4, R) == 0.0
+    # the foldless joint 2 places no fold: its twist is carried to joint 3,
+    # and both warnings point at the caller's line
+    chain = DHChain([300.0] * 3, [0.3, 0.2, 0.0], [0.5, 0.0, 0.5], R)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        plan = compile_plan(chain, TAPE)
+    assert [(w.category, str(w.message), w.filename) for w in caught] == [
+        (DegenerateJointWarning, "zero joint angle collapses arc offset for twist 0.3 rad",
+         __file__),
+        (DegenerateJointWarning, "carrying twist 0.5 rad across foldless joints into "
+         "joint 3 placement", __file__)]
+    assert plan.arc_offsets.tolist() == [0.0, 0.5 * R]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert arc_offset(0.0, 0.0, 0.0, R) == 0.0
+        plan = compile_plan(DHChain([100.0] * 3, [0.0] * 3, [0.0] * 3, R), TAPE)
+    assert plan.arc_offsets.tolist() == [0.0, 0.0]
 
 
 def test_compile_golden_flush(three_bend_chain):
@@ -208,7 +265,7 @@ def test_compile_layout_recurrence(three_bend_chain):
 
 def test_feasibility_boundary():
     theta = math.pi / 4
-    s = axial_fold_distance(theta, R, 0.0)
+    s = _folds([theta])[0]
     a_min = 2.0 * s / 4.0
     # exactly at the boundary the middle cylinder has zero length: rejected
     with pytest.raises(InfeasibleLinkError, match="link 2"):
@@ -224,9 +281,9 @@ def test_round_trip_random_chains():
         for _ in range(100):
             chain = random_feasible_chain(rng)
             plan = compile_plan(chain, gap)
-            # the one array evaluation gives each fold the scalar formula's distance
+            # the one array evaluation gives each fold its own angle's distance
             np.testing.assert_array_equal([j.s_tilde for j in plan.joints], [
-                axial_fold_distance(abs(th), chain.radius, gap.d_g)
+                _fold_distance(abs(th), chain.radius, gap.d_g)
                 if th != 0.0 else 0.0 for th in chain.theta])
             back = recover_chain(plan, gap)
             np.testing.assert_allclose(back.theta, chain.theta, atol=1e-9)
@@ -257,7 +314,7 @@ def test_fold_inversion_to_1e15_across_the_angle_range():
         r = float(rng.uniform(1.0, 50.0))
         d_g = 0.0 if k % 2 else float(rng.uniform(0.0, 30.0))
         thetas = [1e-9, math.pi - 1e-11, *rng.uniform(0.0, math.pi - 1e-11, 6)]
-        s_tilde = [axial_fold_distance(t, r, d_g) for t in thetas]
+        s_tilde = [float(_fold_distance(t, r, d_g)) for t in thetas]
         back = recover_chain(_fold_plan(s_tilde, r, d_g), GapModel("loop", d_g))
         for s, th in zip(s_tilde, back.theta):
             assert abs(th - mp_fold_angle(s, r, d_g)) <= 1e-15

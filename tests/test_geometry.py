@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from vinefab.errors import ValidationError
 from vinefab import geometry
-from vinefab.fabrication import FabricationPlan
+from vinefab.fabrication import FabricationPlan, GapModel
 from vinefab.geometry import (DHChain, DHLink, RigidPose, canonicalize_polyline,
                               chain_frames, dh_to_polyline, fk_chain,
                               polyline_to_dh, quaternion_to_rotation,
@@ -348,6 +348,9 @@ def test_single_link_tip_is_polar_point(theta, a):
     lambda: DHChain([10], [0], [0], [16.5, 1.0]),
     lambda: DHChain([10 ** 400], [0], [0], 16.5),
     lambda: FabricationPlan("x", [10.0], [0.0], [0.0], []),
+    lambda: GapModel("tape", d_g=[1.0]),
+    lambda: GapModel("tape", d_g=None),
+    lambda: GapModel("tape", d_g=np.array([1.0, 2.0])),
     lambda: FabricationPlan(16.5, [10.0, [1.0]], [0.0, 0.0], [0.0, 0.0], [0.0]),
     lambda: check_samples("log", ["t"], [[0, 0, 0]], [[1, 0, 0, 0]]),
     lambda: check_samples("log", [0.0, 1.0], [[0, 0, 0], [0, 0]], [[1, 0, 0, 0]] * 2),
@@ -361,7 +364,8 @@ def test_single_link_tip_is_polar_point(theta, a):
     lambda: RigidPose(np.eye(3), [0, 0]),
     lambda: RigidPose([[1, 0, 0], [0, 1], [0, 0, 1]], np.zeros(3)),
 ], ids=["chain-ragged", "chain-string", "chain-radius-string", "chain-radius-list",
-        "chain-huge-int", "plan-radius-string", "plan-ragged", "samples-string", "samples-ragged",
+        "chain-huge-int", "plan-radius-string", "gap-d_g-list", "gap-d_g-none",
+        "gap-d_g-array", "plan-ragged", "samples-string", "samples-ragged",
         "sphere-center-string", "sphere-center-2", "sphere-radius-string",
         "box-ragged", "box-corner-4", "scene-sphere-int", "scene-pair-center-2",
         "pose-translation-2", "pose-rotation-ragged"])

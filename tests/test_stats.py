@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -205,6 +206,14 @@ def test_group_summary_edges():
     assert res["normal"].ci_low < 2.0 < res["normal"].ci_high
 
 
+def test_group_summary_rejects_overflowing_groups():
+    # the mean of [1e308, 1e308] and the SD of [1e308, -1e308] pass float range
+    for values in ([1.0, 2.0], [1e308, 1e308]), ([1.0, 2.0], [1e308, -1e308]):
+        with pytest.raises(ValidationError, match=re.escape(
+                "group 'weld': values overflow the mean or SD")):
+            group_summary({"tape": values[0], "weld": values[1]})
+
+
 def test_group_summary_coverage():
     rng = np.random.default_rng(131)
     hits = 0
@@ -353,6 +362,24 @@ def test_analyze_constant_data_trips_guards():
     report = analyze_table(_table(rows))
     assert any("zero variance" in n.lower() or "deviations" in n.lower()
                for n in report["notices"])
+
+
+def test_analyze_reports_an_overflowing_f_as_a_notice():
+    # groups 1e-15 wide around +-1e160: their summaries are finite, but the
+    # between-group sum of squares passes float range, and so does F. Around
+    # 1e200 the spacing of floats, 1.7e184, already overflows a group's SD.
+    c = 1e160
+    rows = [_row(c * (1.0 + k * 1e-15), robot=f"t{k}") for k in (0, 1, 3)]
+    rows += [_row(-c * (1.0 - k * 1e-15), method="weld", material="fabric", phase="post",
+                  robot=f"w{k}") for k in (0, 1, 3)]
+    groups = [[value for value, method, *_ in rows if method == m] for m in ("tape", "weld")]
+    with pytest.raises(DegenerateDataError, match=re.escape(
+            "one-way ANOVA: the statistic overflows, got inf")):
+        one_way_anova(groups)
+    report = analyze_table(_table(rows))
+    assert "joint/method: one-way ANOVA: the statistic overflows, got inf" in report["notices"]
+    assert report["parameters"]["joint"]["method"]["omnibus"] is None
+    assert math.isfinite(report["parameters"]["joint"]["material"]["omnibus"]["statistic"])
 
 
 def test_analyze_full_table_runs_expected_tests():
