@@ -33,7 +33,7 @@ for i, link in enumerate(chain.links, start=1):
           f"{np.degrees(link.alpha):7.2f} deg")
 
 # verify: forward kinematics reproduces the waypoints after moving back
-back = base_pose.apply(dh_to_polyline(chain))
+back = dh_to_polyline(chain) @ base_pose.rotation.T + base_pose.translation
 print(f"round-trip waypoint error: {np.max(np.abs(back - waypoints)):.2e} mm")
 
 plan = compile_plan(chain, GapModel.for_method("weld"))

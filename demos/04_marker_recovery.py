@@ -28,15 +28,15 @@ for phase in ("pre", "post"):
           f"{avg.translation[2]:.3f}) mm")
 
     measured = recover_dh(records, phase=phase)
-    rows = dh_errors(measured, target)
+    errors = dh_errors(measured, target)
     print(f"  parameter  idx   target    measured    error")
-    for row in rows:
-        unit = "deg" if row.parameter in ("joint", "twist") else "mm"
-        print(f"  {row.parameter:<9} {row.index:>4} {row.target:9.3f} "
-              f"{row.measured:11.4f} {row.error:+9.4f} {unit}")
+    for kind, index, t, m, e in zip(errors.kind, errors.index, errors.target,
+                                    errors.measured, errors.error):
+        unit = "deg" if kind in ("joint", "twist") else "mm"
+        print(f"  {kind:<9} {index:>4} {t:9.3f} {m:11.4f} {e:+9.4f} {unit}")
 
     write_measured(measured, os.path.join(OUT, f"measured_{phase}.json"))
-    write_errors(rows, os.path.join(OUT, f"errors_{phase}.csv"))
+    write_errors(errors, os.path.join(OUT, f"errors_{phase}.csv"))
     print()
 
 print(f"outputs in {OUT}")

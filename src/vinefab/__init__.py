@@ -7,11 +7,11 @@ from .errors import (DegenerateDataError, DegenerateGeometryError,
                      ValidationError, VinefabError)
 from .fabrication import (DEFAULT_LOOP_GAP_MM, FabricationPlan, GapModel,
                           JointSpec, compile_plan, recover_chain)
-from .geometry import (DHChain, DHLink, RigidPose, canonicalize_polyline,
+from .geometry import (DHChain, DHLink, Pose, canonicalize_polyline,
                        dh_to_polyline, fk_chain, polyline_to_dh)
 from .growth import (Box, ObstacleScene, Sphere, centerline_points, growth_trace,
                      sweep_samples)
-from .measurement import (MarkerRecord, MeasuredDH, average_samples,
+from .measurement import (DHErrors, MarkerRecord, MeasuredDH, average_samples,
                           dh_errors, recover_dh, synthetic_markers)
 from .pattern import flat_pattern, write_pattern
 from .stats import (SampleTable, TestResult, analyze_table, group_summary,

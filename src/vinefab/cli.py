@@ -208,16 +208,17 @@ def cmd_grow(project, args) -> int:
 def cmd_measure(project, args) -> int:
     records = formats.read_markers(args.markers)
     measured = recover_dh(records, phase=args.phase)
-    rows = dh_errors(measured, project.chain)
+    errors = dh_errors(measured, project.chain)
     formats.write_measured(measured, _out(project, "measured_dh.json"))
-    formats.write_errors(rows, _out(project, "dh_errors.csv"))
-    worst = max(rows, key=lambda r: abs(r.error))
-    print(f"recovered {len(measured.joint_thetas)} joints, "
-          f"{len(measured.link_alphas)} twists, "
-          f"{len(measured.link_lengths)} lengths ({args.phase})")
-    unit = "deg" if worst.parameter in ("joint", "twist") else "mm"
-    print(f"largest error: {worst.parameter} {worst.index}: "
-          f"{formats.fmt9(worst.error)} {unit}")
+    formats.write_errors(errors, _out(project, "dh_errors.csv"))
+    error = errors.error.tolist()
+    worst = error.index(max(error, key=abs))  # the first of equal maxima
+    print(f"recovered {measured.thetas.size} joints, {measured.alphas.size} twists, "
+          f"{measured.lengths.size} lengths ({args.phase})")
+    kind = errors.kind[worst]
+    unit = "deg" if kind in ("joint", "twist") else "mm"
+    print(f"largest error: {kind} {errors.index[worst]}: "
+          f"{formats.fmt9(errors.error[worst])} {unit}")
     print(f"wrote {_out(project, 'measured_dh.json')} and "
           f"{_out(project, 'dh_errors.csv')}")
     return EXIT_OK

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fabrication import FabricationPlan
-from .geometry import DHChain, check_items
+from .geometry import DHChain, check_items, rotations_to_quaternions
 from .growth import ObstacleScene
 from .measurement import MarkerRecord, MeasuredDH, check_samples
 from .stats import COLUMNS, SampleTable
@@ -353,13 +353,15 @@ def write_markers(records, path) -> None:
 # ------------------------------------------------------------ measured DH IO
 
 def measured_to_dict(measured: MeasuredDH) -> dict:
+    j = measured.first_joint
     return {
         "phase": measured.phase,
-        "joints": [{"joint": j, "theta_deg": math.degrees(v)}
-                   for j, v in measured.joint_thetas],
-        "twists": [{"link": i, "alpha_deg": math.degrees(v)}
-                   for i, v in measured.link_alphas],
-        "lengths": [{"link": i, "a_mm": v} for i, v in measured.link_lengths],
+        "joints": [{"joint": j + k, "theta_deg": math.degrees(v)}
+                   for k, v in enumerate(measured.thetas.tolist())],
+        "twists": [{"link": j + k, "alpha_deg": math.degrees(v)}
+                   for k, v in enumerate(measured.alphas.tolist())],
+        "lengths": [{"link": j - 1 + k, "a_mm": v}
+                    for k, v in enumerate(measured.lengths.tolist())],
     }
 
 
@@ -371,10 +373,12 @@ ERROR_HEADER = ["parameter", "joint_or_link_index", "target", "measured",
                 "error", "phase"]
 
 
-def write_errors(rows, path) -> None:
+def write_errors(errors, path) -> None:
     _write_csv(path, ERROR_HEADER,
-               [[r.parameter, str(r.index), fmt9(r.target), fmt9(r.measured),
-                 fmt9(r.error), r.phase] for r in rows])
+               [[kind, str(i), fmt9(t), fmt9(m), fmt9(e), errors.phase]
+                for kind, i, t, m, e in zip(errors.kind, errors.index.tolist(),
+                                            errors.target.tolist(), errors.measured.tolist(),
+                                            errors.error.tolist())])
 
 
 # ---------------------------------------------------------------- sample CSV
@@ -405,12 +409,10 @@ GROW_HEADER = ["everted_mm", "tip_x_mm", "tip_y_mm", "tip_z_mm", "clearance_mm"]
 
 
 def write_fk_frames(frames, path) -> None:
-    rows = []
-    for i, pose in enumerate(frames):
-        q = pose.quaternion()
-        rows.append([str(i), *(fmt9(v) for v in pose.translation),
-                     *(fmt9(v) for v in q)])
-    _write_csv(path, FK_HEADER, rows)
+    quaternions = rotations_to_quaternions(np.array([pose.rotation for pose in frames]))
+    _write_csv(path, FK_HEADER,
+               [[str(i), *map(fmt9, pose.translation.tolist()), *map(fmt9, q)]
+                for i, (pose, q) in enumerate(zip(frames, quaternions.tolist()))])
 
 
 def write_growth_trace(trace, path) -> None:

@@ -68,26 +68,41 @@ def nearest_rotation(m: np.ndarray) -> np.ndarray:
     return r
 
 
-def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
-    """Rotation matrix to unit quaternion (w, x, y, z), w >= 0."""
+def rotations_to_quaternions(r: np.ndarray) -> np.ndarray:
+    """Rotation matrices (m, 3, 3) to unit quaternions (m, 4) as (w, x, y, z), w >= 0.
+
+    Shepperd's method: a matrix of positive trace takes the trace branch,
+    any other the branch of its largest diagonal entry (the first, on ties).
+    """
     r = np.asarray(r, float)
-    t = np.trace(r)
-    if t > 0.0:
-        s = math.sqrt(t + 1.0) * 2.0
-        q = np.array([0.25 * s, (r[2, 1] - r[1, 2]) / s,
-                      (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s])
-    else:
-        i = int(np.argmax(np.diag(r)))
+    q = np.empty((r.shape[0], 4))
+    trace = r[:, 0, 0] + r[:, 1, 1] + r[:, 2, 2]
+    # branch 3 is the trace's, branch i that of diagonal entry i
+    branch = np.where(trace > 0.0, 3, np.argmax(np.diagonal(r, axis1=1, axis2=2), axis=1))
+    m = branch == 3
+    s = np.sqrt(trace[m] + 1.0) * 2.0
+    q[m, 0] = 0.25 * s
+    for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        s = math.sqrt(max(r[i, i] - r[j, j] - r[k, k] + 1.0, 0.0)) * 2.0
-        q = np.empty(4)
-        q[0] = (r[k, j] - r[j, k]) / s
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (r[j, i] + r[i, j]) / s
-        q[1 + k] = (r[k, i] + r[i, k]) / s
-    if q[0] < 0.0:
-        q = -q
-    return q / np.linalg.norm(q)
+        q[m, 1 + i] = (r[m, k, j] - r[m, j, k]) / s
+    for i in range(3):
+        j, k, m = (i + 1) % 3, (i + 2) % 3, branch == i
+        s = np.sqrt(np.maximum(r[m, i, i] - r[m, j, j] - r[m, k, k] + 1.0, 0.0)) * 2.0
+        q[m, 0] = (r[m, k, j] - r[m, j, k]) / s
+        q[m, 1 + i] = 0.25 * s
+        q[m, 1 + j] = (r[m, j, i] + r[m, i, j]) / s
+        q[m, 1 + k] = (r[m, k, i] + r[m, i, k]) / s
+    q[q[:, 0] < 0.0] *= -1.0
+    return q / np.sqrt(dot_rows(q, q))[:, None]
+
+
+def dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (m, k) stacks, bit for bit ``u[i] @ v[i]``.
+
+    ``norm(axis=1)`` and row sums round differently from the one-vector
+    ``np.linalg.norm`` and ``@``; this form matches them.
+    """
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
@@ -100,34 +115,8 @@ def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
     ])
 
 
-@dataclass(frozen=True)
-class RigidPose:
-    """Rotation + translation in 3D. Immutable after construction."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        r = float_array(self.rotation, "rotation")
-        t = point3(self.translation, "translation")
-        if r.shape != (3, 3):
-            raise ValidationError(f"rotation must be 3x3, got {r.shape}")
-        _check_poses(r[None], t[None])
-        r.flags.writeable = t.flags.writeable = False
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
-
-    def inverse(self) -> "RigidPose":
-        rt = self.rotation.T
-        return RigidPose(rt, -(rt @ self.translation))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Transform one point (3,) or many points (n, 3)."""
-        p = np.asarray(points, float)
-        return p @ self.rotation.T + self.translation
-
-    def quaternion(self) -> np.ndarray:
-        return rotation_to_quaternion(self.rotation)
+# a rigid transform x -> rotation @ x + translation: a plain record, unchecked
+Pose = namedtuple("Pose", ["rotation", "translation"])
 
 
 def float_array(values, what: str) -> np.ndarray:
@@ -173,7 +162,7 @@ def check_items(where, ok, messages) -> None:
 
 
 def _check_poses(rots: np.ndarray, origins: np.ndarray) -> None:
-    """The RigidPose invariants on stacks (m, 3, 3) and (m, 3), in one pass."""
+    """The pose invariants on stacks (m, 3, 3) and (m, 3), in one pass."""
     with np.errstate(invalid="ignore", over="ignore"):
         err = np.abs(np.swapaxes(rots, 1, 2) @ rots - np.eye(3)).max(axis=(1, 2))
         det_err = np.abs(np.linalg.det(rots) - 1.0)
@@ -288,8 +277,7 @@ def fk_chain(chain: DHChain) -> list:
     rots, origins = chain_frames(chain)
     _check_poses(rots, origins)
     rots.flags.writeable = origins.flags.writeable = False
-    return [_trusted(RigidPose, rotation=r, translation=t)
-            for r, t in zip(rots, origins)]
+    return list(map(Pose, rots, origins))
 
 
 def dh_to_polyline(chain: DHChain) -> np.ndarray:
@@ -300,8 +288,8 @@ def dh_to_polyline(chain: DHChain) -> np.ndarray:
 def canonicalize_polyline(points: np.ndarray):
     """Rigidly move a polyline into the chain base frame.
 
-    Returns (canonical_points, base_pose) with
-    ``base_pose.apply(canonical_points) == points``. The canonical polyline
+    Returns (canonical_points, base_pose) with ``canonical_points @
+    base_pose.rotation.T + base_pose.translation == points``. The canonical polyline
     starts at the origin with its first segment exactly along +x, so joint 1
     does not bend, and its first bending plane (if any bend exists) in the
     x-y plane.
@@ -329,12 +317,13 @@ def canonicalize_polyline(points: np.ndarray):
         zhat = np.cross(xhat, helper)
         zhat /= np.linalg.norm(zhat)
     yhat = np.cross(zhat, xhat)
-    base = RigidPose(np.column_stack([xhat, yhat, zhat]), p[0])
-    canonical = base.inverse().apply(p)
+    rot = np.column_stack([xhat, yhat, zhat])
+    _check_poses(rot[None], p[:1])
+    canonical = p @ rot + -(rot.T @ p[0])
     # the first segment lies on +x by construction; left ~1e-16 rad off by
     # rounding, it would read as a bend (and a fold) at joint 1
     canonical[:2] = [[0.0, 0.0, 0.0], [nu, 0.0, 0.0]]
-    return canonical, base
+    return canonical, Pose(rot, p[0].copy())
 
 
 def polyline_to_dh(points: np.ndarray, radius: float) -> DHChain:

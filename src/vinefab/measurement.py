@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DegenerateGeometryError, MissingMarkerError,
                      ValidationError)
-from .geometry import (DHChain, RigidPose, _trusted, chain_frames, check_items, float_array,
-                       gauge_twist, nearest_rotation, quaternion_to_rotation,
-                       rotation_to_quaternion, wrap_angle)
+from .geometry import (DHChain, Pose, _check_poses, _trusted, chain_frames, check_items,
+                       dot_rows, float_array, gauge_twist, nearest_rotation,
+                       quaternion_to_rotation, rotations_to_quaternions, wrap_angle)
 
 # offset of the neighbor-facing markers from their joint, per the measurement jig
 DEFAULT_MARKER_OFFSET_MM = 76.5
@@ -123,49 +124,61 @@ class MarkerRecord:
         return parse_marker_id(self.marker_id)[1]
 
 
-def average_samples(record: MarkerRecord) -> RigidPose:
+def average_samples(record: MarkerRecord) -> Pose:
     """Average a marker's samples: mean position, chordal-mean rotation.
 
     The rotation is the top eigenvector of sum(q q^T) (Markley et al.,
     "Averaging Quaternions", 2007). It minimizes the same Frobenius cost as
     projecting the mean rotation matrix onto SO(3), and each quaternion's
-    sign drops out.
+    sign drops out. A mean past float range is rejected.
     """
     q = record.quaternions
     _, vectors = np.linalg.eigh(q.T @ q)
-    return RigidPose(quaternion_to_rotation(vectors[:, -1]),
-                     record.positions.mean(axis=0))
+    rotation = quaternion_to_rotation(vectors[:, -1])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        translation = record.positions.mean(axis=0)
+    _check_poses(rotation[None], translation[None])
+    return Pose(rotation, translation)
 
 
-@dataclass(frozen=True)
+_MEASURED = ("thetas", "alphas", "lengths")
+
+
+@dataclass(frozen=True, eq=False)
 class MeasuredDH:
-    """Recovered DH parameters: (index, value) pairs per parameter kind."""
+    """Recovered DH parameters as read-only arrays, checked once.
+
+    ``thetas`` (J,) are the bends of joints first_joint, first_joint + 1, ...
+    and ``alphas`` (J-1,) the twists of the links between them, in rad;
+    ``lengths`` (J+1,) are links first_joint - 1 .. first_joint + J - 1 in mm.
+    """
 
     phase: str
-    joint_thetas: tuple  # ((joint index, rad), ...)
-    link_alphas: tuple   # ((link index, rad), ...)
-    link_lengths: tuple  # ((link index, mm), ...)
+    first_joint: int
+    thetas: np.ndarray
+    alphas: np.ndarray
+    lengths: np.ndarray
 
     def __post_init__(self):
         if self.phase not in ("pre", "post"):
             raise ValidationError(f"phase must be 'pre' or 'post', got {self.phase!r}")
-        nj = len(self.joint_thetas)
-        if len(self.link_lengths) != nj + 1 or len(self.link_alphas) != max(nj - 1, 0):
+        if isinstance(self.first_joint, bool) or not isinstance(self.first_joint, (int, np.integer)):
+            raise ValidationError(f"first_joint must be an integer, got {self.first_joint!r}")
+        object.__setattr__(self, "first_joint", int(self.first_joint))
+        values = [float_array(getattr(self, name), f"measured {name}") for name in _MEASURED]
+        nj = values[0].size
+        if [x.shape for x in values] != [(nj,), (max(nj - 1, 0),), (nj + 1,)]:
             raise ValidationError(
                 "measured parameter counts do not match a serial chain "
-                f"({nj} joints, {len(self.link_alphas)} twists, "
-                f"{len(self.link_lengths)} lengths)")
+                f"({nj} joints, {values[1].size} twists, {values[2].size} lengths)")
+        for name, x in zip(_MEASURED, values):
+            if not np.isfinite(x).all():
+                raise ValidationError(f"measured {name} must be finite, got {x.tolist()}")
+            x.flags.writeable = False
+            object.__setattr__(self, name, x)
 
 
-def _unit(v: np.ndarray, what: str) -> np.ndarray:
-    n = np.linalg.norm(v)
-    if n < _MIN_DIRECTION_MM:
-        raise DegenerateGeometryError(
-            f"{what}: direction vector shorter than {_MIN_DIRECTION_MM} mm")
-    return v / n
-
-
-@np.errstate(over="ignore", invalid="ignore")  # non-finite results are rejected
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # non-finite results are rejected
 def recover_dh(markers, phase: str = "pre") -> MeasuredDH:
     """Recover joint angles, link twists, and link lengths from marker records.
 
@@ -203,53 +216,41 @@ def recover_dh(markers, phase: str = "pre") -> MeasuredDH:
             return positions[(None, "tip")]
         raise MissingMarkerError(j, role)
 
-    thetas = []
-    normals = {}
-    for j in joints:
-        o = pos(j, "on")
-        v = _unit(o - pos(j, "prox"), f"joint {j} incoming")
-        w = _unit(pos(j, "dist") - o, f"joint {j} outgoing")
-        cross = np.cross(v, w)
-        thetas.append((j, math.atan2(np.linalg.norm(cross), float(v @ w))))
-        normals[j] = cross
-
-    alphas = []
-    for j in joints[:-1]:
-        axis = _unit(pos(j + 1, "on") - pos(j, "on"), f"link {j}")
-        n0, n1 = normals[j], normals[j + 1]
-        if np.linalg.norm(n0) < 1e-9 or np.linalg.norm(n1) < 1e-9:
-            # a straight joint has no bending plane; no twist is observable
-            alphas.append((j, 0.0))
-            continue
-        n0, n1 = n0 / np.linalg.norm(n0), n1 / np.linalg.norm(n1)
-        alphas.append((j, math.atan2(float(np.cross(n0, n1) @ axis),
-                                     float(n0 @ n1))))
-
-    lengths = [(first - 1, float(np.linalg.norm(pos(first, "on") - pos(first, "prox"))))]
-    for j in joints[:-1]:
-        lengths.append((j, float(np.linalg.norm(pos(j + 1, "on") - pos(j, "on")))))
-    lengths.append((last, float(np.linalg.norm(pos(last, "dist") - pos(last, "on")))))
-
-    if not all(math.isfinite(v) for _, v in thetas + alphas + lengths):
+    # (J, 3) each, gathered joint by joint so that the first missing marker is named
+    on, prox, dist = np.swapaxes([[pos(j, role) for role in ("on", "prox", "dist")]
+                                  for j in joints], 0, 1)
+    steps = (on - prox, dist - on, on[1:] - on[:-1])  # incoming, outgoing, links
+    norms = [np.sqrt(dot_rows(d, d)) for d in steps]
+    # in the order joint 2 incoming, joint 2 outgoing, ..., then link 2, ...
+    short = np.concatenate([np.stack(norms[:2], axis=1).ravel(), norms[2]]) < _MIN_DIRECTION_MM
+    if short.any():
+        names = [f"joint {j} {way}" for j in joints for way in ("incoming", "outgoing")]
+        raise DegenerateGeometryError(
+            f"{(names + [f'link {j}' for j in joints[:-1]])[int(np.argmax(short))]}: "
+            f"direction vector shorter than {_MIN_DIRECTION_MM} mm")
+    v, w, axis = (d / n[:, None] for d, n in zip(steps, norms))
+    normals = np.cross(v, w)
+    sines = np.sqrt(dot_rows(normals, normals))
+    thetas = list(map(math.atan2, sines.tolist(), dot_rows(v, w).tolist()))
+    n0, n1 = normals[:-1] / sines[:-1, None], normals[1:] / sines[1:, None]
+    # a straight joint has no bending plane; no twist is observable
+    straight = (sines[:-1] < 1e-9) | (sines[1:] < 1e-9)
+    alphas = [0.0 if s else math.atan2(y, x) for s, y, x in zip(
+        straight.tolist(), dot_rows(np.cross(n0, n1), axis).tolist(), dot_rows(n0, n1).tolist())]
+    values = (np.array(thetas), np.array(alphas, float),
+              np.concatenate([norms[0][:1], norms[2], norms[1][-1:]]))
+    if not all(np.isfinite(x).all() for x in values):
         raise ValidationError("recovered DH values are not finite: the marker "
                               "positions are too far apart to difference")
-    return MeasuredDH(phase=phase, joint_thetas=tuple(thetas),
-                      link_alphas=tuple(alphas), link_lengths=tuple(lengths))
+    return MeasuredDH(phase, first, *values)
 
 
-@dataclass(frozen=True)
-class ErrorRow:
-    """One line of the measured-vs-target error table (angles in degrees)."""
-
-    parameter: str
-    index: int
-    target: float
-    measured: float
-    error: float
-    phase: str
+# the measured-vs-target error table as columns, one entry per line (angles in
+# degrees); phase is the one phase of every line
+DHErrors = namedtuple("DHErrors", ["kind", "index", "target", "measured", "error", "phase"])
 
 
-def dh_errors(measured: MeasuredDH, target: DHChain) -> list:
+def dh_errors(measured: MeasuredDH, target: DHChain) -> DHErrors:
     """Signed errors (measured - target) per parameter, degrees / millimeters.
 
     The measured set must cover the full chain: bend joints 2..n, twists of
@@ -258,34 +259,25 @@ def dh_errors(measured: MeasuredDH, target: DHChain) -> list:
     |theta| and twist targets ``gauge_twist`` of the two bends, wrapped into
     (-pi, pi] when exactly one of them is negative.
     """
-    n = target.n
-    joint_idx = [j for j, _ in measured.joint_thetas]
-    alpha_idx = [i for i, _ in measured.link_alphas]
-    length_idx = [i for i, _ in measured.link_lengths]
-    if (joint_idx != list(range(2, n + 1))
-            or alpha_idx != list(range(2, n))
-            or length_idx != list(range(1, n + 1))):
+    n, j, nj = target.n, measured.first_joint, measured.thetas.size
+    if j != 2 or nj != n - 1:
         raise ValidationError(
             f"measured topology does not match a {n}-link chain: "
-            f"joints {joint_idx}, twists {alpha_idx}, lengths {length_idx}")
-
-    thetas, alphas, lengths = (v.tolist() for v in (target.theta, target.alpha, target.a))
-    rows = []
-    for (j, th) in measured.joint_thetas:
-        t = abs(thetas[j - 1])
-        rows.append(ErrorRow("joint", j, math.degrees(t), math.degrees(th),
-                             math.degrees(th - t), measured.phase))
-    for (i, al) in measured.link_alphas:
-        alpha = alphas[i - 1]
-        t = gauge_twist(alpha, thetas[i - 1], thetas[i])
-        if t != alpha:  # shifted by pi, so it may leave (-pi, pi]
-            t = wrap_angle(t)
-        rows.append(ErrorRow("twist", i, math.degrees(t), math.degrees(al),
-                             math.degrees(al - t), measured.phase))
-    for (i, a) in measured.link_lengths:
-        t = lengths[i - 1]
-        rows.append(ErrorRow("length", i, t, a, a - t, measured.phase))
-    return rows
+            f"joints {list(range(j, j + nj))}, twists {list(range(j, j + nj - 1))}, "
+            f"lengths {list(range(j - 1, j + nj))}")
+    thetas, alphas = target.theta.tolist(), target.alpha.tolist()
+    twists = [gauge_twist(alphas[i], thetas[i], thetas[i + 1]) for i in range(1, n - 1)]
+    # a twist shifted by pi may leave (-pi, pi]
+    angles = np.array([abs(t) for t in thetas[1:]]
+                      + [t if t == a else wrap_angle(t) for t, a in zip(twists, alphas[1:])])
+    got = np.concatenate([measured.thetas, measured.alphas])
+    return DHErrors(
+        kind=np.array(["joint"] * (n - 1) + ["twist"] * (n - 2) + ["length"] * n),
+        index=np.concatenate([np.arange(2, n + 1), np.arange(2, n), np.arange(1, n + 1)]),
+        target=np.concatenate([np.degrees(angles), target.a]),
+        measured=np.concatenate([np.degrees(got), measured.lengths]),
+        error=np.concatenate([np.degrees(got - angles), measured.lengths - target.a]),
+        phase=measured.phase)
 
 
 def synthetic_markers(chain: DHChain, offset: float = DEFAULT_MARKER_OFFSET_MM,
@@ -318,10 +310,8 @@ def synthetic_markers(chain: DHChain, offset: float = DEFAULT_MARKER_OFFSET_MM,
             spots.append((f"j{j}_dist", o + offset * units[j - 1], rot))
     spots.append(("tip", verts[-1], rots[-1]))
 
-    times = np.arange(n_samples) / rate_hz
-    records = []
-    for marker_id, p, rot in spots:
-        positions, quaternions = [], []
+    positions, rotations = [], []
+    for _, p, rot in spots:
         for _ in range(n_samples):
             noisy_p = p + rng.normal(0.0, position_noise_mm, 3) \
                 if position_noise_mm > 0.0 else p
@@ -330,9 +320,11 @@ def synthetic_markers(chain: DHChain, offset: float = DEFAULT_MARKER_OFFSET_MM,
                 axis_angle = rng.normal(0.0, math.radians(rotation_noise_deg), 3)
                 noisy_r = nearest_rotation(rot @ _small_rotation(axis_angle))
             positions.append(noisy_p)
-            quaternions.append(rotation_to_quaternion(noisy_r))
-        records.append(MarkerRecord(marker_id, times, positions, quaternions))
-    return records
+            rotations.append(noisy_r)
+    times, shape = np.arange(n_samples) / rate_hz, (len(spots), n_samples)
+    positions = np.reshape(positions, (*shape, 3))
+    quaternions = rotations_to_quaternions(np.array(rotations)).reshape(*shape, 4)
+    return [MarkerRecord(spot[0], times, p, q) for spot, p, q in zip(spots, positions, quaternions)]
 
 
 def _small_rotation(axis_angle: np.ndarray) -> np.ndarray:

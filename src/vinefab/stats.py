@@ -60,7 +60,8 @@ def significance_stars(p: float) -> str:
 
 
 def _as_groups(groups, min_groups=2, min_size=2, context="test"):
-    arrays = [np.asarray(g, float).ravel() for g in groups]
+    arrays = [float_array(g, f"{context}: group {i}").ravel()
+              for i, g in enumerate(groups, start=1)]
     if len(arrays) < min_groups:
         raise ValidationError(f"{context} needs >= {min_groups} groups")
     for i, g in enumerate(arrays, start=1):
@@ -69,6 +70,9 @@ def _as_groups(groups, min_groups=2, min_size=2, context="test"):
                 f"{context}: group {i} needs >= {min_size} samples, has {g.size}")
         if not np.all(np.isfinite(g)):
             raise ValidationError(f"{context}: group {i} has non-finite values")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected here
+            if not math.isfinite(g.var()):
+                raise ValidationError(f"{context}: group {i}: values overflow the mean or SD")
     return arrays
 
 
@@ -211,22 +215,24 @@ def t_test_welch(a, b) -> TestResult:
         if diff == 0.0:
             return _t_result("Welch t-test", 0.0, ga.size + gb.size - 2)
         raise DegenerateDataError("Welch t-test: zero variance with unequal means")
-    df = (va + vb) ** 2 / (va ** 2 / (ga.size - 1) + vb ** 2 / (gb.size - 1))
+    # past 2**500 a power-of-two scale, which leaves df as is, keeps (va + vb) ** 2 in range
+    sa, sb = np.ldexp([va, vb], -max(math.frexp(max(va, vb))[1] - 500, 0))
+    df = (sa + sb) ** 2 / (sa ** 2 / (ga.size - 1) + sb ** 2 / (gb.size - 1))
     t = diff / math.sqrt(va + vb)
     return _t_result("Welch t-test", t, df)
 
 
 def t_test_paired(a, b) -> TestResult:
     """Paired (dependent) t-test on elementwise differences, two-sided."""
-    ga = np.asarray(a, float).ravel()
-    gb = np.asarray(b, float).ravel()
+    ga, gb = _as_groups([a, b], min_size=1, context="paired t-test")
     if ga.size != gb.size:
         raise ValidationError(
             f"paired t-test needs equal lengths, got {ga.size} and {gb.size}")
     if ga.size < 2:
         raise ValidationError("paired t-test needs >= 2 pairs")
-    d = ga - gb
-    sd = d.std(ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # TestResult rejects a t past range
+        d = ga - gb
+        sd = d.std(ddof=1)
     df = ga.size - 1
     if sd <= 0.0:
         if float(d.mean()) == 0.0:

@@ -11,7 +11,11 @@ distances with `scene_distance_loop`, not the library's kernel.
 and continued fraction, so that its tests pin both. And `RowTable`,
 `ranks_with_ties_loop` and `scene_distance_loop` are the row, rank and
 per-obstacle loops that the library replaced with array code, kept as the
-reference that code must match bit for bit.
+reference that code must match bit for bit; so are `rotation_to_quaternion`,
+`RigidPose`, `recover_dh_loop` and `dh_error_rows`, the per-frame, per-joint
+and per-row code that poses, measured DH and error tables were computed with
+before they became arrays (`dh_error_rows` takes its twist targets from the
+library's scalar `gauge_twist` and `wrap_angle`).
 """
 
 import math
@@ -20,7 +24,8 @@ from collections import namedtuple
 import mpmath
 import numpy as np
 
-from vinefab.errors import ValidationError
+from vinefab.errors import DegenerateGeometryError, MissingMarkerError, ValidationError
+from vinefab.geometry import gauge_twist, wrap_angle
 from vinefab.growth import sweep_samples
 from vinefab.special import _gamma_args, _gamma_cf, _gamma_series
 from vinefab.stats import FACTORS, PARAMETER_LEVELS
@@ -360,3 +365,132 @@ def ranks_with_ties_loop(pooled):
             tie_sizes.append(j - i + 1)
         i = j + 1
     return ranks, tie_sizes
+
+
+def rotation_to_quaternion(r):
+    """One rotation matrix to a unit quaternion (w, x, y, z), w >= 0, by Shepperd's branches."""
+    r = np.asarray(r, float)
+    t = np.trace(r)
+    if t > 0.0:
+        s = math.sqrt(t + 1.0) * 2.0
+        q = np.array([0.25 * s, (r[2, 1] - r[1, 2]) / s,
+                      (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s])
+    else:
+        i = int(np.argmax(np.diag(r)))
+        j, k = (i + 1) % 3, (i + 2) % 3
+        s = math.sqrt(max(r[i, i] - r[j, j] - r[k, k] + 1.0, 0.0)) * 2.0
+        q = np.empty(4)
+        q[0] = (r[k, j] - r[j, k]) / s
+        q[1 + i] = 0.25 * s
+        q[1 + j] = (r[j, i] + r[i, j]) / s
+        q[1 + k] = (r[k, i] + r[i, k]) / s
+    if q[0] < 0.0:
+        q = -q
+    return q / np.linalg.norm(q)
+
+
+class RigidPose:
+    """A pose that copies its arrays in C order, with its inverse and action on points."""
+
+    def __init__(self, rotation, translation):
+        self.rotation = np.array(rotation, float, order="C")
+        self.translation = np.array(translation, float, order="C").reshape(3)
+
+    def inverse(self):
+        rt = self.rotation.T
+        return RigidPose(rt, -(rt @ self.translation))
+
+    def apply(self, points):
+        return np.asarray(points, float) @ self.rotation.T + self.translation
+
+
+def recover_dh_loop(markers):
+    """Measured DH as (index, value) pairs, joint by joint: (thetas, alphas, lengths).
+
+    Looks each position up per joint and unit-normalizes one vector at a
+    time, raising MissingMarkerError and DegenerateGeometryError as it meets
+    them; so a log both missing a marker and degenerate may raise either.
+    """
+    positions = {}
+    for rec in markers:
+        positions[(rec.joint, rec.role)] = rec.positions.mean(axis=0)
+    joints = sorted({j for j, _ in positions if j is not None})
+    first, last = joints[0], joints[-1]
+
+    def pos(j, role):
+        if (j, role) in positions:
+            return positions[(j, role)]
+        if role == "prox" and j == first and (None, "base") in positions:
+            return positions[(None, "base")]
+        if role == "dist" and j == last and (None, "tip") in positions:
+            return positions[(None, "tip")]
+        raise MissingMarkerError(j, role)
+
+    def unit(v, what):
+        n = np.linalg.norm(v)
+        if n < 1.0:
+            raise DegenerateGeometryError(f"{what}: direction vector shorter than 1.0 mm")
+        return v / n
+
+    thetas, normals = [], {}
+    for j in joints:
+        o = pos(j, "on")
+        v = unit(o - pos(j, "prox"), f"joint {j} incoming")
+        w = unit(pos(j, "dist") - o, f"joint {j} outgoing")
+        cross = np.cross(v, w)
+        thetas.append((j, math.atan2(np.linalg.norm(cross), float(v @ w))))
+        normals[j] = cross
+    alphas = []
+    for j in joints[:-1]:
+        axis = unit(pos(j + 1, "on") - pos(j, "on"), f"link {j}")
+        n0, n1 = normals[j], normals[j + 1]
+        if np.linalg.norm(n0) < 1e-9 or np.linalg.norm(n1) < 1e-9:
+            alphas.append((j, 0.0))
+            continue
+        n0, n1 = n0 / np.linalg.norm(n0), n1 / np.linalg.norm(n1)
+        alphas.append((j, math.atan2(float(np.cross(n0, n1) @ axis), float(n0 @ n1))))
+    lengths = [(first - 1, float(np.linalg.norm(pos(first, "on") - pos(first, "prox"))))]
+    for j in joints[:-1]:
+        lengths.append((j, float(np.linalg.norm(pos(j + 1, "on") - pos(j, "on")))))
+    lengths.append((last, float(np.linalg.norm(pos(last, "dist") - pos(last, "on")))))
+    return thetas, alphas, lengths
+
+
+def measured_pairs(measured):
+    """A MeasuredDH's arrays as (index, value) pairs: (thetas, alphas, lengths)."""
+    j = measured.first_joint
+    return (list(enumerate(measured.thetas.tolist(), j)),
+            list(enumerate(measured.alphas.tolist(), j)),
+            list(enumerate(measured.lengths.tolist(), j - 1)))
+
+
+ErrorRow = namedtuple("ErrorRow", ["parameter", "index", "target", "measured", "error", "phase"])
+
+
+def error_rows(errors):
+    """A DHErrors table as one ErrorRow per line."""
+    return [ErrorRow(*row, errors.phase) for row in zip(
+        errors.kind.tolist(), errors.index.tolist(), errors.target.tolist(),
+        errors.measured.tolist(), errors.error.tolist())]
+
+
+def dh_error_rows(pairs, phase, chain):
+    """The error table row by row from recover_dh_loop's pairs, angles in degrees."""
+    thetas, alphas, lengths = (v.tolist() for v in (chain.theta, chain.alpha, chain.a))
+    joint_pairs, alpha_pairs, length_pairs = pairs
+    rows = []
+    for (j, th) in joint_pairs:
+        t = abs(thetas[j - 1])
+        rows.append(ErrorRow("joint", j, math.degrees(t), math.degrees(th),
+                             math.degrees(th - t), phase))
+    for (i, al) in alpha_pairs:
+        alpha = alphas[i - 1]
+        t = gauge_twist(alpha, thetas[i - 1], thetas[i])
+        if t != alpha:
+            t = wrap_angle(t)
+        rows.append(ErrorRow("twist", i, math.degrees(t), math.degrees(al),
+                             math.degrees(al - t), phase))
+    for (i, a) in length_pairs:
+        t = lengths[i - 1]
+        rows.append(ErrorRow("length", i, t, a, a - t, phase))
+    return rows

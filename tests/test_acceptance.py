@@ -22,7 +22,8 @@ from vinefab.stats import (one_way_anova, t_test_independent, t_test_paired,
                            t_test_welch, tukey_hsd)
 
 from conftest import DATA_DIR, random_feasible_chain, run_cli
-from oracles import fk_homogeneous, ks_uniform_distance, mc_studentized_range_cdf
+from oracles import (fk_homogeneous, ks_uniform_distance, mc_studentized_range_cdf,
+                     measured_pairs)
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
@@ -114,22 +115,23 @@ def test_measurement_inversion():
         rng = np.random.default_rng(2027)
         for _ in range(200):
             chain = _measurement_chain(rng)
-            measured = recover_dh(synthetic_markers(chain))
-            for (j, th) in measured.joint_thetas:
+            joint_thetas, link_alphas, link_lengths = measured_pairs(
+                recover_dh(synthetic_markers(chain)))
+            for (j, th) in joint_thetas:
                 assert abs(th - chain.links[j - 1].theta) < 1e-9
-            for (i, al) in measured.link_alphas:
+            for (i, al) in link_alphas:
                 diff = (al - chain.links[i - 1].alpha + math.pi) \
                     % (2.0 * math.pi) - math.pi
                 assert abs(diff) < 1e-9
-            for (i, a) in measured.link_lengths:
+            for (i, a) in link_lengths:
                 assert abs(a - chain.links[i - 1].a) < 1e-9
 
         errors = []
         for _ in range(1000):
             chain = _measurement_chain(rng)
             noisy = synthetic_markers(chain, position_noise_mm=0.1, rng=rng)
-            measured = recover_dh(noisy)
-            for (j, th) in measured.joint_thetas:
+            joint_thetas, _, _ = measured_pairs(recover_dh(noisy))
+            for (j, th) in joint_thetas:
                 errors.append(abs(math.degrees(th - chain.links[j - 1].theta)))
         assert float(np.median(errors)) < 0.2
 

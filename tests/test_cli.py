@@ -243,7 +243,7 @@ def test_measure_builds_no_pose_and_no_svd(tmp_path, project_config, data_dir,
                                            monkeypatch, capsys):
     """Marker samples stay arrays from the CSV to the recovered DH parameters."""
     from vinefab import cli
-    from vinefab.geometry import RigidPose
+    from vinefab.geometry import Pose
 
     calls = {"pose": 0, "svd": 0}
 
@@ -253,10 +253,9 @@ def test_measure_builds_no_pose_and_no_svd(tmp_path, project_config, data_dir,
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(RigidPose, "__post_init__",
-                        counted("pose", RigidPose.__post_init__))
+    monkeypatch.setattr(Pose, "__new__", staticmethod(counted("pose", Pose.__new__)))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
-    assert RigidPose(np.eye(3), np.zeros(3)) and calls["pose"] == 1
+    assert Pose(np.eye(3), np.zeros(3)) and calls["pose"] == 1
     calls["pose"] = 0
     for phase in ("pre", "post"):
         code = cli.main(["measure", "--config", project_config,
@@ -376,6 +375,21 @@ def test_analyze_rejects_values_that_overflow_a_summary(tmp_path, capsys):
     assert code == 1
     assert err == "error: group 'tape': values overflow the mean or SD\n"
     assert not (tmp_path / "report.json").exists()
+
+
+def test_analyze_runs_welch_on_huge_unequal_variances(tmp_path, capsys):
+    # six values 1e100-6e100 against six near 1: (va + vb) ** 2 passes float range
+    samples = tmp_path / "samples.csv"
+    samples.write_text("value,method,material,phase,parameter,robot_id\n" + "".join(
+        [f"{k}e100,tape,ldpe,pre,joint,l{k}\n" for k in range(1, 7)]
+        + [f"1.0{k},tape,fabric,pre,joint,f{k}\n" for k in range(6)]))
+    code, err = _main_in_process(capsys, ["analyze", "--samples", str(samples),
+                                          "--out", str(tmp_path)])
+    assert code == 0 and err == ""
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["parameters"]["joint"]["material"]["omnibus"] == {
+        "test": "Welch t-test", "statistic": 4.58257569, "df": [5], "p_value": 0.00593354452}
+    assert not any("nan" in notice for notice in report["notices"])
 
 
 @pytest.mark.parametrize("chain, message", [

@@ -1,4 +1,5 @@
-"""The committed demos/out/ is exactly what the five demos write."""
+"""The committed demos/out/ and demos/data/ are exactly what the demos and
+the data generator write."""
 
 import os
 import shutil
@@ -28,3 +29,19 @@ def test_demo_outputs_match_committed(tmp_path):
         with open(os.path.join(committed, name), "rb") as fh:
             want = fh.read()
         assert (demos / "out" / name).read_bytes() == want, name
+
+
+def test_demo_data_matches_the_generator(tmp_path):
+    data = tmp_path / "data"
+    committed = os.path.join(DEMOS_DIR, "data")
+    shutil.copytree(committed, data, ignore=shutil.ignore_patterns("__pycache__"))
+    names = sorted(p.name for p in data.iterdir() if p.name != "generate.py")
+    for name in names:
+        (data / name).unlink()
+    proc = subprocess.run([sys.executable, str(data / "generate.py")],
+                          capture_output=True, cwd=tmp_path, env=cli_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert sorted(p.name for p in data.iterdir() if p.name != "generate.py") == names
+    for name in names:
+        with open(os.path.join(committed, name), "rb") as fh:
+            assert (data / name).read_bytes() == fh.read(), name

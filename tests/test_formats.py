@@ -15,6 +15,8 @@ from vinefab.growth import Box, ObstacleScene, Sphere
 from vinefab.measurement import recover_dh, synthetic_markers
 from vinefab.stats import group_summary
 
+from oracles import measured_pairs
+
 
 def test_fmt9():
     assert formats.fmt9(100.0) == "100"
@@ -201,8 +203,8 @@ def test_markers_round_trip(tmp_path, three_bend_chain):
     formats.write_markers(records, path)
     back = formats.read_markers(path)
     assert [r.marker_id for r in back] == [r.marker_id for r in records]
-    measured = recover_dh(back)
-    for (j, th) in measured.joint_thetas:
+    joint_thetas, _, _ = measured_pairs(recover_dh(back))
+    for (j, th) in joint_thetas:
         assert th == pytest.approx(math.pi / 4, abs=1e-6)
 
 

@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 from vinefab.errors import ValidationError
 from vinefab import geometry
 from vinefab.fabrication import FabricationPlan, GapModel
-from vinefab.geometry import (DHChain, DHLink, RigidPose, canonicalize_polyline,
+from vinefab.geometry import (DHChain, DHLink, Pose, _check_poses, canonicalize_polyline,
                               chain_frames, dh_to_polyline, fk_chain,
                               polyline_to_dh, quaternion_to_rotation,
-                              rotation_to_quaternion, wrap_angle)
+                              rotations_to_quaternions, wrap_angle)
 from vinefab.growth import Box, ObstacleScene, Sphere, centerline_points
-from vinefab.measurement import check_samples
+from vinefab.measurement import MeasuredDH, check_samples
 
 from conftest import random_feasible_chain
-from oracles import fk_homogeneous, frames_loop
+from oracles import RigidPose, fk_homogeneous, frames_loop, rotation_to_quaternion
 
 
 def test_straight_chain_tip():
@@ -222,9 +222,9 @@ def test_wrap_angle():
 
 def test_rigid_pose_validation_and_algebra():
     with pytest.raises(ValidationError, match="orthonormal"):
-        RigidPose(np.eye(3) * 1.001, np.zeros(3))
+        _check_poses(np.eye(3)[None] * 1.001, np.zeros((1, 3)))
     with pytest.raises(ValidationError, match="determinant"):
-        RigidPose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+        _check_poses(np.diag([1.0, 1.0, -1.0])[None], np.zeros((1, 3)))
     rng = np.random.default_rng(8)
     for _ in range(20):
         q = rng.normal(size=4)
@@ -240,13 +240,34 @@ def test_rigid_pose_validation_and_algebra():
 
 def test_quaternion_round_trip():
     rng = np.random.default_rng(13)
-    for _ in range(100):
-        q = rng.normal(size=4)
-        q /= np.linalg.norm(q)
-        r = quaternion_to_rotation(q)
-        q2 = rotation_to_quaternion(r)
+    q = rng.normal(size=(100, 4))
+    q /= np.linalg.norm(q, axis=1)[:, None]
+    q2 = rotations_to_quaternions(np.array([quaternion_to_rotation(x) for x in q]))
+    for a, b in zip(q, q2):
         # q and -q encode the same rotation
-        assert min(np.linalg.norm(q2 - q), np.linalg.norm(q2 + q)) < 1e-12
+        assert min(np.linalg.norm(b - a), np.linalg.norm(b + a)) < 1e-12
+
+
+def _rotations_on_every_branch(rng, m):
+    """Random rotations plus half-turns, near-half-turns and ties of the diagonal."""
+    rots = [quaternion_to_rotation(q) for q in rng.normal(size=(m, 4))]
+    for axis in np.eye(3).tolist() + rng.normal(size=(m // 10, 3)).tolist():
+        for angle in (math.pi, math.pi - 1e-9, 2.0, 3.0 * math.pi / 2.0):
+            half = math.sin(angle / 2.0) * np.asarray(axis) / np.linalg.norm(axis)
+            rots.append(quaternion_to_rotation([math.cos(angle / 2.0), *half]))
+    rots += [np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]),
+             np.diag([-1.0, -1.0, 1.0])]
+    return np.array(rots)
+
+
+def test_rotations_to_quaternions_match_the_scalar_oracle_bit_for_bit():
+    rots = _rotations_on_every_branch(np.random.default_rng(17), 4000)
+    trace = np.trace(rots, axis1=1, axis2=2)
+    branches = np.where(trace > 0.0, 3, np.argmax(np.diagonal(rots, axis1=1, axis2=2), axis=1))
+    assert set(branches.tolist()) == {0, 1, 2, 3}
+    want = np.array([rotation_to_quaternion(r) for r in rots])
+    assert rotations_to_quaternions(rots).tobytes() == want.tobytes()
+    assert rotations_to_quaternions(np.zeros((0, 3, 3))).shape == (0, 4)
 
 
 # ------------------------------------------------------------- polyline <-> DH
@@ -324,10 +345,11 @@ def test_canonicalize_polyline_round_trip():
     for _ in range(20):
         raw = np.cumsum(rng.normal(size=(5, 3)) * 60, axis=0) + rng.normal(size=3) * 100
         canonical, base = canonicalize_polyline(raw)
-        np.testing.assert_allclose(base.apply(canonical), raw, atol=1e-9)
+        np.testing.assert_allclose(canonical @ base.rotation.T + base.translation, raw,
+                                   atol=1e-9)
         chain = polyline_to_dh(canonical, 16.5)
-        np.testing.assert_allclose(base.apply(dh_to_polyline(chain)), raw,
-                                   atol=1e-6)
+        np.testing.assert_allclose(dh_to_polyline(chain) @ base.rotation.T + base.translation,
+                                   raw, atol=1e-6)
         # no rounding-level bend, which would compile to a fold at joint 1
         assert chain.theta[0] == 0.0
 
@@ -339,6 +361,21 @@ def test_single_link_tip_is_polar_point(theta, a):
     tip = fk_chain(DHChain([a], [0.0], [theta], 10.0))[-1].translation
     np.testing.assert_allclose(tip, [a * math.cos(theta), a * math.sin(theta), 0.0],
                                atol=1e-9)
+
+
+def test_canonicalize_polyline_matches_the_pose_oracle_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for k in range(600):
+        raw = np.cumsum(rng.normal(size=(int(rng.integers(2, 8)), 3)) * 60, axis=0)
+        raw += rng.normal(size=3) * 10.0 ** rng.integers(-2, 4)
+        if k % 5 == 0:  # a straight polyline takes the helper axis
+            raw = raw[:1] + np.outer(np.arange(len(raw)), raw[1] - raw[0])
+        canonical, base = canonicalize_polyline(raw)
+        assert isinstance(base, Pose)
+        want = RigidPose(base.rotation, raw[0]).inverse().apply(raw)
+        want[:2] = [[0.0, 0.0, 0.0], [np.linalg.norm(raw[1] - raw[0]), 0.0, 0.0]]
+        assert canonical.tobytes() == want.tobytes()
+        assert base.translation.tobytes() == raw[0].tobytes()
 
 
 @pytest.mark.parametrize("build", [
@@ -361,14 +398,17 @@ def test_single_link_tip_is_polar_point(theta, a):
     lambda: ObstacleScene(boxes=(Box(min_corner=[0, 0, 0], max_corner=[10, 10, 10, 10]),)),
     lambda: ObstacleScene(spheres=(5,)),
     lambda: ObstacleScene(spheres=(([0, 0], 10.0),)),
-    lambda: RigidPose(np.eye(3), [0, 0]),
-    lambda: RigidPose([[1, 0, 0], [0, 1], [0, 0, 1]], np.zeros(3)),
+    lambda: MeasuredDH("pre", 2, ["x", 0.1], [0.0], [1.0, 1.0, 1.0]),
+    lambda: MeasuredDH("pre", 2, [0.1, 0.2], [0.0], [[1.0, 1.0], [1.0]]),
+    lambda: MeasuredDH("pre", "2", [0.1], [], [1.0, 1.0]),
+    lambda: MeasuredDH("pre", True, [0.1], [], [1.0, 1.0]),
 ], ids=["chain-ragged", "chain-string", "chain-radius-string", "chain-radius-list",
         "chain-huge-int", "plan-radius-string", "gap-d_g-list", "gap-d_g-none",
         "gap-d_g-array", "plan-ragged", "samples-string", "samples-ragged",
         "sphere-center-string", "sphere-center-2", "sphere-radius-string",
         "box-ragged", "box-corner-4", "scene-sphere-int", "scene-pair-center-2",
-        "pose-translation-2", "pose-rotation-ragged"])
+        "measured-string", "measured-ragged", "measured-first-joint-string",
+        "measured-first-joint-bool"])
 def test_constructors_reject_ragged_or_non_numeric_input(build):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

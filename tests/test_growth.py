@@ -6,10 +6,11 @@ import pytest
 
 from vinefab import growth
 from vinefab.errors import ValidationError
-from vinefab.geometry import (DHChain, RigidPose, chain_frames, dh_to_polyline,
+from vinefab.geometry import (DHChain, _check_poses, chain_frames, dh_to_polyline,
                               fk_chain, rot_z)
 from vinefab.growth import (MAX_SWEEP_SAMPLES, Box, ObstacleScene, Sphere,
                             centerline_points, growth_trace, sweep_samples)
+from vinefab.measurement import MeasuredDH
 
 from conftest import random_feasible_chain
 from oracles import (clearance, fk_homogeneous, point_segment_distance,
@@ -285,16 +286,18 @@ def test_growth_trace_checks_step_without_a_scene(three_bend_chain, scene):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("build", [
-    lambda v: RigidPose(np.full((3, 3), v), np.zeros(3)),
-    lambda v: RigidPose(np.eye(3), [0.0, v, 0.0]),
+    lambda v: _check_poses(np.full((1, 3, 3), v), np.zeros((1, 3))),
+    lambda v: _check_poses(np.eye(3)[None], np.array([[0.0, v, 0.0]])),
     lambda v: ObstacleScene(spheres=(Sphere(center=[0.0, 0.0, v], radius=10.0),)),
     lambda v: ObstacleScene(spheres=(Sphere(center=[0.0, 0.0, 0.0], radius=v),)),
     lambda v: ObstacleScene(boxes=(Box(min_corner=[v, 0.0, 0.0],
                                        max_corner=[10.0, 10.0, 10.0]),)),
     lambda v: ObstacleScene(boxes=(Box(min_corner=[0.0, 0.0, 0.0],
                                        max_corner=[10.0, 10.0, v]),)),
+    lambda v: MeasuredDH("pre", 2, [0.1, v], [0.0], [1.0, 1.0, 1.0]),
+    lambda v: MeasuredDH("pre", 2, [0.1], [], [1.0, v]),
 ], ids=["pose-rotation", "pose-translation", "sphere-center",
-        "sphere-radius", "box-min", "box-max"])
+        "sphere-radius", "box-min", "box-max", "measured-theta", "measured-length"])
 def test_constructors_reject_non_finite(build, bad):
     with pytest.raises(ValidationError):
         build(bad)

@@ -1,16 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from vinefab.errors import (DegenerateGeometryError, MissingMarkerError,
                             ValidationError)
-from vinefab.geometry import DHChain, RigidPose, rot_x, rot_z
-from vinefab.measurement import (ErrorRow, MarkerRecord, MeasuredDH,
+from vinefab.geometry import DHChain, Pose, rot_x, rot_z, rotations_to_quaternions
+from vinefab.measurement import (DHErrors, MarkerRecord, MeasuredDH,
                                  average_samples, dh_errors, parse_marker_id,
                                  recover_dh, synthetic_markers)
 
-from oracles import chordal_mean_rotation
+from oracles import (chordal_mean_rotation, dh_error_rows, error_rows, measured_pairs,
+                     recover_dh_loop)
 
 
 
@@ -37,28 +39,28 @@ def test_parse_marker_id():
 
 
 def _record(marker_id, samples):
-    """MarkerRecord from (t, RigidPose) samples."""
+    """MarkerRecord from (t, Pose) samples."""
     times, poses = zip(*samples)
     return MarkerRecord(marker_id, times, [p.translation for p in poses],
-                        [p.quaternion() for p in poses])
+                        rotations_to_quaternions(np.array([p.rotation for p in poses])))
 
 
 def test_average_samples_trivial():
-    pose = RigidPose(rot_z(0.3), np.array([1.0, 2.0, 3.0]))
+    pose = Pose(rot_z(0.3), np.array([1.0, 2.0, 3.0]))
     rec = _record("j2_on", ((0.0, pose), (0.05, pose)))
     avg = average_samples(rec)
     np.testing.assert_allclose(avg.translation, pose.translation)
     np.testing.assert_allclose(avg.rotation, pose.rotation, atol=1e-12)
 
-    a = RigidPose(np.eye(3), np.zeros(3))
-    b = RigidPose(np.eye(3), np.array([2.0, 0.0, 0.0]))
+    a = Pose(np.eye(3), np.zeros(3))
+    b = Pose(np.eye(3), np.array([2.0, 0.0, 0.0]))
     avg = average_samples(_record("j2_on", ((0.0, a), (0.05, b))))
     np.testing.assert_allclose(avg.translation, [1.0, 0.0, 0.0])
 
 
 def test_average_samples_order_invariant():
     rng = np.random.default_rng(41)
-    poses = [(k * 0.05, RigidPose(rot_z(rng.normal(0, 0.01)) @ rot_x(rng.normal(0, 0.01)),
+    poses = [(k * 0.05, Pose(rot_z(rng.normal(0, 0.01)) @ rot_x(rng.normal(0, 0.01)),
                                   rng.normal(0, 1, 3)))
              for k in range(50)]
     fwd = average_samples(_record("tip", tuple(poses)))
@@ -81,7 +83,7 @@ def test_average_samples_recovers_noisy_rotation():
         kx = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]],
                        [-axis[1], axis[0], 0]])
         noise = np.eye(3) + math.sin(angle) * kx + (1 - math.cos(angle)) * (kx @ kx)
-        samples.append((k * 0.05, RigidPose(truth @ noise, np.zeros(3))))
+        samples.append((k * 0.05, Pose(truth @ noise, np.zeros(3))))
     avg = average_samples(_record("j2_on", tuple(samples)))
     residual = avg.rotation.T @ truth
     angle_err = math.acos(min(1.0, (np.trace(residual) - 1.0) / 2.0))
@@ -128,19 +130,20 @@ def test_marker_record_arrays_are_checked():
 
 
 def test_recover_exact_on_reference_robot(three_bend_chain):
-    measured = recover_dh(synthetic_markers(three_bend_chain))
-    assert [j for j, _ in measured.joint_thetas] == [2, 3]
-    for (_, th) in measured.joint_thetas:
+    joint_thetas, link_alphas, link_lengths = measured_pairs(
+        recover_dh(synthetic_markers(three_bend_chain)))
+    assert [j for j, _ in joint_thetas] == [2, 3]
+    for (_, th) in joint_thetas:
         assert th == pytest.approx(math.pi / 4, abs=1e-9)
-    assert measured.link_alphas[0][1] == pytest.approx(math.pi / 4, abs=1e-9)
-    for (_, a) in measured.link_lengths:
+    assert link_alphas[0][1] == pytest.approx(math.pi / 4, abs=1e-9)
+    for (_, a) in link_lengths:
         assert a == pytest.approx(100.0, abs=1e-9)
 
 
 def test_recover_collinear_markers_give_zero_angle():
     chain = DHChain([100, 100, 100], [0, 0, 0], [0, 0, 0], 16.5)
-    measured = recover_dh(synthetic_markers(chain))
-    for (_, th) in measured.joint_thetas:
+    joint_thetas, _, _ = measured_pairs(recover_dh(synthetic_markers(chain)))
+    for (_, th) in joint_thetas:
         assert th == pytest.approx(0.0, abs=1e-12)
 
 
@@ -148,13 +151,14 @@ def test_recover_identity_random_chains():
     rng = np.random.default_rng(47)
     for _ in range(50):
         chain = _measurement_chain(rng)
-        measured = recover_dh(synthetic_markers(chain))
-        for (j, th) in measured.joint_thetas:
+        joint_thetas, link_alphas, link_lengths = measured_pairs(
+            recover_dh(synthetic_markers(chain)))
+        for (j, th) in joint_thetas:
             assert th == pytest.approx(chain.links[j - 1].theta, abs=1e-9)
-        for (i, al) in measured.link_alphas:
+        for (i, al) in link_alphas:
             diff = (al - chain.links[i - 1].alpha + math.pi) % (2 * math.pi) - math.pi
             assert abs(diff) < 1e-9
-        for (i, a) in measured.link_lengths:
+        for (i, a) in link_lengths:
             assert a == pytest.approx(chain.links[i - 1].a, abs=1e-9)
 
 
@@ -163,8 +167,8 @@ def test_recover_noisy_markers_bound(three_bend_chain):
     errors = []
     for _ in range(300):
         recs = synthetic_markers(three_bend_chain, position_noise_mm=0.1, rng=rng)
-        measured = recover_dh(recs)
-        for (j, th) in measured.joint_thetas:
+        joint_thetas, _, _ = measured_pairs(recover_dh(recs))
+        for (j, th) in joint_thetas:
             errors.append(abs(math.degrees(th - three_bend_chain.links[j - 1].theta)))
     assert float(np.median(errors)) < 0.2
 
@@ -178,20 +182,35 @@ def test_missing_marker_is_named(three_bend_chain):
             if r.marker_id != "base"]
     with pytest.raises(MissingMarkerError, match="joint 2: missing 'prox'"):
         recover_dh(recs)
+    # a missing marker is named before any short direction, even an earlier joint's
+    chain = DHChain([100.0] * 5, [0.0, 0.4, -1.1, 2.5, 0.0], np.radians([0, 45, 30, 20, 50]), 16.5)
+    recs = {r.marker_id: r for r in synthetic_markers(chain) if r.marker_id != "j4_prox"}
+    on = recs["j2_on"].positions[0]
+    recs["j2_dist"] = MarkerRecord("j2_dist", [0.0], [on + [0.87, 0.0, 0.0]], [[1, 0, 0, 0]])
+    with pytest.raises(MissingMarkerError, match="^joint 4: missing 'prox' marker$"):
+        recover_dh(recs.values())
 
 
 def test_degenerate_marker_geometry():
     at = lambda marker_id, p: MarkerRecord(marker_id, [0.0], [p], [[1, 0, 0, 0]])  # noqa: E731
-    recs = [
-        at("base", [0, 0, 0]),
-        at("j2_on", [0.5, 0, 0]),  # 0.5 mm from base
-        at("j2_dist", [50, 50, 0]),
-        at("j3_prox", [60, 60, 0]),
-        at("j3_on", [80, 80, 0]),
-        at("tip", [120, 80, 0]),
-    ]
-    with pytest.raises(DegenerateGeometryError):
-        recover_dh(recs)
+    positions = {"base": [0, 0, 0], "j2_on": [20, 0, 0], "j2_dist": [50, 50, 0],
+                 "j3_prox": [60, 60, 0], "j3_on": [80, 80, 0], "tip": [120, 80, 0]}
+    for moved, text in (({"j2_on": [0.5, 0, 0]}, "joint 2 incoming"),  # 0.5 mm from base
+                        ({"j2_dist": [20.3, 0.6, 0.2]}, "joint 2 outgoing"),
+                        ({"j3_on": [20.5, 0.2, 0]}, "link 2"),
+                        ({"j3_prox": [80.3, 80.6, 0]}, "joint 3 incoming"),
+                        ({"tip": [80, 80.9, 0]}, "joint 3 outgoing"),
+                        # the first in the order joints (incoming, outgoing), then links
+                        ({"j3_on": [20.5, 0.2, 0], "tip": [20.5, 0.9, 0]}, "joint 3 outgoing"),
+                        ({"j2_dist": [20.3, 0.6, 0.2], "j3_prox": [80.3, 80.6, 0]},
+                         "joint 2 outgoing")):
+        recs = [at(marker_id, p) for marker_id, p in {**positions, **moved}.items()]
+        with pytest.raises(DegenerateGeometryError,
+                           match=f"^{text}: direction vector shorter than 1.0 mm$"):
+            recover_dh(recs)
+        with pytest.raises(DegenerateGeometryError,
+                           match=f"^{text}: direction vector shorter than 1.0 mm$"):
+            recover_dh_loop(recs)
 
 
 def test_duplicate_marker_rejected(three_bend_chain):
@@ -210,7 +229,7 @@ def test_dh_errors_zero_for_exact_match(three_bend_chain):
     for chain, n_rows in ((three_bend_chain, 6),    # 2 joints + 1 twist + 3 lengths
                           (MIXED_SIGN_CHAIN, 12)):  # 4 joints + 3 twists + 5 lengths
         measured = recover_dh(synthetic_markers(chain))
-        rows = dh_errors(measured, chain)
+        rows = error_rows(dh_errors(measured, chain))
         assert len(rows) == n_rows
         for row in rows:
             assert abs(row.error) < 1e-9
@@ -218,34 +237,84 @@ def test_dh_errors_zero_for_exact_match(three_bend_chain):
 
 def test_dh_errors_representative_magnitudes(three_bend_chain):
     measured = MeasuredDH(
-        phase="post",
-        joint_thetas=((2, math.radians(45.12)), (3, math.pi / 4)),
-        link_alphas=((2, math.pi / 4),),
-        link_lengths=((1, 100.36), (2, 100.0), (3, 100.0)))
-    rows = {(r.parameter, r.index): r for r in dh_errors(measured, three_bend_chain)}
+        phase="post", first_joint=2,
+        thetas=[math.radians(45.12), math.pi / 4],
+        alphas=[math.pi / 4],
+        lengths=[100.36, 100.0, 100.0])
+    rows = {(r.parameter, r.index): r
+            for r in error_rows(dh_errors(measured, three_bend_chain))}
     assert rows[("joint", 2)].error == pytest.approx(0.12, abs=1e-9)
     assert rows[("length", 1)].error == pytest.approx(0.36, abs=1e-9)
     assert all(r.phase == "post" for r in rows.values())
 
 
 def test_dh_errors_topology_mismatch(three_bend_chain):
-    measured = MeasuredDH(phase="pre",
-                          joint_thetas=((2, 0.1),),
-                          link_alphas=(),
-                          link_lengths=((1, 100.0), (2, 100.0)))
-    with pytest.raises(ValidationError, match="topology"):
+    measured = MeasuredDH(phase="pre", first_joint=2, thetas=[0.1], alphas=[],
+                          lengths=[100.0, 100.0])
+    with pytest.raises(ValidationError, match=r"topology does not match a 3-link chain: "
+                       r"joints \[2\], twists \[\], lengths \[1, 2\]"):
         dh_errors(measured, three_bend_chain)
 
 
 def test_measured_counts_validated():
     with pytest.raises(ValidationError, match="counts"):
-        MeasuredDH(phase="pre", joint_thetas=((2, 0.1),), link_alphas=((2, 0.0),),
-                   link_lengths=((1, 10.0), (2, 10.0)))
+        MeasuredDH(phase="pre", first_joint=2, thetas=[0.1], alphas=[0.0],
+                   lengths=[10.0, 10.0])
+    with pytest.raises(ValidationError, match=r"counts .*\(2 joints, 1 twists, 3 lengths\)"):
+        MeasuredDH(phase="pre", first_joint=2, thetas=[[0.1, 0.2]], alphas=[0.0],
+                   lengths=[10.0, 10.0, 10.0])
     with pytest.raises(ValidationError, match="phase"):
-        MeasuredDH(phase="during", joint_thetas=(), link_alphas=(),
-                   link_lengths=((1, 10.0),))
+        MeasuredDH(phase="during", first_joint=2, thetas=[], alphas=[],
+                   lengths=[10.0])
 
 
-def test_error_row_is_plain_record():
-    row = ErrorRow("joint", 2, 45.0, 45.5, 0.5, "pre")
-    assert row.parameter == "joint" and row.error == 0.5
+def test_measured_dh_holds_read_only_arrays():
+    measured = MeasuredDH("pre", 2, (0.5, 0.25), [0.1], np.array([1.0, 2.0, 3.0]))
+    assert measured.thetas.dtype == np.float64 and measured.lengths.shape == (3,)
+    with pytest.raises(ValueError, match="read-only"):
+        measured.thetas[0] = 1.0
+
+
+def test_dh_errors_are_plain_columns(three_bend_chain):
+    errors = dh_errors(recover_dh(synthetic_markers(three_bend_chain)), three_bend_chain)
+    assert isinstance(errors, DHErrors) and errors.phase == "pre"
+    assert errors.kind.tolist() == ["joint", "joint", "twist", "length", "length", "length"]
+    assert errors.index.tolist() == [2, 3, 2, 1, 2, 3]
+    assert all(c.shape == (6,) for c in (errors.target, errors.measured, errors.error))
+
+
+def test_average_samples_rejects_an_overflowing_mean():
+    rec = MarkerRecord("tip", [0.0, 0.05], [[1e308, 0.0, 0.0]] * 2, [[1.0, 0.0, 0.0, 0.0]] * 2)
+    with pytest.raises(ValidationError, match="translation must be finite"):
+        average_samples(rec)
+
+
+def _signed_chain(rng):
+    """A chain for the marker protocol whose bends have both signs, 15% of them 0."""
+    n = int(rng.integers(3, 8))
+    theta = np.radians(rng.uniform(3.0, 150.0, n)) * rng.choice([-1.0, 1.0], n)
+    theta[rng.random(n) < 0.15] = 0.0
+    theta[0] = 0.0
+    alpha = np.concatenate([[0.0], rng.uniform(-math.pi + 1e-6, math.pi, n - 2), [0.0]])
+    return DHChain(rng.uniform(90.0, 250.0, n), alpha, theta, radius=16.5)
+
+
+def test_recover_dh_and_errors_match_the_loop_oracles_bit_for_bit():
+    rng = np.random.default_rng(71)
+    for k in range(600):
+        chain = _signed_chain(rng)
+        recs = synthetic_markers(chain, n_samples=2, rng=rng,
+                                 position_noise_mm=(0.0, 0.1, 1.0)[k % 3])
+        if rng.random() < 0.05:
+            del recs[int(rng.integers(len(recs)))]
+        try:
+            want = recover_dh_loop(recs)
+        except (MissingMarkerError, DegenerateGeometryError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                recover_dh(recs)
+            continue
+        measured = recover_dh(recs)
+        assert measured_pairs(measured) == want
+        for name, pairs in zip(("thetas", "alphas", "lengths"), want):
+            assert getattr(measured, name).tobytes() == np.array([v for _, v in pairs]).tobytes()
+        assert error_rows(dh_errors(measured, chain)) == dh_error_rows(want, "pre", chain)

@@ -198,6 +198,34 @@ def test_paired_t_identical_is_unit_p():
         t_test_paired([1.0, 2.0, 3.0], [2.0, 3.0, 4.0])
 
 
+@pytest.mark.parametrize("test, a, b, message", [
+    (t_test_independent, [1e307, -1e307, 0.5e307], [1, 2, 3],
+     "independent t-test: group 1: values overflow the mean or SD"),
+    (t_test_welch, [1e307, -1e307, 0.5e307], [1, 2, 3],
+     "Welch t-test: group 1: values overflow the mean or SD"),
+    (t_test_paired, [1.0, math.nan], [1.0, 2.0], "paired t-test: group 1 has non-finite values"),
+    (t_test_paired, [1.0, 2.0], [1.0, math.inf], "paired t-test: group 2 has non-finite values"),
+    (t_test_paired, [[1, 2], [3]], [1.0, 2.0], "paired t-test: group 1 must be numbers"),
+    (t_test_paired, [1e308, -1e308], [1.0, 2.0],
+     "paired t-test: group 1: values overflow the mean or SD"),
+], ids=["independent-overflow", "welch-overflow", "paired-nan", "paired-inf",
+        "paired-ragged", "paired-overflow"])
+def test_t_tests_check_their_groups(test, a, b, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+        test(a, b)
+
+
+def test_welch_df_of_huge_variances_stays_in_range():
+    # (va + vb) ** 2 passes float range here, although t and df do not
+    big, small = np.arange(1, 7) * 1e100, 1.0 + np.arange(6) * 0.01
+    res = t_test_welch(big, small)
+    assert res.df == (5.0,) and res.statistic == pytest.approx(3.5e100 / np.std(big, ddof=1)
+                                                              * math.sqrt(6), rel=1e-12)
+    # below 2**500 nothing is scaled: df is the plain formula, bit for bit
+    va, vb = np.var(big / 1e90, ddof=1) / 6, np.var(small, ddof=1) / 6
+    assert t_test_welch(big / 1e90, small).df == ((va + vb) ** 2 / (va ** 2 / 5 + vb ** 2 / 5),)
+
+
 def test_group_summary_edges():
     res = group_summary({"one": [5.0], "flat": [2.0, 2.0, 2.0],
                          "normal": [1.0, 2.0, 3.0]})
