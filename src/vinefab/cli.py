@@ -8,6 +8,7 @@ all file formats are those defined in the formats module. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -103,11 +104,9 @@ def _build_project(args, need_chain=True) -> Project:
         d_g = formats._number(gap_cfg, "d_g_mm", f"{where} gap")
     gap = GapModel.for_method(method, d_g=d_g)
 
-    scene = None
     scene_path = args.scene or (resolve(formats._typed(config, "scene", where, str))
                                 if "scene" in config else None)
-    if scene_path:
-        scene = formats.read_scene(scene_path)
+    scene = formats.read_scene(scene_path) if scene_path and args.command == "grow" else None
 
     units = formats._typed(config, "units", where, str, "deg")
     if units not in ("deg", "rad"):
@@ -277,6 +276,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
+@functools.lru_cache(maxsize=1)  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="vinefab",

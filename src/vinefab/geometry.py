@@ -28,6 +28,7 @@ ORTHONORMALITY_TOL = 1e-9
 # chain base frame within these tolerances
 ORIGIN_TOL = 1e-6
 PLANE_TOL = 1e-9
+STRAIGHT_SINE = 1e-9  # a joint of unit directions with |v x w| below this has no plane
 
 
 def wrap_angle(x: float) -> float:
@@ -47,16 +48,6 @@ def gauge_twist(alpha: float, theta_i: float, theta_next: float) -> float:
     """
     # float(): numpy bools refuse `-`
     return alpha - math.pi * (float(theta_next < 0.0) - float(theta_i < 0.0))
-
-
-def rot_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def rot_x(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
 def nearest_rotation(m: np.ndarray) -> np.ndarray:
@@ -103,6 +94,30 @@ def dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     ``np.linalg.norm`` and ``@``; this form matches them.
     """
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def bend_planes(incoming: np.ndarray, outgoing: np.ndarray, normal0: np.ndarray):
+    """Bends theta (m,) >= 0, unit plane normals (m, 3) and the bent mask of joints.
+
+    Joint i turns unit direction v = incoming[i] into w = outgoing[i]:
+    theta = atan2(|v x w|, v . w) and the normal is v x w / |v x w|. A straight
+    joint, |v x w| < STRAIGHT_SINE, has no plane: its sine counts as 0 (theta
+    is 0, or pi for a reversal) and it carries the last normal, else `normal0`.
+    """
+    normals = np.cross(incoming, outgoing)
+    sines = np.sqrt(dot_rows(normals, normals))
+    bent = sines >= STRAIGHT_SINE
+    thetas = np.array(list(map(math.atan2, np.where(bent, sines, 0.0).tolist(),
+                               dot_rows(incoming, outgoing).tolist())), float)
+    normals[bent] /= sines[bent, None]
+    last = np.maximum.accumulate(np.where(bent, np.arange(bent.size), -1))  # -1: none yet
+    return thetas, np.vstack([normal0, normals])[last + 1], bent
+
+
+def twist_angles(n0: np.ndarray, n1: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """Signed angles (m,) that turn unit normals n0 into n1 about unit axes, all (m, 3)."""
+    return np.array(list(map(math.atan2, dot_rows(np.cross(n0, n1), axis).tolist(),
+                             dot_rows(n0, n1).tolist())), float)
 
 
 def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
@@ -294,9 +309,7 @@ def canonicalize_polyline(points: np.ndarray):
     does not bend, and its first bending plane (if any bend exists) in the
     x-y plane.
     """
-    p = np.asarray(points, float).reshape(-1, 3)
-    if p.shape[0] < 2:
-        raise ValidationError("polyline needs at least 2 points")
+    p = _polyline(points)
     u = p[1] - p[0]
     nu = np.linalg.norm(u)
     if nu == 0.0:
@@ -331,18 +344,16 @@ def polyline_to_dh(points: np.ndarray, radius: float) -> DHChain:
 
     Link lengths are the segment lengths; each bend angle is the (nonnegative)
     angle between consecutive segments and each twist is the dihedral angle
-    between consecutive bending planes. Collinear triples give a zero bend and
-    carry the bending plane forward; with no prior bend the world x-y plane is
-    used.
+    between consecutive bending planes. A straight joint (see ``bend_planes``)
+    gets a zero bend and carries the bending plane forward; with no prior bend
+    the world x-y plane is used.
 
     The chain base is the world frame, so the input must start at the origin
     with its first segment in the x-y plane (use :func:`canonicalize_polyline`
     for arbitrary polylines); ``fk_chain`` of the result then reproduces the
     vertices exactly.
     """
-    p = np.asarray(points, float).reshape(-1, 3)
-    if p.shape[0] < 2:
-        raise ValidationError("polyline needs at least 2 points")
+    p = _polyline(points)
     seg = np.diff(p, axis=0)
     lengths = np.linalg.norm(seg, axis=1)
     short = lengths < 1e-12
@@ -350,29 +361,23 @@ def polyline_to_dh(points: np.ndarray, radius: float) -> DHChain:
         raise ValidationError(f"segment {int(np.argmax(short)) + 1} is "
                               "degenerate (coincident consecutive points)")
     if np.linalg.norm(p[0]) > ORIGIN_TOL:
-        raise ValidationError(
-            "polyline must start at the origin (canonicalize_polyline first)")
+        raise ValidationError("polyline must start at the origin (canonicalize_polyline first)")
     if abs(seg[0, 2] / lengths[0]) > PLANE_TOL:
         raise ValidationError(
             "first segment must lie in the world x-y plane "
             "(canonicalize_polyline first)")
 
-    n = p.shape[0] - 1
-    units = seg / lengths[:, None]
-    r_cum = np.eye(3)
-    thetas = np.empty(n)
-    alphas = np.empty(n)
-    for i in range(n):
-        d = r_cum.T @ units[i]
-        thetas[i] = math.atan2(d[1], d[0])
-        r_mid = r_cum @ rot_z(thetas[i])
-        if i + 1 < n:
-            # twist that brings the next segment into this frame's x-y plane;
-            # atan2(0, 0) = 0 keeps the plane of the previous bend
-            e = r_mid.T @ units[i + 1]
-            alphas[i] = math.atan2(e[2], e[1])
-        else:
-            alphas[i] = 0.0
-        r_cum = r_mid @ rot_x(alphas[i])
+    units, zhat = seg / lengths[:, None], np.array([0.0, 0.0, 1.0])
+    # link i's twist turns joint i's plane into joint i+1's; 0 before a straight joint
+    thetas, normals, bent = bend_planes(units[:-1], units[1:], zhat)
+    alphas = np.where(bent, twist_angles(np.vstack([zhat, normals[:-1]]), normals, units[:-1]), 0.0)
+    return DHChain(lengths, np.append(alphas, 0.0),
+                   np.append(math.atan2(units[0, 1], units[0, 0]), thetas), radius)
 
-    return DHChain(lengths, alphas, thetas, radius)
+
+def _polyline(points) -> np.ndarray:
+    """Polyline vertices as a new (m, 3) float array, m >= 2, else ValidationError."""
+    p = float_array(points, "polyline")
+    if p.ndim != 2 or p.shape[1] != 3 or p.shape[0] < 2:
+        raise ValidationError(f"polyline needs at least 2 points of 3 coordinates, got {p.shape}")
+    return p

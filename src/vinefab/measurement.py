@@ -20,9 +20,10 @@ import numpy as np
 
 from .errors import (DegenerateGeometryError, MissingMarkerError,
                      ValidationError)
-from .geometry import (DHChain, Pose, _check_poses, _trusted, chain_frames, check_items,
-                       dot_rows, float_array, gauge_twist, nearest_rotation,
-                       quaternion_to_rotation, rotations_to_quaternions, wrap_angle)
+from .geometry import (STRAIGHT_SINE, DHChain, Pose, _check_poses, _trusted, bend_planes,
+                       chain_frames, check_items, dot_rows, float_array, gauge_twist,
+                       nearest_rotation, quaternion_to_rotation, rotations_to_quaternions,
+                       twist_angles, wrap_angle)
 
 # offset of the neighbor-facing markers from their joint, per the measurement jig
 DEFAULT_MARKER_OFFSET_MM = 76.5
@@ -188,7 +189,8 @@ def recover_dh(markers, phase: str = "pre") -> MeasuredDH:
     twist is the dihedral angle between the bending planes of consecutive
     joints about the line connecting them; lengths are distances between
     consecutive joint positions with the base and tip markers bounding the
-    end links.
+    end links. A straight joint (``geometry.bend_planes``) has a 0 twist before
+    it and the next bend's twist spans it; twists up to the first bend are 0.
     """
     positions = {}
     for rec in markers:
@@ -229,16 +231,11 @@ def recover_dh(markers, phase: str = "pre") -> MeasuredDH:
             f"{(names + [f'link {j}' for j in joints[:-1]])[int(np.argmax(short))]}: "
             f"direction vector shorter than {_MIN_DIRECTION_MM} mm")
     v, w, axis = (d / n[:, None] for d, n in zip(steps, norms))
-    normals = np.cross(v, w)
-    sines = np.sqrt(dot_rows(normals, normals))
-    thetas = list(map(math.atan2, sines.tolist(), dot_rows(v, w).tolist()))
-    n0, n1 = normals[:-1] / sines[:-1, None], normals[1:] / sines[1:, None]
-    # a straight joint has no bending plane; no twist is observable
-    straight = (sines[:-1] < 1e-9) | (sines[1:] < 1e-9)
-    alphas = [0.0 if s else math.atan2(y, x) for s, y, x in zip(
-        straight.tolist(), dot_rows(np.cross(n0, n1), axis).tolist(), dot_rows(n0, n1).tolist())]
-    values = (np.array(thetas), np.array(alphas, float),
-              np.concatenate([norms[0][:1], norms[2], norms[1][-1:]]))
+    thetas, normals, bent = bend_planes(v, w, np.zeros(3))
+    # no plane is measured before the first bend; a straight joint's twist carries on
+    alphas = np.where(np.logical_or.accumulate(bent)[:-1] & bent[1:],
+                      twist_angles(normals[:-1], normals[1:], axis), 0.0)
+    values = (thetas, alphas, np.concatenate([norms[0][:1], norms[2], norms[1][-1:]]))
     if not all(np.isfinite(x).all() for x in values):
         raise ValidationError("recovered DH values are not finite: the marker "
                               "positions are too far apart to difference")
@@ -255,9 +252,10 @@ def dh_errors(measured: MeasuredDH, target: DHChain) -> DHErrors:
 
     The measured set must cover the full chain: bend joints 2..n, twists of
     the links between them, and all n link lengths. Targets are compared in
-    the nonnegative gauge the recovery measures in: joint targets are
-    |theta| and twist targets ``gauge_twist`` of the two bends, wrapped into
-    (-pi, pi] when exactly one of them is negative.
+    the gauge the recovery measures in: joint targets are |theta|; a twist
+    target is 0 up to the first bend of joint 2 or later and before a
+    straight joint, else ``gauge_twist`` of the twists summed since the last
+    bend, wrapped into (-pi, pi] unless it is the link's own alpha.
     """
     n, j, nj = target.n, measured.first_joint, measured.thetas.size
     if j != 2 or nj != n - 1:
@@ -266,10 +264,15 @@ def dh_errors(measured: MeasuredDH, target: DHChain) -> DHErrors:
             f"joints {list(range(j, j + nj))}, twists {list(range(j, j + nj - 1))}, "
             f"lengths {list(range(j - 1, j + nj))}")
     thetas, alphas = target.theta.tolist(), target.alpha.tolist()
-    twists = [gauge_twist(alphas[i], thetas[i], thetas[i + 1]) for i in range(1, n - 1)]
-    # a twist shifted by pi may leave (-pi, pi]
-    angles = np.array([abs(t) for t in thetas[1:]]
-                      + [t if t == a else wrap_angle(t) for t, a in zip(twists, alphas[1:])])
+    bends = (np.abs(np.sin(target.theta)) >= STRAIGHT_SINE).tolist()
+    angles, last, pending = [abs(t) for t in thetas[1:]], None, 0.0  # last: the last bend
+    for i in range(1, n - 1):
+        if bends[i]:
+            last, pending = thetas[i], alphas[i]
+        else:  # the twist carries on; a reversal (theta = pi) turns the axis it is taken about
+            pending = alphas[i] + (pending if math.cos(thetas[i]) > 0.0 else -pending)
+        t = 0.0 if last is None or not bends[i + 1] else gauge_twist(pending, last, thetas[i + 1])
+        angles.append(t if t == alphas[i] else wrap_angle(t))  # a shifted t may leave (-pi, pi]
     got = np.concatenate([measured.thetas, measured.alphas])
     return DHErrors(
         kind=np.array(["joint"] * (n - 1) + ["twist"] * (n - 2) + ["length"] * n),

@@ -15,7 +15,10 @@ reference that code must match bit for bit; so are `rotation_to_quaternion`,
 `RigidPose`, `recover_dh_loop` and `dh_error_rows`, the per-frame, per-joint
 and per-row code that poses, measured DH and error tables were computed with
 before they became arrays (`dh_error_rows` takes its twist targets from the
-library's scalar `gauge_twist` and `wrap_angle`).
+library's scalar `gauge_twist` and `wrap_angle`); both follow the library's
+straight-joint rule. `polyline_to_dh_loop` is the per-link `rot_z`/`rot_x`
+frame loop the polyline fit used before `geometry.bend_planes`; away from
+collinear vertices its plans must match the fit's byte for byte.
 """
 
 import math
@@ -25,7 +28,7 @@ import mpmath
 import numpy as np
 
 from vinefab.errors import DegenerateGeometryError, MissingMarkerError, ValidationError
-from vinefab.geometry import gauge_twist, wrap_angle
+from vinefab.geometry import DHChain, gauge_twist, wrap_angle
 from vinefab.growth import sweep_samples
 from vinefab.special import _gamma_args, _gamma_cf, _gamma_series
 from vinefab.stats import FACTORS, PARAMETER_LEVELS
@@ -47,14 +50,37 @@ def fk_homogeneous(a, alpha, theta):
     return frames
 
 
-def _rx(angle):
+def rot_x(angle):
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
-def _rz(angle):
+def rot_z(angle):
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def polyline_to_dh_loop(points, radius):
+    """polyline_to_dh as a per-link frame loop, for a canonical polyline (m, 3).
+
+    Each bend is atan2 of the next segment in the running frame, and each
+    twist the one that brings the segment after it into the frame's x-y
+    plane. A collinear vertex gives atan2 of rounding noise, not 0.
+    """
+    seg = np.diff(np.asarray(points, float), axis=0)
+    lengths = np.linalg.norm(seg, axis=1)
+    units = seg / lengths[:, None]
+    n = len(units)
+    r_cum, thetas, alphas = np.eye(3), np.empty(n), np.zeros(n)
+    for i in range(n):
+        d = r_cum.T @ units[i]
+        thetas[i] = math.atan2(d[1], d[0])
+        r_mid = r_cum @ rot_z(thetas[i])
+        if i + 1 < n:
+            e = r_mid.T @ units[i + 1]
+            alphas[i] = math.atan2(e[2], e[1])
+        r_cum = r_mid @ rot_x(alphas[i])
+    return DHChain(lengths, alphas, thetas, radius)
 
 
 def tip_pose_at(chain, everted_length):
@@ -71,7 +97,7 @@ def tip_pose_at(chain, everted_length):
     if idx >= chain.n or rem <= 0.0:
         return frames[idx]
     step = np.eye(4)
-    step[:3, :3] = _rz(chain.theta[idx])
+    step[:3, :3] = rot_z(chain.theta[idx])
     step[:3, 3] = step[:3, :3] @ np.array([rem, 0.0, 0.0])
     return frames[idx] @ step
 
@@ -124,7 +150,7 @@ def fold_tube(plan, thetas_abs, lengths):
     points = [np.zeros(3)]
     for joint, theta, a in zip(plan.joints, thetas_abs, lengths):
         phi = joint.circumferential / plan.radius
-        m = m @ _rx(phi) @ _rz(theta) @ _rx(-phi)
+        m = m @ rot_x(phi) @ rot_z(theta) @ rot_x(-phi)
         points.append(points[-1] + a * m[:, 0])
     return np.array(points)
 
@@ -179,9 +205,9 @@ def frames_loop(a, alpha, theta):
     origins = np.empty((n + 1, 3))
     rots[0], origins[0] = np.eye(3), 0.0
     for i in range(n):
-        rz = _rz(theta[i])
+        rz = rot_z(theta[i])
         origins[i + 1] = origins[i] + rots[i] @ (rz @ np.array([a[i], 0.0, 0.0]))
-        rots[i + 1] = rots[i] @ (rz @ _rx(alpha[i]))
+        rots[i + 1] = rots[i] @ (rz @ rot_x(alpha[i]))
     return rots, origins
 
 
@@ -432,22 +458,27 @@ def recover_dh_loop(markers):
             raise DegenerateGeometryError(f"{what}: direction vector shorter than 1.0 mm")
         return v / n
 
-    thetas, normals = [], {}
+    # a straight joint (sine below 1e-9) has no plane: theta is atan2(0, cos)
+    # and the last bend's normal is carried; there is none before the first bend
+    thetas, planes, plane = [], {}, None
     for j in joints:
         o = pos(j, "on")
         v = unit(o - pos(j, "prox"), f"joint {j} incoming")
         w = unit(pos(j, "dist") - o, f"joint {j} outgoing")
         cross = np.cross(v, w)
-        thetas.append((j, math.atan2(np.linalg.norm(cross), float(v @ w))))
-        normals[j] = cross
+        sine = np.linalg.norm(cross)
+        straight = sine < 1e-9
+        thetas.append((j, math.atan2(0.0 if straight else sine, float(v @ w))))
+        if not straight:
+            plane = cross / sine
+        planes[j] = plane, straight
     alphas = []
     for j in joints[:-1]:
         axis = unit(pos(j + 1, "on") - pos(j, "on"), f"link {j}")
-        n0, n1 = normals[j], normals[j + 1]
-        if np.linalg.norm(n0) < 1e-9 or np.linalg.norm(n1) < 1e-9:
+        (n0, _), (n1, straight) = planes[j], planes[j + 1]
+        if n0 is None or straight:  # no plane yet, or the twist carries past joint j + 1
             alphas.append((j, 0.0))
             continue
-        n0, n1 = n0 / np.linalg.norm(n0), n1 / np.linalg.norm(n1)
         alphas.append((j, math.atan2(float(np.cross(n0, n1) @ axis), float(n0 @ n1))))
     lengths = [(first - 1, float(np.linalg.norm(pos(first, "on") - pos(first, "prox"))))]
     for j in joints[:-1]:
@@ -475,8 +506,17 @@ def error_rows(errors):
 
 
 def dh_error_rows(pairs, phase, chain):
-    """The error table row by row from recover_dh_loop's pairs, angles in degrees."""
+    """The error table row by row from recover_dh_loop's pairs, angles in degrees.
+
+    A twist target is 0 before joint 2's first bend and before a straight
+    joint (|sin theta| < 1e-9); otherwise it is gauge_twist of the twists
+    summed back to the last bend.
+    """
     thetas, alphas, lengths = (v.tolist() for v in (chain.theta, chain.alpha, chain.a))
+
+    def straight(j):
+        return abs(math.sin(thetas[j - 1])) < 1e-9
+
     joint_pairs, alpha_pairs, length_pairs = pairs
     rows = []
     for (j, th) in joint_pairs:
@@ -485,7 +525,16 @@ def dh_error_rows(pairs, phase, chain):
                              math.degrees(th - t), phase))
     for (i, al) in alpha_pairs:
         alpha = alphas[i - 1]
-        t = gauge_twist(alpha, thetas[i - 1], thetas[i])
+        k = i  # the last bending joint at or before joint i, from joint 2 on
+        while k >= 2 and straight(k):
+            k -= 1
+        if k < 2 or straight(i + 1):
+            t = 0.0
+        else:  # the twists from joint k to i; each reversal turns the sum's axis
+            t = alphas[k - 1]
+            for m in range(k + 1, i + 1):
+                t = alphas[m - 1] + (t if math.cos(thetas[m - 1]) > 0.0 else -t)
+            t = gauge_twist(t, thetas[k - 1], thetas[i])
         if t != alpha:
             t = wrap_angle(t)
         rows.append(ErrorRow("twist", i, math.degrees(t), math.degrees(al),

@@ -564,3 +564,71 @@ def test_plan_max_theta_lies_in_0_180(tmp_path, capsys, project_config, value, c
     assert got == code
     if code:
         assert err == f"error: --max-theta-deg must lie in (0, 180], got {float(value)}\n"
+
+
+def test_collinear_polyline_vertex_gets_no_fold(tmp_path, capsys):
+    # joint 3 sits on a straight line: no bend, no fold and no J3 mark; the
+    # twist from joint 2's plane to joint 4's is carried into joint 4
+    from vinefab import cli
+    from vinefab.errors import DegenerateJointWarning
+
+    path = tmp_path / "path.csv"
+    path.write_text("x_mm,y_mm,z_mm\n0,0,0\n100,0,0\n100,100,0\n100,200,0\n150,250,30\n")
+    argv = ["--chain", str(path), "--radius", "10", "--method", "loop", "--out", str(tmp_path)]
+    for command in ("plan", "pattern"):
+        with pytest.warns(DegenerateJointWarning, match="^carrying twist 2.60117 rad across "
+                          "foldless joints into joint 4 placement$"):
+            assert cli.main([command, *argv]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[4] == "    3  0 deg           0             222.284056    0"
+    plan = json.loads((tmp_path / "plan.json").read_text())
+    assert [j["s_tilde_mm"] for j in plan["joints"]] == [0, 44.5681127, 0, 27.4753993]
+    svg = (tmp_path / "pattern.svg").read_text()
+    assert ">J2<" in svg and ">J4<" in svg and ">J3<" not in svg
+
+
+def _main_out(capsys, argv):
+    """stdout of an in-process cli.main run that exits 0."""
+    from vinefab import cli
+
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_only_grow_reads_the_config_scene(tmp_path, capsys, data_dir, project_config):
+    config = tmp_path / "project.json"
+    config.write_text(json.dumps({"chain": os.path.join(data_dir, "chain_threebend.json"),
+                                  "gap": {"method": "tape"}, "scene": "missing.json"}))
+    samples = ["--samples", os.path.join(data_dir, "dh_samples.csv")]
+    for command, extra in (("analyze", samples), ("fk", [])):
+        outputs = []
+        for cfg in (project_config, str(config)):
+            out = tmp_path / f"{command}-{len(outputs)}"
+            outputs.append((_main_out(capsys, [command, "--config", cfg, *extra,
+                                               "--out", str(out)]).replace(str(out), "OUT"),
+                            sorted((p.name, p.read_bytes()) for p in out.iterdir())))
+        assert outputs[0] == outputs[1]
+    code, err = _main_in_process(capsys, ["grow", "--config", str(config),
+                                          "--out", str(tmp_path)])
+    assert code == 1 and err.startswith("error: ") and str(tmp_path / "missing.json") in err
+
+
+def test_parser_is_built_once_and_runs_repeat_fresh_processes(tmp_path, capsys, project_config):
+    from vinefab import cli
+
+    runs = [["plan", "--bogus"],
+            ["plan", "--config", project_config, "--out", str(tmp_path / "plan")],
+            ["fk", "--config", project_config, "--out", str(tmp_path / "fk")]]
+    in_process = []
+    for argv in runs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out.encode(), captured.err.encode()))
+    assert cli.build_parser() is cli.build_parser()
+    files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert len(files) == 2
+    assert [run_cli(*argv) for argv in runs] == in_process
+    assert {p: p.read_bytes() for p in files} == files

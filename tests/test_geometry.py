@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vinefab.errors import ValidationError
-from vinefab import geometry
-from vinefab.fabrication import FabricationPlan, GapModel
+from vinefab import formats, geometry
+from vinefab.errors import InfeasibleLinkError, SingularityError, ValidationError
+from vinefab.fabrication import FabricationPlan, GapModel, compile_plan
 from vinefab.geometry import (DHChain, DHLink, Pose, _check_poses, canonicalize_polyline,
                               chain_frames, dh_to_polyline, fk_chain,
                               polyline_to_dh, quaternion_to_rotation,
@@ -16,8 +17,11 @@ from vinefab.geometry import (DHChain, DHLink, Pose, _check_poses, canonicalize_
 from vinefab.growth import Box, ObstacleScene, Sphere, centerline_points
 from vinefab.measurement import MeasuredDH, check_samples
 
+from vinefab.pattern import flat_pattern
+
 from conftest import random_feasible_chain
-from oracles import RigidPose, fk_homogeneous, frames_loop, rotation_to_quaternion
+from oracles import (RigidPose, fk_homogeneous, frames_loop, polyline_to_dh_loop,
+                     rotation_to_quaternion)
 
 
 def test_straight_chain_tip():
@@ -279,6 +283,40 @@ def test_polyline_collinear():
     np.testing.assert_allclose(chain.a, [100.0, 100.0], atol=1e-12)
 
 
+def test_polyline_collinear_vertex_is_straight_and_carries_its_plane():
+    pts = np.array([[0, 0, 0], [100, 0, 0], [100, 100, 0], [100, 200, 0], [150, 250, 30]], float)
+    chain = polyline_to_dh(pts, 10.0)
+    # joint 3 has no plane: no bend, and no twist before it; link 3 turns the
+    # plane of joint 2 into that of joint 4
+    assert chain.theta[2] == 0.0 and chain.alpha[1] == 0.0 and chain.alpha[2] != 0.0
+    np.testing.assert_allclose(dh_to_polyline(chain), pts, atol=1e-12)
+    # the frame loop read rounding noise as a bend there
+    assert 0.0 < abs(polyline_to_dh_loop(pts, 10.0).theta[2]) < 1e-15
+
+
+def test_polyline_fit_matches_the_frame_loop_away_from_collinear_vertices():
+    rng = np.random.default_rng(31)
+    compiled = 0
+    for k in range(1000):
+        n = int(rng.integers(2, 51))
+        steps = rng.normal(size=(n, 3)) * rng.uniform(30.0, 150.0, (n, 1))
+        canonical, _ = canonicalize_polyline(np.cumsum(steps, axis=0))
+        chain, loop = polyline_to_dh(canonical, 12.0), polyline_to_dh_loop(canonical, 12.0)
+        gap = GapModel.for_method(("tape", "weld", "loop")[k % 3])
+        try:
+            want = compile_plan(loop, gap)
+        except (InfeasibleLinkError, SingularityError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                compile_plan(chain, gap)
+            continue
+        plan = compile_plan(chain, gap)
+        compiled += 1
+        assert formats.dumps_json(formats.plan_to_dict(plan)) == \
+            formats.dumps_json(formats.plan_to_dict(want))
+        assert flat_pattern(plan) == flat_pattern(want)
+    assert compiled > 500
+
+
 def test_polyline_planar_right_angle():
     chain = polyline_to_dh(np.array([[0, 0, 0], [100, 0, 0], [100, 100, 0]]), 16.5)
     assert chain.theta[1] == pytest.approx(math.pi / 2, abs=1e-12)
@@ -402,13 +440,20 @@ def test_canonicalize_polyline_matches_the_pose_oracle_bit_for_bit():
     lambda: MeasuredDH("pre", 2, [0.1, 0.2], [0.0], [[1.0, 1.0], [1.0]]),
     lambda: MeasuredDH("pre", "2", [0.1], [], [1.0, 1.0]),
     lambda: MeasuredDH("pre", True, [0.1], [], [1.0, 1.0]),
+    lambda: canonicalize_polyline([[0, 0], [1, 0]]),
+    lambda: canonicalize_polyline([[0, 0, 0], [1, 0]]),
+    lambda: canonicalize_polyline([[0, 0, 0], ["x", 0, 0]]),
+    lambda: polyline_to_dh([[0, 0], [1, 0]], 16.5),
+    lambda: polyline_to_dh([[0, 0, 0], [1, 0]], 16.5),
+    lambda: polyline_to_dh([[0, 0, 0], ["x", 0, 0]], 16.5),
 ], ids=["chain-ragged", "chain-string", "chain-radius-string", "chain-radius-list",
         "chain-huge-int", "plan-radius-string", "gap-d_g-list", "gap-d_g-none",
         "gap-d_g-array", "plan-ragged", "samples-string", "samples-ragged",
         "sphere-center-string", "sphere-center-2", "sphere-radius-string",
         "box-ragged", "box-corner-4", "scene-sphere-int", "scene-pair-center-2",
         "measured-string", "measured-ragged", "measured-first-joint-string",
-        "measured-first-joint-bool"])
+        "measured-first-joint-bool", "canonicalize-2-columns", "canonicalize-ragged",
+        "canonicalize-string", "polyline-2-columns", "polyline-ragged", "polyline-string"])
 def test_constructors_reject_ragged_or_non_numeric_input(build):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

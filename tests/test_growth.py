@@ -6,14 +6,13 @@ import pytest
 
 from vinefab import growth
 from vinefab.errors import ValidationError
-from vinefab.geometry import (DHChain, _check_poses, chain_frames, dh_to_polyline,
-                              fk_chain, rot_z)
+from vinefab.geometry import DHChain, _check_poses, chain_frames, dh_to_polyline, fk_chain
 from vinefab.growth import (MAX_SWEEP_SAMPLES, Box, ObstacleScene, Sphere,
                             centerline_points, growth_trace, sweep_samples)
 from vinefab.measurement import MeasuredDH
 
 from conftest import random_feasible_chain
-from oracles import (clearance, fk_homogeneous, point_segment_distance,
+from oracles import (clearance, fk_homogeneous, point_segment_distance, rot_z,
                      scene_distance_loop, tip_pose_at)
 
 

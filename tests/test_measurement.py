@@ -6,13 +6,13 @@ import pytest
 
 from vinefab.errors import (DegenerateGeometryError, MissingMarkerError,
                             ValidationError)
-from vinefab.geometry import DHChain, Pose, rot_x, rot_z, rotations_to_quaternions
+from vinefab.geometry import DHChain, Pose, rotations_to_quaternions
 from vinefab.measurement import (DHErrors, MarkerRecord, MeasuredDH,
                                  average_samples, dh_errors, parse_marker_id,
                                  recover_dh, synthetic_markers)
 
 from oracles import (chordal_mean_rotation, dh_error_rows, error_rows, measured_pairs,
-                     recover_dh_loop)
+                     recover_dh_loop, rot_x, rot_z)
 
 
 
@@ -318,3 +318,34 @@ def test_recover_dh_and_errors_match_the_loop_oracles_bit_for_bit():
         for name, pairs in zip(("thetas", "alphas", "lengths"), want):
             assert getattr(measured, name).tobytes() == np.array([v for _, v in pairs]).tobytes()
         assert error_rows(dh_errors(measured, chain)) == dh_error_rows(want, "pre", chain)
+
+
+def test_noise_free_markers_of_straight_joints_give_zero_errors():
+    # a straight joint has no bending plane: its twist is carried into the
+    # next bend, in the recovery and in the targets alike; a reversal
+    # (theta = pi) is straight too, and turns the axis of the carried twist
+    rng = np.random.default_rng(83)
+    straight = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 9))
+        theta = np.radians(rng.uniform(3.0, 150.0, n)) * rng.choice([-1.0, 1.0], n)
+        theta[rng.random(n) < 0.2] = 0.0
+        theta[rng.random(n) < 0.05] = math.pi
+        alpha = rng.uniform(-math.pi + 1e-6, math.pi, n)
+        chain = DHChain(rng.uniform(90.0, 250.0, n), alpha, theta, radius=16.5)
+        straight += int(((theta[1:] == 0.0) | (theta[1:] == math.pi)).sum())
+        errors = dh_errors(recover_dh(synthetic_markers(chain)), chain)
+        assert np.abs(errors.error).max() <= 1e-9, (theta, alpha, errors.error)
+    assert straight > 100
+
+
+def test_straight_joint_twist_is_carried_into_the_next_bend():
+    chain = DHChain([100.0] * 5, [0.0, 0.3, 0.5, -0.4, 0.0], [0.0, 0.6, 0.0, 0.7, 0.5], 16.5)
+    measured = recover_dh(synthetic_markers(chain))
+    # joint 3 is straight: the twist of link 2 waits, and link 3 takes 0.3 + 0.5
+    assert measured.thetas[1] == 0.0 and measured.alphas[0] == 0.0
+    np.testing.assert_allclose(measured.alphas, [0.0, 0.8, -0.4], atol=1e-12)
+    errors = dh_errors(measured, chain)
+    np.testing.assert_allclose(errors.target[errors.kind == "twist"],
+                               np.degrees([0.0, 0.8, -0.4]), atol=1e-12)
+    assert np.abs(errors.error).max() <= 1e-9
