@@ -2,9 +2,8 @@
 tip-everting tube robots with discrete preformed bends."""
 
 from .errors import (DegenerateDataError, DegenerateGeometryError,
-                     DegenerateJointWarning, InfeasibleLinkError,
-                     InversionError, MissingMarkerError, SingularityError,
-                     ValidationError, VinefabError)
+                     InfeasibleLinkError, InversionError, MissingMarkerError,
+                     SingularityError, ValidationError, VinefabError)
 from .fabrication import (DEFAULT_LOOP_GAP_MM, FabricationPlan, GapModel,
                           JointSpec, compile_plan, recover_chain)
 from .geometry import (DHChain, DHLink, Pose, canonicalize_polyline,

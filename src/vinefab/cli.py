@@ -337,7 +337,7 @@ def main(argv=None) -> int:
             DegenerateDataError) as exc:
         print(f"missing data: {exc}", file=sys.stderr)
         return EXIT_MISSING_DATA
-    except (ValidationError, VinefabError) as exc:
+    except VinefabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

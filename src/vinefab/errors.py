@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class VinefabError(Exception):
@@ -46,6 +46,3 @@ class DegenerateGeometryError(VinefabError):
 class DegenerateDataError(VinefabError):
     """A statistical routine received data it cannot test (e.g. zero variance)."""
 
-
-class DegenerateJointWarning(UserWarning):
-    """A zero joint angle makes a circumferential offset undefined; it was carried."""

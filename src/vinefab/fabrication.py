@@ -5,7 +5,7 @@ joining two points on the same circumferential meridian separated by an axial
 distance s_tilde; consecutive bends are offset along the circumference by an
 arc length s that realizes the link twist. A bend of -theta at meridian c is
 the same fold as +theta at meridian c + pi*r, so fold distances are computed
-from |theta| and the arc offsets from ``geometry.gauge_twist``, the twist
+from |theta| and the arc offsets from ``geometry.carried_twists``, the twist
 once both bends are nonnegative. Plans of signed chains therefore fold the
 designed shape, and recover_chain returns it in that nonnegative gauge.
 """
@@ -13,16 +13,15 @@ designed shape, and recover_chain returns it in that nonnegative gauge.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import (DegenerateJointWarning, InfeasibleLinkError,
-                     InversionError, SingularityError, ValidationError)
-from .geometry import DHChain, check_items, float_array, float_scalar, gauge_twist, wrap_angle
+from .errors import InfeasibleLinkError, InversionError, SingularityError, ValidationError
+from .geometry import (DHChain, carried_twists, check_items, float_array, float_scalar,
+                       wrap_angle)
 
 GAP_METHODS = ("tape", "weld", "loop")
 
@@ -143,8 +142,8 @@ def compile_plan(chain: DHChain, gap: GapModel) -> FabricationPlan:
     Joint i folds s_i = _fold_distance(|theta_i|, r, d_g); cylinder i, of length
     a_i - (s_i + s_{i+1})/4, spans [Z_i + s_i, Z_{i+1}] of the plan's layout.
     Joints with zero angle receive no fold (s_i = 0) regardless of the gap
-    model, and twist accumulated across such joints is carried into the
-    placement of the next joint that actually folds. Raises SingularityError,
+    model, and the arcs are ``geometry.carried_twists`` times r: the twist
+    across such joints is carried into the next joint that folds. Raises SingularityError,
     then InfeasibleLinkError, naming the first bad joint or link.
     """
     r, thetas, alphas, lengths, n = chain.radius, chain.theta, chain.alpha, chain.a, chain.n
@@ -172,30 +171,9 @@ def compile_plan(chain: DHChain, gap: GapModel) -> FabricationPlan:
         i = int(np.argmin(cylinders > 0.0))
         raise InfeasibleLinkError(i + 1, lengths[i].item(), consumed[i].item())
 
-    # stored arc offsets: zero across foldless joints, with their twist carried
-    # into the next folding joint so that c accumulates correctly
-    thetas, alphas = thetas.tolist(), alphas.tolist()
-    arcs = []
-    pending = 0.0
-    # angle of the last folding joint; a foldless start counts as nonnegative
-    last_fold = thetas[0]
-    for i in range(n - 1):
-        pending += alphas[i]
-        if thetas[i + 1] == 0.0:  # no fold to place: the twist waits for the next one
-            if alphas[i] != 0.0:
-                warnings.warn(f"zero joint angle collapses arc offset for "
-                              f"twist {alphas[i]:.6g} rad", DegenerateJointWarning, stacklevel=2)
-            arcs.append(0.0)
-            continue
-        if i > 0 and thetas[i] == 0.0 and pending != 0.0:
-            warnings.warn(
-                f"carrying twist {pending:.6g} rad across foldless joints "
-                f"into joint {i + 2} placement",
-                DegenerateJointWarning, stacklevel=2)
-        arcs.append(r * gauge_twist(pending, last_fold, thetas[i + 1]))
-        pending = 0.0
-        last_fold = thetas[i + 1]
-
+    # joint 1 is the meridian c = 0 the arcs count from; + 0.0 carries a -0.0
+    # twist as 0.0, as a running sum started from 0.0 does
+    arcs = r * carried_twists(thetas, alphas + 0.0, np.append(True, folds[1:]))
     return FabricationPlan(r, cylinders, s_tilde, np.where(folds, gap.d_g, 0.0), arcs)
 
 

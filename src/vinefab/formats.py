@@ -226,9 +226,8 @@ def read_polyline(path) -> np.ndarray:
 
 
 def write_polyline(points: np.ndarray, path) -> None:
-    pts = np.asarray(points, float).reshape(-1, 3)
-    _write_csv(path, POLYLINE_HEADER,
-               [[fmt9(v) for v in p] for p in pts])
+    pts = np.asarray(points, float).reshape(-1, 3).tolist()
+    _write_csv(path, POLYLINE_HEADER, [list(map(fmt9, p)) for p in pts])
 
 
 # ---------------------------------------------------------------- scene JSON
@@ -344,9 +343,9 @@ def read_markers(path) -> list:
 def write_markers(records, path) -> None:
     rows = []
     for rec in records:
-        for t, p, q in zip(rec.times, rec.positions, rec.quaternions):
-            rows.append([rec.marker_id, fmt9(t), *(fmt9(v) for v in p),
-                         *(fmt9(v) for v in q)])
+        for t, p, q in zip(rec.times.tolist(), rec.positions.tolist(),
+                           rec.quaternions.tolist()):
+            rows.append([rec.marker_id, fmt9(t), *map(fmt9, p), *map(fmt9, q)])
     _write_csv(path, MARKER_HEADER, rows)
 
 
@@ -417,11 +416,9 @@ def write_fk_frames(frames, path) -> None:
 
 def write_growth_trace(trace, path) -> None:
     """trace: iterable of (everted_mm, tip_xyz, clearance_mm or None)."""
-    rows = []
-    for everted, tip, clr in trace:
-        rows.append([fmt9(everted), *(fmt9(v) for v in tip),
-                     "" if clr is None else fmt9(clr)])
-    _write_csv(path, GROW_HEADER, rows)
+    _write_csv(path, GROW_HEADER,
+               [[fmt9(everted), *map(fmt9, np.asarray(tip, float).tolist()),
+                 "" if clr is None else fmt9(clr)] for everted, tip, clr in trace])
 
 
 # ------------------------------------------------------------- CSV plumbing

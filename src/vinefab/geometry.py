@@ -50,13 +50,26 @@ def gauge_twist(alpha: float, theta_i: float, theta_next: float) -> float:
     return alpha - math.pi * (float(theta_next < 0.0) - float(theta_i < 0.0))
 
 
-def nearest_rotation(m: np.ndarray) -> np.ndarray:
-    """Project a 3x3 matrix onto SO(3) (closest rotation in Frobenius norm)."""
-    u, _, vt = np.linalg.svd(np.asarray(m, float))
-    r = u @ vt
-    if np.linalg.det(r) < 0.0:
-        r = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-    return r
+def carried_twists(theta: np.ndarray, alpha: np.ndarray, bent: np.ndarray) -> np.ndarray:
+    """The twist (m-1,) that places each bend, for joints of bends theta (m,),
+    twists alpha (m,) and mask `bent` (m,) of the joints that bend.
+
+    Since Rx(a1) Tx(l) Rx(a2) = Tx(l) Rx(a1 + a2), a straight joint passes the
+    twist before it on to the next bend: the running twist restarts at
+    alpha[j] on a bent joint j and adds alpha[j] across a straight one,
+    negated across a reversal (cos theta <= 0). Entry j is its
+    ``gauge_twist`` where joint j+1 bends after some bent joint, else 0.
+    """
+    theta, alpha, bent = theta.tolist(), alpha.tolist(), bent.tolist()
+    out, last, pending = [], None, 0.0  # last: the bend of the last bent joint
+    for j in range(len(theta) - 1):
+        if bent[j]:
+            last, pending = theta[j], alpha[j]
+        else:
+            pending = alpha[j] + (pending if math.cos(theta[j]) > 0.0 else -pending)
+        out.append(0.0 if last is None or not bent[j + 1]
+                   else gauge_twist(pending, last, theta[j + 1]))
+    return np.array(out, float)
 
 
 def rotations_to_quaternions(r: np.ndarray) -> np.ndarray:
@@ -376,8 +389,10 @@ def polyline_to_dh(points: np.ndarray, radius: float) -> DHChain:
 
 
 def _polyline(points) -> np.ndarray:
-    """Polyline vertices as a new (m, 3) float array, m >= 2, else ValidationError."""
+    """Polyline vertices as a new (m, 3) finite float array, m >= 2, else ValidationError."""
     p = float_array(points, "polyline")
     if p.ndim != 2 or p.shape[1] != 3 or p.shape[0] < 2:
         raise ValidationError(f"polyline needs at least 2 points of 3 coordinates, got {p.shape}")
+    check_items("polyline vertex", [np.isfinite(p).all(axis=1)],
+                lambda i: [f"non-finite coordinate in {p[i].tolist()}"])
     return p

@@ -21,9 +21,9 @@ import numpy as np
 from .errors import (DegenerateGeometryError, MissingMarkerError,
                      ValidationError)
 from .geometry import (STRAIGHT_SINE, DHChain, Pose, _check_poses, _trusted, bend_planes,
-                       chain_frames, check_items, dot_rows, float_array, gauge_twist,
-                       nearest_rotation, quaternion_to_rotation, rotations_to_quaternions,
-                       twist_angles, wrap_angle)
+                       carried_twists, chain_frames, check_items, dot_rows, float_array,
+                       quaternion_to_rotation, rotations_to_quaternions, twist_angles,
+                       wrap_angle)
 
 # offset of the neighbor-facing markers from their joint, per the measurement jig
 DEFAULT_MARKER_OFFSET_MM = 76.5
@@ -252,10 +252,10 @@ def dh_errors(measured: MeasuredDH, target: DHChain) -> DHErrors:
 
     The measured set must cover the full chain: bend joints 2..n, twists of
     the links between them, and all n link lengths. Targets are compared in
-    the gauge the recovery measures in: joint targets are |theta|; a twist
-    target is 0 up to the first bend of joint 2 or later and before a
-    straight joint, else ``gauge_twist`` of the twists summed since the last
-    bend, wrapped into (-pi, pi] unless it is the link's own alpha.
+    the gauge the recovery measures in: joint targets are |theta|, and twist
+    targets are ``geometry.carried_twists`` over joints 2..n (0 up to their
+    first bend and before a straight joint), each wrapped into (-pi, pi]
+    unless it is the link's own alpha.
     """
     n, j, nj = target.n, measured.first_joint, measured.thetas.size
     if j != 2 or nj != n - 1:
@@ -263,16 +263,11 @@ def dh_errors(measured: MeasuredDH, target: DHChain) -> DHErrors:
             f"measured topology does not match a {n}-link chain: "
             f"joints {list(range(j, j + nj))}, twists {list(range(j, j + nj - 1))}, "
             f"lengths {list(range(j - 1, j + nj))}")
-    thetas, alphas = target.theta.tolist(), target.alpha.tolist()
-    bends = (np.abs(np.sin(target.theta)) >= STRAIGHT_SINE).tolist()
-    angles, last, pending = [abs(t) for t in thetas[1:]], None, 0.0  # last: the last bend
-    for i in range(1, n - 1):
-        if bends[i]:
-            last, pending = thetas[i], alphas[i]
-        else:  # the twist carries on; a reversal (theta = pi) turns the axis it is taken about
-            pending = alphas[i] + (pending if math.cos(thetas[i]) > 0.0 else -pending)
-        t = 0.0 if last is None or not bends[i + 1] else gauge_twist(pending, last, thetas[i + 1])
-        angles.append(t if t == alphas[i] else wrap_angle(t))  # a shifted t may leave (-pi, pi]
+    theta, alpha = target.theta[1:], target.alpha[1:]
+    twists = carried_twists(theta, alpha, np.abs(np.sin(theta)) >= STRAIGHT_SINE).tolist()
+    # a shifted or summed twist may leave (-pi, pi]
+    angles = np.abs(theta).tolist() + [t if t == a else wrap_angle(t)
+                                       for t, a in zip(twists, alpha.tolist())]
     got = np.concatenate([measured.thetas, measured.alphas])
     return DHErrors(
         kind=np.array(["joint"] * (n - 1) + ["twist"] * (n - 2) + ["length"] * n),
@@ -313,27 +308,27 @@ def synthetic_markers(chain: DHChain, offset: float = DEFAULT_MARKER_OFFSET_MM,
             spots.append((f"j{j}_dist", o + offset * units[j - 1], rot))
     spots.append(("tip", verts[-1], rots[-1]))
 
-    positions, rotations = [], []
-    for _, p, rot in spots:
-        for _ in range(n_samples):
-            noisy_p = p + rng.normal(0.0, position_noise_mm, 3) \
-                if position_noise_mm > 0.0 else p
-            noisy_r = rot
-            if rotation_noise_deg > 0.0:
-                axis_angle = rng.normal(0.0, math.radians(rotation_noise_deg), 3)
-                noisy_r = nearest_rotation(rot @ _small_rotation(axis_angle))
-            positions.append(noisy_p)
-            rotations.append(noisy_r)
-    times, shape = np.arange(n_samples) / rate_hz, (len(spots), n_samples)
-    positions = np.reshape(positions, (*shape, 3))
-    quaternions = rotations_to_quaternions(np.array(rotations)).reshape(*shape, 4)
-    return [MarkerRecord(spot[0], times, p, q) for spot, p, q in zip(spots, positions, quaternions)]
-
-
-def _small_rotation(axis_angle: np.ndarray) -> np.ndarray:
-    angle = float(np.linalg.norm(axis_angle))
-    if angle < 1e-15:
-        return np.eye(3)
-    x, y, z = axis_angle / angle
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+    names, points, frames = zip(*spots)
+    shape = (len(spots), n_samples)
+    positions = np.repeat(points, n_samples, axis=0)  # row k: spot k // n_samples
+    rotations = np.repeat(frames, n_samples, axis=0)
+    # per (spot, sample), position noise then rotation noise: the scalar stream order
+    noisy = (position_noise_mm > 0.0, rotation_noise_deg > 0.0)
+    z = rng.normal(0.0, 1.0, (positions.shape[0], 3 * sum(noisy)))
+    if noisy[0]:
+        positions += 0.0 + position_noise_mm * z[:, :3]
+    if noisy[1]:  # Rodrigues: I + sin(t) K + (1 - cos(t)) K^2, K the unit axis
+        axis_angle = 0.0 + math.radians(rotation_noise_deg) * z[:, -3:]
+        angle = np.sqrt(dot_rows(axis_angle, axis_angle))
+        tiny = angle < 1e-15
+        kx, ky, kz = (axis_angle / np.where(tiny, 1.0, angle)[:, None]).T
+        o = np.zeros_like(angle)
+        k = np.stack([o, -kz, ky, kz, o, -kx, -ky, kx, o], axis=1).reshape(-1, 3, 3)
+        sin, cos = (np.array(list(map(f, angle.tolist())), float) for f in (math.sin, math.cos))
+        small = np.eye(3) + sin[:, None, None] * k + (1.0 - cos)[:, None, None] * (k @ k)
+        small[tiny] = np.eye(3)
+        rotations = rotations @ small
+    times = np.arange(n_samples) / rate_hz
+    positions = positions.reshape(*shape, 3)
+    quaternions = rotations_to_quaternions(rotations).reshape(*shape, 4)
+    return [MarkerRecord(name, times, p, q) for name, p, q in zip(names, positions, quaternions)]

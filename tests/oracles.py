@@ -16,9 +16,11 @@ reference that code must match bit for bit; so are `rotation_to_quaternion`,
 and per-row code that poses, measured DH and error tables were computed with
 before they became arrays (`dh_error_rows` takes its twist targets from the
 library's scalar `gauge_twist` and `wrap_angle`); both follow the library's
-straight-joint rule. `polyline_to_dh_loop` is the per-link `rot_z`/`rot_x`
-frame loop the polyline fit used before `geometry.bend_planes`; away from
-collinear vertices its plans must match the fit's byte for byte.
+straight-joint rule. `plan_arcs_loop`, the arc loop of compile_plan before
+`carried_twists`, also takes `gauge_twist` from the library.
+`polyline_to_dh_loop` is the per-link `rot_z`/`rot_x` frame loop the
+polyline fit used before `geometry.bend_planes`; away from collinear
+vertices its plans must match the fit's byte for byte.
 """
 
 import math
@@ -159,6 +161,25 @@ def fold_distance(theta, r, d_g):
     """One fold's axial distance in the README's form, in Python floats:
     2*d_g/sqrt(2 + 2*cos(theta)) + 2*r*theta."""
     return 2.0 * d_g / math.sqrt(2.0 + 2.0 * math.cos(theta)) + 2.0 * r * theta
+
+
+def plan_arcs_loop(thetas, alphas, r):
+    """Arc offsets of a plan, joint by joint, in Python floats.
+
+    The loop compile_plan ran before ``geometry.carried_twists``: twists are
+    summed from 0.0 up to the next joint that folds (theta != 0), whose arc
+    is r * gauge_twist of the sum; a foldless joint's arc is 0. Joint 1 is
+    the c = 0 reference whether it folds or not.
+    """
+    arcs, pending, last_fold = [], 0.0, thetas[0]
+    for i in range(len(thetas) - 1):
+        pending += alphas[i]
+        if thetas[i + 1] == 0.0:
+            arcs.append(0.0)
+            continue
+        arcs.append(r * gauge_twist(pending, last_fold, thetas[i + 1]))
+        pending, last_fold = 0.0, thetas[i + 1]
+    return arcs
 
 
 def plan_layout_loop(s_tilde, cylinders, arc_offsets, radius):

@@ -568,18 +568,22 @@ def test_plan_max_theta_lies_in_0_180(tmp_path, capsys, project_config, value, c
 
 def test_collinear_polyline_vertex_gets_no_fold(tmp_path, capsys):
     # joint 3 sits on a straight line: no bend, no fold and no J3 mark; the
-    # twist from joint 2's plane to joint 4's is carried into joint 4
+    # twist from joint 2's plane to joint 4's is carried into joint 4, with
+    # no warning on stderr
+    import warnings
+
     from vinefab import cli
-    from vinefab.errors import DegenerateJointWarning
 
     path = tmp_path / "path.csv"
     path.write_text("x_mm,y_mm,z_mm\n0,0,0\n100,0,0\n100,100,0\n100,200,0\n150,250,30\n")
     argv = ["--chain", str(path), "--radius", "10", "--method", "loop", "--out", str(tmp_path)]
     for command in ("plan", "pattern"):
-        with pytest.warns(DegenerateJointWarning, match="^carrying twist 2.60117 rad across "
-                          "foldless joints into joint 4 placement$"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert cli.main([command, *argv]) == 0
-    out = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = captured.out.splitlines()
     assert out[4] == "    3  0 deg           0             222.284056    0"
     plan = json.loads((tmp_path / "plan.json").read_text())
     assert [j["s_tilde_mm"] for j in plan["joints"]] == [0, 44.5681127, 0, 27.4753993]

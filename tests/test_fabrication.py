@@ -7,16 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vinefab.errors import (DegenerateJointWarning, InfeasibleLinkError,
-                            InversionError, SingularityError, ValidationError,
-                            VinefabError)
+from vinefab.errors import (InfeasibleLinkError, InversionError, SingularityError,
+                            ValidationError, VinefabError)
 from vinefab.fabrication import (GAP_METHODS, FabricationPlan, GapModel, JointSpec,
                                  _fold_distance, compile_plan, recover_chain)
 from vinefab.geometry import DHChain, dh_to_polyline, fk_chain
 
 from conftest import random_feasible_chain
 from oracles import (fold_distance, fold_tube, kabsch_residual, mp_fold_angle,
-                     plan_layout_loop)
+                     plan_arcs_loop, plan_layout_loop)
 
 R = 16.5
 TAPE = GapModel.for_method("tape")
@@ -100,10 +99,8 @@ def test_plan_folds_match_the_fold_distance_oracle():
         r = float(rng.uniform(1.0, 50.0))
         gap = GapModel("loop", 0.0 if k % 3 == 0 else float(rng.uniform(0.0, 30.0)))
         alpha = rng.uniform(-math.pi, math.pi, n)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateJointWarning)
-            plan = compile_plan(DHChain([1e6] * n, alpha, theta, r), gap)
-            mirror = compile_plan(DHChain([1e6] * n, alpha, -theta, r), gap)
+        plan = compile_plan(DHChain([1e6] * n, alpha, theta, r), gap)
+        mirror = compile_plan(DHChain([1e6] * n, alpha, -theta, r), gap)
         assert plan.s_tilde.tobytes() == mirror.s_tilde.tobytes()
         for s, th in zip(plan.s_tilde.tolist(), theta.tolist()):
             expected = fold_distance(abs(th), r, gap.d_g) if th != 0.0 else 0.0
@@ -185,23 +182,36 @@ def test_arc_offset_values():
     assert arcs([0.3, 0.0], [near, -near])[0] == pytest.approx(R * (0.3 - math.pi), abs=1e-12)
 
 
-def test_arc_offset_zero_theta_warns_only_when_twist_lost():
+def test_arc_offset_zero_theta_carries_the_twist_without_warning():
     # the foldless joint 2 places no fold: its twist is carried to joint 3,
-    # and both warnings point at the caller's line
+    # which is exact (Rx(a1) Tx(l) Rx(a2) = Tx(l) Rx(a1 + a2)), so nothing warns
     chain = DHChain([300.0] * 3, [0.3, 0.2, 0.0], [0.5, 0.0, 0.5], R)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         plan = compile_plan(chain, TAPE)
-    assert [(w.category, str(w.message), w.filename) for w in caught] == [
-        (DegenerateJointWarning, "zero joint angle collapses arc offset for twist 0.3 rad",
-         __file__),
-        (DegenerateJointWarning, "carrying twist 0.5 rad across foldless joints into "
-         "joint 3 placement", __file__)]
+    assert caught == []
     assert plan.arc_offsets.tolist() == [0.0, 0.5 * R]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         plan = compile_plan(DHChain([100.0] * 3, [0.0] * 3, [0.0] * 3, R), TAPE)
     assert plan.arc_offsets.tolist() == [0.0, 0.0]
+
+
+def test_plan_arcs_match_the_carried_twist_loop_bit_for_bit():
+    # signed chains with foldless joints, joint 1 included, and signed zeros:
+    # compile_plan's arcs are the per-joint carry loop's, bit for bit
+    rng = np.random.default_rng(59)
+    for k in range(600):
+        n = int(rng.integers(1, 13))
+        theta = rng.uniform(-3.0, 3.0, n)
+        theta[rng.random(n) < 0.2] = (0.0, -0.0)[k % 2]
+        alpha = rng.uniform(-math.pi, math.pi, n)
+        alpha[rng.random(n) < 0.1] = (-0.0, 0.0)[k % 2]
+        r = float(rng.uniform(1.0, 50.0))
+        plan = compile_plan(DHChain([1e6] * n, alpha, theta, r),
+                            GapModel.for_method(GAP_METHODS[k % 3]))
+        want = plan_arcs_loop(theta.tolist(), alpha.tolist(), r)
+        assert plan.arc_offsets.tobytes() == np.array(want, float).tobytes(), (theta, alpha)
 
 
 def test_compile_golden_flush(three_bend_chain):
@@ -257,9 +267,7 @@ def test_compile_layout_recurrence(three_bend_chain):
         chain = DHChain(rng.uniform(250.0, 600.0, n),
                         rng.uniform(-math.pi, math.pi, n), theta,
                         radius=float(rng.uniform(5.0, 40.0)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateJointWarning)
-            plan = compile_plan(chain, GapModel.for_method(GAP_METHODS[k % 3]))
+        plan = compile_plan(chain, GapModel.for_method(GAP_METHODS[k % 3]))
         assert _layout(plan) == _loop_layout(plan)
 
 
@@ -342,9 +350,7 @@ def test_compiled_plan_folds_the_designed_shape(links, r, method):
     chain = DHChain(a, alpha, theta, radius=r)
     gap = GapModel.for_method(method)
     design = np.array([f.translation for f in fk_chain(chain)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateJointWarning)
-        plan = compile_plan(chain, gap)
+    plan = compile_plan(chain, gap)
     assert _layout(plan) == _loop_layout(plan)
     assert kabsch_residual(fold_tube(plan, np.abs(theta), a), design) <= 1e-9
     assert kabsch_residual(dh_to_polyline(recover_chain(plan, gap)), design) <= 1e-9
@@ -409,7 +415,8 @@ def test_twist_carried_across_foldless_joints():
     # twist across a mid-chain foldless joint accumulates into the next fold
     chain2 = DHChain([100, 100, 100, 100], [0.1, 0.25, 0.15, 0.0],
                      [math.pi / 4, 0.0, math.pi / 4, math.pi / 6], R)
-    with pytest.warns(DegenerateJointWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         plan2 = compile_plan(chain2, TAPE)
     assert plan2.arc_offsets[0] == 0.0
     assert plan2.arc_offsets[1] == pytest.approx((0.1 + 0.25) * R)

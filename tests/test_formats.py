@@ -2,13 +2,12 @@ import csv
 import json
 import math
 import os
-import warnings
 
 import numpy as np
 import pytest
 
 from vinefab import formats
-from vinefab.errors import DegenerateJointWarning, ValidationError
+from vinefab.errors import ValidationError
 from vinefab.fabrication import GapModel, compile_plan, recover_chain
 from vinefab.geometry import DHChain
 from vinefab.growth import Box, ObstacleScene, Sphere
@@ -142,9 +141,7 @@ def test_plan_json_rewrites_byte_identical(tmp_path):
         chain = DHChain(rng.uniform(250.0, 600.0, n),
                         rng.uniform(-math.pi, math.pi, n), theta,
                         radius=float(rng.uniform(5.0, 40.0)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateJointWarning)
-            plan = compile_plan(chain, GapModel.for_method(("tape", "weld", "loop")[k % 3]))
+        plan = compile_plan(chain, GapModel.for_method(("tape", "weld", "loop")[k % 3]))
         formats.write_plan(plan, first)
         formats.write_plan(formats.read_plan(first), second)
         formats.write_plan(formats.read_plan(second), third)

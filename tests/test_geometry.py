@@ -354,6 +354,21 @@ def test_polyline_degenerate_segment():
         polyline_to_dh(np.array([[0, 0, 0], [0, 0, 0], [100, 0, 0]]), 16.5)
 
 
+@pytest.mark.parametrize("fit", [canonicalize_polyline, lambda p: polyline_to_dh(p, 16.5)],
+                         ids=["canonicalize", "polyline_to_dh"])
+@pytest.mark.parametrize("points, message", [
+    ([[0, 0, 0], [1, 0, 0], [math.nan, 1, 0]], "polyline vertex 3: non-finite coordinate in "
+     "[nan, 1.0, 0.0]"),
+    ([[0, 0, 0], [math.inf, 0, 0], [1, 1, 0]], "polyline vertex 2: non-finite coordinate in "
+     "[inf, 0.0, 0.0]"),
+], ids=["nan-after-segment-1", "inf-in-segment-1"])
+def test_polyline_rejects_non_finite_vertices(fit, points, message):
+    # named at the first bad vertex, before any arithmetic on it can warn
+    # (tier-1 turns a RuntimeWarning into an error)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        fit(points)
+
+
 def test_polyline_requires_canonical_start():
     with pytest.raises(ValidationError, match="origin"):
         polyline_to_dh(np.array([[5, 0, 0], [100, 0, 0]]), 16.5)

@@ -6,7 +6,7 @@ import pytest
 
 from vinefab.errors import (DegenerateGeometryError, MissingMarkerError,
                             ValidationError)
-from vinefab.geometry import DHChain, Pose, rotations_to_quaternions
+from vinefab.geometry import DHChain, Pose, quaternion_to_rotation, rotations_to_quaternions
 from vinefab.measurement import (DHErrors, MarkerRecord, MeasuredDH,
                                  average_samples, dh_errors, parse_marker_id,
                                  recover_dh, synthetic_markers)
@@ -318,6 +318,23 @@ def test_recover_dh_and_errors_match_the_loop_oracles_bit_for_bit():
         for name, pairs in zip(("thetas", "alphas", "lengths"), want):
             assert getattr(measured, name).tobytes() == np.array([v for _, v in pairs]).tobytes()
         assert error_rows(dh_errors(measured, chain)) == dh_error_rows(want, "pre", chain)
+
+
+def test_synthetic_marker_noise_is_drawn_sample_by_sample(three_bend_chain):
+    # each (marker, sample) draws its position noise, then its rotation noise,
+    # on the clean pose; scipy's rotation vector is the Rodrigues oracle
+    from scipy.spatial.transform import Rotation
+
+    clean = synthetic_markers(three_bend_chain, n_samples=4)
+    noisy = synthetic_markers(three_bend_chain, n_samples=4, position_noise_mm=0.05,
+                              rotation_noise_deg=0.2, rng=np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    for rec, ref in zip(noisy, clean):
+        for p, q, p0, q0 in zip(rec.positions, rec.quaternions, ref.positions, ref.quaternions):
+            assert p.tobytes() == (p0 + rng.normal(0.0, 0.05, 3)).tobytes()
+            turn = Rotation.from_rotvec(rng.normal(0.0, math.radians(0.2), 3)).as_matrix()
+            np.testing.assert_allclose(quaternion_to_rotation(q),
+                                       quaternion_to_rotation(q0) @ turn, rtol=0, atol=1e-14)
 
 
 def test_noise_free_markers_of_straight_joints_give_zero_errors():
