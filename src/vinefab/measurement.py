@@ -289,6 +289,8 @@ def synthetic_markers(chain: DHChain, offset: float = DEFAULT_MARKER_OFFSET_MM,
     position noise (per axis) and small rotation noise (per axis angle) can
     be added; with both zero, recover_dh inverts this generator exactly.
     """
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise ValidationError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     if chain.n < 2:
         raise ValidationError("marker protocol needs at least 2 links")
     if rng is None:

@@ -3,14 +3,15 @@
 The incomplete beta and gamma functions are evaluated with the classic
 series / continued-fraction splits (modified Lentz iteration), which keeps
 every p-value in the package traceable to a few dozen lines of code. The
-studentized range CDF integrates the known-sigma range probability over the
-distribution of the pooled standard deviation estimate s with one fixed
-tensor Gauss-Legendre rule, evaluated as one array: 48 nodes on each of four
-panels in t = ln(s), times 112 nodes over the normal maximum. It agrees with
-adaptive quadrature (scipy) to ~5e-13. The normal tails on that grid come
-from a numpy-only erfc, t*exp(-z^2 + c(y)) with c a Chebyshev series, within
-10 ulp of math.erfc. The rules are built on first use, so importing this
-module costs no quadrature set-up.
+studentized range CDF integrates the known-sigma range probability R(w) over
+the distribution of the pooled standard deviation estimate s with one fixed
+Gauss-Legendre rule, evaluated as one array: 48 nodes on each of four panels
+in t = ln(s). R comes from one Chebyshev table per k, fitted once to a
+112-node Gauss-Legendre integral over the normal maximum. The result agrees
+with adaptive quadrature (scipy) to ~5e-13. The normal tails in that
+integral come from a numpy-only erfc, t*exp(-z^2 + c(y)) with c a Chebyshev
+series, within 10 ulp of math.erfc. The rules and tables are built on first
+use, so importing this module costs no quadrature set-up.
 """
 
 from __future__ import annotations
@@ -245,36 +246,42 @@ _ERFC_CHEB = (
 _ERFC_Z_MAX = 40.0
 
 
-def _erfc(x: np.ndarray) -> np.ndarray:
-    """erfc of every entry of x, within 10 ulp of math.erfc where erfc > 1e-300.
+def _chebyshev_sum(coefs, y: np.ndarray) -> np.ndarray:
+    """sum_n c_n T_n(y) at every entry of y, coefs holding c with c_0 halved.
 
-    x spans the whole quadrature grid, so the kernel works in six arrays of
-    its size, updated in place: fresh arrays that large cost page faults.
+    Clenshaw's recurrence b_n = 2y b_{n+1} - b_{n+2} + c_n, in four arrays
+    the size of y, updated in place: fresh arrays on every step would cost
+    an allocation per coefficient.
     """
-    z = np.abs(x)
-    np.minimum(z, _ERFC_Z_MAX, out=z)
-    t = np.add(z, 2.0)
-    np.divide(2.0, t, out=t)
-    two_y = np.multiply(t, 4.0)
-    two_y -= 2.0
-    # Clenshaw's recurrence b_n = 2y b_{n+1} - b_{n+2} + c_n
-    b, b_next, scratch = np.zeros_like(z), np.zeros_like(z), np.empty_like(z)
-    for coef in _ERFC_CHEB[:0:-1]:
+    two_y = np.multiply(y, 2.0)
+    b, b_next, scratch = np.zeros_like(y), np.zeros_like(y), np.empty_like(y)
+    for coef in coefs[:0:-1]:
         np.multiply(two_y, b, out=scratch)
         scratch -= b_next
         scratch += coef
         b_next, b, scratch = b, scratch, b_next
-    two_y *= 0.5
-    log_ratio = np.multiply(two_y, b, out=scratch)  # c(y) = y b_1 - b_2 + c_0
-    log_ratio -= b_next
-    log_ratio += _ERFC_CHEB[0]
+    value = np.multiply(y, b, out=scratch)  # y b_1 - b_2 + c_0
+    value -= b_next
+    value += coefs[0]
+    return value
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """erfc of every entry of x, within 10 ulp of math.erfc where erfc > 1e-300."""
+    z = np.abs(x)
+    np.minimum(z, _ERFC_Z_MAX, out=z)
+    t = np.add(z, 2.0)
+    np.divide(2.0, t, out=t)
+    y = np.multiply(t, 2.0)
+    y -= 1.0
+    log_ratio = _chebyshev_sum(_ERFC_CHEB, y)
     # exp(-z^2) as exp(-zh^2) * exp(-(z - zh)(z + zh)): zh^2 is exact for
     # zh = round(16 z)/16, so the rounding of z^2 (up to 1600 here) never
     # reaches the exponent
-    zh = np.multiply(z, 16.0, out=b)
+    zh = np.multiply(z, 16.0, out=y)
     np.round(zh, out=zh)
     zh /= 16.0
-    z_minus_zh = np.subtract(z, zh, out=b_next)
+    z_minus_zh = np.subtract(z, zh)
     z += zh
     z_minus_zh *= z
     log_ratio -= z_minus_zh
@@ -286,11 +293,13 @@ def _erfc(x: np.ndarray) -> np.ndarray:
     return np.subtract(2.0, upper, out=upper, where=x < 0.0)
 
 
-# Inner rule for the known-sigma range probability: 112 Gauss-Legendre points
-# over [-9, 9], the effective support of the normal density. Outer rule: four
-# 48-point panels in t = ln(s), s the pooled SD estimate. Over k = 2..20,
-# df = 0.5..1000 and q = 0.05..40 the pair agrees with scipy to 5.1e-13, and
-# 160 x 64 points to 5.0e-13; smaller rules lose digits (104 x 40: 7.6e-12).
+# Inner rule for the known-sigma range probability R(w): 112 Gauss-Legendre
+# points over [-9, 9], the effective support of the normal density; it runs
+# only to build each k's table of R (_range_table). Outer rule: four 48-point
+# panels in t = ln(s), s the pooled SD estimate. Over k = 2..20, df =
+# 0.5..1000 and q = 0.05..40 the pair agrees with scipy to 5.1e-13 (4.7e-11
+# at k = 30, 5.5e-10 at k = 50), and 160 x 64 points to 5.0e-13; smaller
+# rules lose digits (104 x 40: 7.6e-12).
 _INNER_HALF_WIDTH = 9.0
 _INNER_POINTS = 112
 _OUTER_POINTS = 48
@@ -331,6 +340,50 @@ def _range_cdf(w: np.ndarray, k: int) -> np.ndarray:
     return k * (between @ pdf_w)
 
 
+# R(w) depends on k alone, so each k gets one Chebyshev table of it, and a
+# whole Tukey family's w grid is one Clenshaw pass over it: the tabulation
+# route of AS 190 (Lund & Lund, 1983; Copenhaver & Holland, 1988). The table
+# spans [0, W_k], W_k the smallest w with C(k,2) erfc(w/2) < 2^-54. That
+# union bound on 1 - R(w) makes R round to 1.0 past W_k; W_k runs from 11.8
+# at k = 2 to 13.0 at k = 50. _range_cdf at 128 Chebyshev points of the
+# window gives a series within 5e-14 of it for k <= 20. Above, the two
+# differ by the direct rule's own quadrature noise (7.6e-11 at k = 50),
+# which more points do not close.
+_RANGE_POINTS = 128
+_RANGE_TAIL = 2.0 ** -54
+
+
+@lru_cache(maxsize=256)
+def _range_table(k: int) -> tuple[float, tuple]:
+    """(W_k, the Chebyshev coefficients of R on [0, W_k] with the first
+    halved); built once per k, on first use."""
+    pairs = 0.5 * k * (k - 1)
+    below, width = 0.0, 2.0 * _ERFC_Z_MAX  # the bound falls as w grows
+    for _ in range(64):
+        mid = 0.5 * (below + width)
+        if pairs * math.erfc(0.5 * mid) < _RANGE_TAIL:
+            width = mid
+        else:
+            below = mid
+    angles = math.pi / _RANGE_POINTS * (np.arange(_RANGE_POINTS) + 0.5)
+    values = _range_cdf(0.5 * width * (1.0 + np.cos(angles)), k)
+    coefs = np.cos(np.outer(np.arange(_RANGE_POINTS), angles)) @ values
+    coefs *= 2.0 / _RANGE_POINTS
+    coefs[0] *= 0.5
+    return width, tuple(coefs.tolist())
+
+
+def _tabulated_range_cdf(w: np.ndarray, k: int) -> np.ndarray:
+    """R at every entry of w (all >= 0), from k's table: 1.0 past W_k."""
+    width, coefs = _range_table(k)
+    y = np.minimum(w, width)
+    y *= 2.0 / width
+    y -= 1.0
+    r = _chebyshev_sum(coefs, y)
+    r[w > width] = 1.0
+    return r
+
+
 def _log_sd_log_density(t, df):
     """Log density of t = ln(s), s^2 ~ chi2(df)/df, relative to its peak at t = 0."""
     return df * (t - 0.5 * np.expm1(2.0 * t))
@@ -361,10 +414,11 @@ def studentized_range_cdf(q: float | np.ndarray, k: int, df: float) -> float | n
     """CDF of the studentized range: range of k group means over pooled SE.
 
     q is a scalar or a 1-D array; the result is a float or an array of the
-    same length. Integrates the known-sigma range probability R(q*s) against
-    the distribution of the pooled standard deviation estimate s (chi with
-    df degrees of freedom, scaled by 1/sqrt(df)), in t = ln(s), with a fixed
-    Gauss-Legendre rule on four panels of t per q. The first holds only
+    same length. Integrates the known-sigma range probability R(q*s), read
+    from k's Chebyshev table, against the distribution of the pooled
+    standard deviation estimate s (chi with df degrees of freedom, scaled by
+    1/sqrt(df)), in t = ln(s), with a fixed Gauss-Legendre rule on four
+    panels of t per q. The first holds only
     density mass: there R(q*s) < e^-_LOG_TAIL. The other three are cut at
     the density's peak t = 0 and near the rise of R(q*s), where the range of
     k normals is about 2*sqrt(2 ln k). Each entry is computed alone: the
@@ -400,11 +454,7 @@ def studentized_range_cdf(q: float | np.ndarray, k: int, df: float) -> float | n
     # R is evaluated past the density-only first panel; normalizing by the
     # rule's own mass keeps the truncated tails out of P
     tail = slice(len(nodes), None)
-    w = qs[live, None] * np.exp(t[:, tail])
-    # one q's grid at a time: a whole family's would grow with its pairs
-    r = np.empty_like(w)
-    for i, row in enumerate(w):
-        r[i] = _range_cdf(row, k)
+    r = _tabulated_range_cdf(qs[live, None] * np.exp(t[:, tail]), k)
     value = np.zeros(qs.shape)
     value[live] = np.einsum("ij,ij->i", density[:, tail], r) / density.sum(axis=1)
     value = np.clip(value, 0.0, 1.0)

@@ -33,24 +33,27 @@ def test_plan_bundled_project(tmp_path, project_config):
 def test_cli_runs_without_scipy(tmp_path, project_config, data_dir):
     # scipy is a test-only dependency: neither the import nor a plan or an
     # analyze run (the studentized range p-values) may load it, and only
-    # analyze builds the quadrature rules
+    # analyze builds the quadrature rules and a range table. Its three
+    # method families all have k = 3, so they share one table. numpy.ma,
+    # which np.median imports on first use, stays out too.
     script = "\n".join([
         "import sys",
         "import vinefab.cli",
-        "from vinefab.special import _rules",
+        "from vinefab.special import _range_table, _rules",
         "after_import = 'scipy' in sys.modules",
         "plan = vinefab.cli.main(['plan', '--config', sys.argv[1], '--out', sys.argv[3]])",
-        "rules_after_plan = _rules.cache_info().currsize",
+        "built_by_plan = _rules.cache_info().currsize, _range_table.cache_info().currsize",
         "analyze = vinefab.cli.main(['analyze', '--samples', sys.argv[2], '--out', sys.argv[3]])",
-        "print(after_import, plan, rules_after_plan, analyze,",
-        "      _rules.cache_info().currsize, 'scipy' in sys.modules)",
+        "tables = _range_table.cache_info()",
+        "print(after_import, plan, *built_by_plan, analyze, _rules.cache_info().currsize,",
+        "      tables.misses, tables.hits, 'scipy' in sys.modules, 'numpy.ma' in sys.modules)",
     ])
     proc = subprocess.run(
         [sys.executable, "-c", script, project_config,
          os.path.join(data_dir, "dh_samples.csv"), str(tmp_path)],
         capture_output=True, env=cli_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == b"False 0 0 0 1 False"
+    assert proc.stdout.splitlines()[-1] == b"False 0 0 0 0 1 1 2 False False"
 
 
 def test_plan_loop_gap_override(tmp_path, project_config):

@@ -320,6 +320,16 @@ def test_recover_dh_and_errors_match_the_loop_oracles_bit_for_bit():
         assert error_rows(dh_errors(measured, chain)) == dh_error_rows(want, "pre", chain)
 
 
+def test_synthetic_markers_check_the_sample_count(three_bend_chain):
+    # -1 used to end in numpy's negative-dimension error, 2.5 and True in a
+    # TypeError, and 0 was blamed on marker 'base'
+    for n_samples in (-1, 2.5, True, 0):
+        with pytest.raises(ValidationError,
+                           match=rf"^n_samples must be an integer >= 1, got {n_samples!r}$"):
+            synthetic_markers(three_bend_chain, n_samples=n_samples)
+    assert len(synthetic_markers(three_bend_chain, n_samples=np.int64(2))[0].positions) == 2
+
+
 def test_synthetic_marker_noise_is_drawn_sample_by_sample(three_bend_chain):
     # each (marker, sample) draws its position noise, then its rotation noise,
     # on the clean pose; scipy's rotation vector is the Rodrigues oracle

@@ -8,7 +8,8 @@ from scipy.special import gammainc, gammaincc
 from scipy.stats import studentized_range
 
 from vinefab.errors import ValidationError
-from vinefab.special import (_ERFC_CHEB, _erfc, _range_cdf, chi2_sf, f_sf, log_gamma,
+from vinefab.special import (_ERFC_CHEB, _RANGE_TAIL, _erfc, _range_cdf, _range_table,
+                             _tabulated_range_cdf, chi2_sf, f_sf, log_gamma,
                              regularized_incomplete_beta,
                              regularized_incomplete_gamma_q,
                              studentized_range_cdf, t_quantile,
@@ -188,6 +189,19 @@ def test_normal_range_cdf_against_monte_carlo():
     assert _range_cdf(np.array([50.0]), 4)[0] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_range_table_matches_the_direct_kernel():
+    for k in range(2, 21):
+        width, _ = _range_table(k)
+        # the window is the smallest w whose union bound on 1 - R is below 2^-54
+        pairs = k * (k - 1) / 2
+        assert pairs * math.erfc(width / 2) < _RANGE_TAIL
+        assert pairs * math.erfc(math.nextafter(width, 0.0) / 2) >= _RANGE_TAIL
+        w = np.linspace(0.0, 1.2 * width, 2401)
+        table = _tabulated_range_cdf(w, k)
+        np.testing.assert_allclose(table, _range_cdf(w, k), rtol=0, atol=5e-14, err_msg=k)
+        assert (table[w > width] == 1.0).all()
+
+
 def test_studentized_range_spot_value():
     # a classic 5% critical point: k = 3, df = 10, q = 3.88
     assert studentized_range_cdf(3.88, 3, 10) == pytest.approx(0.95, abs=2e-3)
@@ -214,6 +228,17 @@ def test_studentized_range_against_scipy(k):
         worst = max(worst, np.abs(studentized_range_cdf(qs, k, df) - ref).max())
     # the 112 x 48 rule reaches 5.1e-13 over this grid
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("k, bound", [(30, 1e-10), (50, 1e-9)])
+def test_studentized_range_against_scipy_at_large_k(k, bound):
+    # past k = 20 the direct rule's own quadrature noise grows, and the
+    # table inherits it: 4.7e-11 at k = 30, 5.5e-10 at k = 50
+    qs = np.array([0.05, 0.3, 1.0, 2.5, 4.0, 6.0, 10.0, 20.0, 40.0])
+    for df in (0.5, 1.0, 1.5, 2.0, 4.0, 7.0, 30.0, 120.0, 500.0, 1000.0):
+        np.testing.assert_allclose(studentized_range_cdf(qs, k, df),
+                                   studentized_range.cdf(qs, k, df), rtol=0, atol=bound,
+                                   err_msg=df)
 
 
 def test_studentized_range_array_form_equals_scalar_form():

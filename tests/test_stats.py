@@ -6,7 +6,7 @@ import pytest
 
 from vinefab.errors import DegenerateDataError, ValidationError
 from vinefab.special import studentized_range_cdf
-from vinefab.stats import (SampleTable, _ranks_with_ties, analyze_table,
+from vinefab.stats import (SampleTable, _median, _ranks_with_ties, analyze_table,
                            group_summary, kruskal_wallis, levene_test,
                            one_way_anova, significance_stars,
                            t_test_independent, t_test_paired, t_test_welch,
@@ -74,6 +74,19 @@ def test_levene_behavior():
     assert levene_test(scaled).p_value < 0.05
     with pytest.raises(ValidationError):
         levene_test([[1.0], [2.0]])
+
+
+def test_median_from_one_sort_equals_np_median_bit_for_bit():
+    # rounding to one decimal makes ties and -0.0 entries
+    rng = np.random.default_rng(101)
+    groups = [np.array(g) for g in ([-0.0], [-0.0, -0.0], [-0.0, 0.0], [-1.0, 1.0])]
+    for i in range(20_000):
+        g = rng.normal(0.0, 3.0, int(rng.integers(1, 40)))
+        groups.append(np.round(g, 1) if i % 2 else g)
+    for g in groups:
+        want = np.median(g)
+        got = _median(g)
+        assert type(got) is type(want) and got.tobytes() == want.tobytes(), g
 
 
 def test_kruskal_wallis_identical_groups():
