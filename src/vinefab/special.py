@@ -1,8 +1,8 @@
 """Special functions backing the statistical tests.
 
-The incomplete beta and gamma functions are evaluated with the classic
-series / continued-fraction splits (modified Lentz iteration), which keeps
-every p-value in the package traceable to a few dozen lines of code. The
+The incomplete beta is a continued fraction (modified Lentz iteration) and
+the chi-square tail of an integer df a finite sum of positive terms, so each
+p-value in the package traces back to a few dozen lines of code. The
 studentized range CDF integrates the known-sigma range probability R(w) over
 the distribution of the pooled standard deviation estimate s with one fixed
 Gauss-Legendre rule, evaluated as one array: 48 nodes on each of four panels
@@ -26,14 +26,6 @@ from .errors import ValidationError
 _EPS = 3e-16
 _FPMIN = 1e-300
 _MAX_ITER = 500
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValidationError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -74,13 +66,13 @@ def _betacf(a: float, b: float, x: float) -> float:
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b) for a, b > 0 and x in [0, 1]."""
     a, b, x = float(a), float(b), float(x)
-    if a <= 0.0 or b <= 0.0:
-        raise ValidationError(f"shape parameters must be > 0, got a={a}, b={b}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValidationError(f"a and b must be finite and > 0, got a={a}, b={b}")
     if not 0.0 <= x <= 1.0:
         raise ValidationError(f"x must lie in [0, 1], got {x}")
     if x == 0.0 or x == 1.0:
         return x
-    ln_front = (log_gamma(a + b) - log_gamma(a) - log_gamma(b)
+    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
                 + a * math.log(x) + b * math.log1p(-x))
     front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):
@@ -88,15 +80,10 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def _gamma_iterations(a: float) -> int:
-    # near x = a the series needs about 8*sqrt(a) terms, the fraction 3*sqrt(a)
-    return _MAX_ITER + int(10.0 * math.sqrt(a))
-
-
 def _gamma_prefactor(a: float, x: float) -> float:
-    """x^a e^-x / Gamma(a), the factor shared by the series and the fraction."""
+    """x^a e^-x / Gamma(a), accurate also for a large a near x = a."""
     if a < 50.0 or x < 0.5 * a:
-        return math.exp(-x + a * math.log(x) - log_gamma(a))
+        return math.exp(-x + a * math.log(x) - math.lgamma(a))
     # near x = a, -x + a*log(x) and lgamma(a) cancel (to ~1e-9 relative at
     # a = 1e6). With Stirling's series for lgamma the log is
     # a*(log1p(t) - t) + log(a/2pi)/2 - stirling(a), t = (x - a)/a; below
@@ -106,60 +93,6 @@ def _gamma_prefactor(a: float, x: float) -> float:
     stirling = (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 / 1680))) / a
     return math.exp(a * (math.log1p(t) - t) + 0.5 * math.log(a / (2.0 * math.pi))
                     - stirling)
-
-
-def _gamma_series(a: float, x: float) -> float:
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(_gamma_iterations(a)):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return total * _gamma_prefactor(a, x)
-    raise ValidationError(f"incomplete gamma series did not converge for a={a}, x={x}")
-
-
-def _gamma_cf(a: float, x: float) -> float:
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _gamma_iterations(a) + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h * _gamma_prefactor(a, x)
-    raise ValidationError(f"incomplete gamma fraction did not converge for a={a}, x={x}")
-
-
-def _gamma_args(a: float, x: float) -> tuple[float, float]:
-    a, x = float(a), float(x)
-    if not 0.0 < a < math.inf:
-        raise ValidationError(f"a must be finite and > 0, got {a}")
-    if x < 0.0:
-        raise ValidationError(f"x must be >= 0, got {x}")
-    return a, x
-
-
-def regularized_incomplete_gamma_q(a: float, x: float) -> float:
-    """Q(a, x) = 1 - P(a, x): upper regularized incomplete gamma."""
-    a, x = _gamma_args(a, x)
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_series(a, x)
-    return _gamma_cf(a, x)
 
 
 def t_sf_two_sided(t: float, df: float) -> float:
@@ -183,13 +116,40 @@ def f_sf(f: float, df1: float, df2: float) -> float:
 
 
 def chi2_sf(x: float, df: float) -> float:
-    """P(X >= x) for the chi-square distribution."""
+    """P(X >= x) for the chi-square distribution with an integer df >= 1.
+
+    With y = x/2, Q(df/2, y) is erfc(sqrt(y)) for odd df plus the positive
+    terms t_s = y^s e^-y / Gamma(s + 1), s = df/2 - 1, df/2 - 2, ... >= 0
+    (Abramowitz & Stegun 26.4.4-5). The sum walks out both ways from its
+    largest term until a term is below _EPS of the total: O(sqrt(df)) terms.
+    """
     x, df = float(x), float(df)
-    if df <= 0.0:
-        raise ValidationError(f"df must be > 0, got {df}")
-    if x <= 0.0:
+    # past 2^53 the walk's s -/+ 1 rounds back to s and would never end
+    if not (1.0 <= df <= 2.0 ** 53 and df.is_integer()):
+        raise ValidationError(f"df must be an integer in [1, 2^53], got {df}")
+    if math.isnan(x):
+        raise ValidationError(f"x must not be NaN, got {x}")
+    y = 0.5 * x
+    if y <= 0.0:  # also where x/2 underflows
         return 1.0
-    return regularized_incomplete_gamma_q(df / 2.0, x / 2.0)
+    if y == math.inf:
+        return 0.0
+    if df == 1.0:
+        return math.erfc(math.sqrt(y))
+    top = 0.5 * df - 1.0
+    bottom = top % 1.0
+    # t_s rises while s < y, so the peak is the last s <= y on the lattice;
+    # t_0 is e^-y itself, which exp(log y) / y misses by ulps for tiny y
+    peak_s = min(top, bottom + max(0, math.floor(y - bottom)))
+    peak = math.exp(-y) if peak_s == 0.0 else _gamma_prefactor(peak_s + 1.0, y) / y
+    total = peak + (math.erfc(math.sqrt(y)) if bottom else 0.0)
+    for step in (-1.0, 1.0):  # t_{s-1} = t_s s/y, t_{s+1} = t_s y/(s + 1)
+        term, s = peak, peak_s
+        while bottom <= s + step <= top and term > _EPS * total:
+            term *= s / y if step < 0.0 else y / (s + step)
+            s += step
+            total += term
+    return min(total, 1.0)  # rounding can lift the sum an ulp past 1 for small y
 
 
 @lru_cache(maxsize=4096)

@@ -3,12 +3,10 @@
 These deliberately avoid the library's own code paths: forward kinematics is
 done with literal 4x4 homogeneous matrices, a fabrication plan is checked by
 folding the tube it describes, ANOVA with textbook loops, and distribution
-values by Monte Carlo sampling. There are three exceptions. `clearance`
+values by Monte Carlo sampling. There are two exceptions. `clearance`
 samples each everted body on its own with the library's sweep_samples, so
 that growth_trace's shared sweep must match it bit for bit; it measures
-distances with `scene_distance_loop`, not the library's kernel.
-`regularized_incomplete_gamma_p` assembles P(a, x) from the library's series
-and continued fraction, so that its tests pin both. And `RowTable`,
+distances with `scene_distance_loop`, not the library's kernel. And `RowTable`,
 `ranks_with_ties_loop` and `scene_distance_loop` are the row, rank and
 per-obstacle loops that the library replaced with array code, kept as the
 reference that code must match bit for bit; so are `rotation_to_quaternion`,
@@ -32,7 +30,6 @@ import numpy as np
 from vinefab.errors import DegenerateGeometryError, MissingMarkerError, ValidationError
 from vinefab.geometry import DHChain, gauge_twist, wrap_angle
 from vinefab.growth import sweep_samples
-from vinefab.special import _gamma_args, _gamma_cf, _gamma_series
 from vinefab.stats import FACTORS, PARAMETER_LEVELS
 
 
@@ -330,16 +327,6 @@ def ks_uniform_distance(p_values):
     grid_hi = np.arange(1, n + 1) / n
     grid_lo = np.arange(0, n) / n
     return float(max(np.max(np.abs(grid_hi - p)), np.max(np.abs(p - grid_lo))))
-
-
-def regularized_incomplete_gamma_p(a, x):
-    """P(a, x), the lower regularized incomplete gamma, from the library's parts."""
-    a, x = _gamma_args(a, x)
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_cf(a, x)
 
 
 SampleRecord = namedtuple("SampleRecord",

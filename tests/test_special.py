@@ -4,30 +4,16 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammainc, gammaincc
+from scipy.special import gammaincc
 from scipy.stats import studentized_range
 
 from vinefab.errors import ValidationError
 from vinefab.special import (_ERFC_CHEB, _RANGE_TAIL, _erfc, _range_cdf, _range_table,
-                             _tabulated_range_cdf, chi2_sf, f_sf, log_gamma,
-                             regularized_incomplete_beta,
-                             regularized_incomplete_gamma_q,
-                             studentized_range_cdf, t_quantile,
-                             t_sf_two_sided)
+                             _tabulated_range_cdf, chi2_sf, f_sf,
+                             regularized_incomplete_beta, studentized_range_cdf,
+                             t_quantile, t_sf_two_sided)
 
-from oracles import (mc_normal_range_cdf, mc_studentized_range_cdf,
-                     regularized_incomplete_gamma_p)
-
-
-def test_log_gamma_exact_points():
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(2.0) == pytest.approx(0.0, abs=1e-15)
-    assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), abs=1e-14)
-    assert log_gamma(6.0) == pytest.approx(math.log(120.0), abs=1e-12)
-    with pytest.raises(ValidationError):
-        log_gamma(0.0)
-    with pytest.raises(ValidationError):
-        log_gamma(-1.5)
+from oracles import mc_normal_range_cdf, mc_studentized_range_cdf
 
 
 def test_incomplete_beta_identities():
@@ -51,7 +37,7 @@ def test_incomplete_beta_against_quadrature():
     for _ in range(25):
         a, b = rng.uniform(0.5, 20.0, 2)
         x = rng.uniform(0.05, 0.95)
-        norm = math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
+        norm = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
         mine = regularized_incomplete_beta(a, b, x)
         # integrate whichever tail is smaller so the oracle keeps precision
         if mine <= 0.5:
@@ -69,58 +55,87 @@ def test_incomplete_beta_domain():
         regularized_incomplete_beta(0.0, 1.0, 0.5)
     with pytest.raises(ValidationError):
         regularized_incomplete_beta(1.0, 1.0, 1.5)
+    for bad in (math.inf, math.nan):
+        for a, b in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValidationError, match="must be finite and > 0"):
+                regularized_incomplete_beta(a, b, 0.5)
 
 
 def test_incomplete_gamma_identities():
-    for x in (0.1, 0.7, 2.0, 9.0):
-        assert regularized_incomplete_gamma_p(1.0, x) == pytest.approx(
-            1.0 - math.exp(-x), abs=1e-13)
-        assert regularized_incomplete_gamma_p(0.5, x) == pytest.approx(
-            math.erf(math.sqrt(x)), abs=1e-13)
-        assert regularized_incomplete_gamma_p(3.0, x) + \
-            regularized_incomplete_gamma_q(3.0, x) == pytest.approx(1.0, abs=1e-13)
-    assert regularized_incomplete_gamma_p(2.0, 0.0) == 0.0
-    assert regularized_incomplete_gamma_q(2.0, 0.0) == 1.0
-    for bad_a in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValidationError, match="a must be finite and > 0"):
-            regularized_incomplete_gamma_q(bad_a, 1.0)
+    # chi2_sf(x, df) = Q(df/2, x/2), which has closed forms for df = 1 to 4
+    for y in (0.1, 0.7, 2.0, 9.0):
+        x, root = 2.0 * y, math.sqrt(y)
+        assert chi2_sf(x, 2) == pytest.approx(math.exp(-y), rel=1e-13, abs=0)
+        assert chi2_sf(x, 1) == pytest.approx(math.erfc(root), rel=1e-13, abs=0)
+        assert chi2_sf(x, 4) == pytest.approx(math.exp(-y) * (1.0 + y), rel=1e-13, abs=0)
+        assert chi2_sf(x, 3) == pytest.approx(
+            math.erfc(root) + 2.0 * math.sqrt(y / math.pi) * math.exp(-y), rel=1e-13, abs=0)
+    # down to tiny y, where exp(log y) / y would miss t_0 = e^-y by 1e-14
+    for x in (1e-300, 1e-200, 1e-100, 1e-20, 1e-6):
+        y = 0.5 * x
+        assert chi2_sf(x, 2) == pytest.approx(math.exp(-y), rel=1e-15, abs=0)
+        assert chi2_sf(x, 4) == pytest.approx(math.exp(-y) * (1.0 + y), rel=1e-15, abs=0)
+    assert chi2_sf(0.0, 4) == 1.0
+
+
+def test_chi2_sf_domain():
+    assert chi2_sf(math.inf, 2) == 0.0
+    assert chi2_sf(math.inf, 3) == 0.0
+    assert chi2_sf(-1.0, 3) == 1.0
+    assert chi2_sf(5e-324, 2) == 1.0  # x/2 underflows to 0
+    with pytest.raises(ValidationError, match="x must not be NaN"):
+        chi2_sf(math.nan, 2)
+    for bad_df in (0.0, -1.0, 2.5, 2.0 ** 54, math.inf, math.nan):
+        with pytest.raises(ValidationError, match=r"df must be an integer in \[1, 2\^53\]"):
+            chi2_sf(1.0, bad_df)
+
+
+def test_chi2_sf_against_mpmath_grid():
+    # the sum's terms come from exp of a log, so deep tails lose about
+    # |log t| ulps: 1.0e-13 worst on this grid
+    worst = 0.0
+    for df in [*range(1, 41), 99, 100, 999, 2000]:
+        for x in [*np.geomspace(1e-6, 3000.0, 61), float(df)]:
+            with mpmath.workdps(40):
+                q = mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2, mpmath.inf,
+                                    regularized=True)
+            if q < mpmath.mpf("1e-290"):
+                continue
+            q = float(q)
+            worst = max(worst, abs(chi2_sf(x, df) - q) / q)
+    assert worst < 1e-12
 
 
 @pytest.mark.parametrize("a", [0.5, 3.0, 50.0, 1e3, 5e3, 1e4, 1e5, 1e6])
 def test_incomplete_gamma_against_scipy(a):
-    # x from a - 8 sqrt(a) to a + 20 sqrt(a): near x = a the series and the
-    # fraction need terms in proportion to sqrt(a). abs 1e-12 covers tails
-    # where scipy itself is off (6e-7 relative at P(1e6, a - 6e3)); the
-    # mpmath check below holds large shapes to a tighter bound
+    # chi2_sf(x, 2a) = Q(a, x/2), at x/2 from a - 8 sqrt(a) to a + 20 sqrt(a),
+    # where the sum runs over terms in proportion to sqrt(a). abs 1e-12
+    # covers tails where scipy itself is off (6e-7 relative at P(1e6, a -
+    # 6e3)); the mpmath check below holds large shapes to a tighter bound
     for z in (-8.0, -6.0, -3.0, -1.0, -0.1, 0.0, 0.1, 1.0, 3.0, 6.0, 20.0):
-        x = a + z * math.sqrt(a)
-        if x <= 0.0:
+        y = a + z * math.sqrt(a)
+        if y <= 0.0:
             continue
-        assert regularized_incomplete_gamma_p(a, x) == pytest.approx(
-            gammainc(a, x), rel=1e-8, abs=1e-12)
-        assert regularized_incomplete_gamma_q(a, x) == pytest.approx(
-            gammaincc(a, x), rel=1e-8, abs=1e-12)
-    assert chi2_sf(2.0 * a, 2.0 * a) == pytest.approx(gammaincc(a, a),
-                                                      rel=1e-8, abs=1e-12)
+        assert chi2_sf(2.0 * y, 2.0 * a) == pytest.approx(gammaincc(a, y),
+                                                          rel=1e-8, abs=1e-12)
 
 
 @pytest.mark.parametrize("a", [1e3, 1e5, 1e6])
 def test_incomplete_gamma_against_mpmath(a):
-    # the prefactor x^a e^-x / Gamma(a) of a large shape must not come from
-    # -x + a log(x) - lgamma(a), whose terms near 1e7 cancel to ~1e-9 at 1e6.
-    # Reference: P = x^a e^-x / Gamma(a + 1) * M(1, a + 1, x) (DLMF 8.5.1)
+    # the peak term y^s e^-y / Gamma(s + 1) of a large df must not come from
+    # -y + s log(y) - lgamma(s + 1), whose terms near 1e7 cancel to ~1e-9 at
+    # s = 1e6. Reference: P = y^a e^-y / Gamma(a + 1) * M(1, a + 1, y) (DLMF
+    # 8.5.1), and Q = 1 - P
     for z in (-6.0, -3.0, -1.0, -0.1, 0.0, 0.1, 1.0, 3.0, 6.0):
-        x = a + z * math.sqrt(a)
+        y = a + z * math.sqrt(a)
         with mpmath.workdps(40):
-            ma, mx = mpmath.mpf(a), mpmath.mpf(x)
-            p = (mpmath.exp(-mx + ma * mpmath.log(mx) - mpmath.loggamma(ma + 1))
-                 * mpmath.hyp1f1(1, ma + 1, mx, maxterms=10**7))
-            p, q = float(p), float(1 - p)
-        assert regularized_incomplete_gamma_p(a, x) == pytest.approx(p, rel=1e-11, abs=0)
-        assert regularized_incomplete_gamma_q(a, x) == pytest.approx(q, rel=1e-11, abs=0)
-    # far below the mean the factor underflows instead of failing in log1p
-    assert regularized_incomplete_gamma_p(a, 1e-300) == 0.0
-    assert regularized_incomplete_gamma_q(a, 1e-300) == 1.0
+            ma, my = mpmath.mpf(a), mpmath.mpf(y)
+            p = (mpmath.exp(-my + ma * mpmath.log(my) - mpmath.loggamma(ma + 1))
+                 * mpmath.hyp1f1(1, ma + 1, my, maxterms=10**7))
+            q = float(1 - p)
+        assert chi2_sf(2.0 * y, 2.0 * a) == pytest.approx(q, rel=1e-11, abs=0)
+    # far below the mean the terms underflow instead of failing in log1p
+    assert chi2_sf(2e-300, 2.0 * a) == 1.0
 
 
 def test_tail_function_relations():
@@ -276,5 +291,9 @@ def test_probability_outputs_bounded():
     for _ in range(200):
         p = f_sf(rng.gamma(2.0), rng.uniform(1, 10), rng.uniform(2, 50))
         assert 0.0 <= p <= 1.0
-        p = chi2_sf(rng.gamma(2.0) * 5, rng.uniform(1, 20))
+        p = chi2_sf(rng.gamma(2.0) * 5, rng.integers(1, 21))
+        assert 0.0 <= p <= 1.0
+    # near x = 0 the rounded sum of e^-y (1 + y + ...) can land an ulp past 1
+    for _ in range(5000):
+        p = chi2_sf(10.0 ** rng.uniform(-18.0, 0.5), rng.integers(1, 12))
         assert 0.0 <= p <= 1.0
