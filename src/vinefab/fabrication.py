@@ -191,13 +191,13 @@ def recover_chain(plan: FabricationPlan, gap: GapModel) -> DHChain:
     """Invert compile_plan: fabrication parameters back to a DH chain.
 
     Each fold is inverted with the d_g the plan records for its joint; `gap`
-    must agree with it to the 9 significant digits of a plan file (relative
-    1e-8), else ValidationError names the joint. Returns the nonnegative
-    gauge: every recovered joint angle lies in [0, pi) and each twist is its
-    arc offset over r, so the recovered chain folds the designed shape. A
-    chain with negative bends comes back with |theta| and the twists of
-    ``gauge_twist``; when theta_1 < 0 its base frame is also turned by pi
-    about x. The last link's twist leaves no trace in the plan and is 0.
+    must agree with it to a relative 1e-8, else ValidationError names the
+    joint. Returns the nonnegative gauge: every recovered joint angle lies in
+    [0, pi) and each twist is its arc offset over r, so the recovered chain
+    folds the designed shape. A chain with negative bends comes back with
+    |theta| and the twists of ``gauge_twist``; when theta_1 < 0 its base frame
+    is also turned by pi about x. The last link's twist leaves no trace in the
+    plan and is 0.
     """
     r, s_tilde = plan.radius, plan.s_tilde
     folds = np.flatnonzero(s_tilde > 0.0)

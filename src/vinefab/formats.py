@@ -1,4 +1,4 @@
-"""File formats: chain / scene / plan JSON, polyline / marker / sample CSV.
+"""File formats: chain/scene JSON and polyline/marker/sample CSV are read; the rest only written.
 
 All numeric output goes through one formatter (9 significant digits) and all
 JSON is emitted by a fixed-order serializer, so identical inputs produce
@@ -146,12 +146,11 @@ def _number(mapping, key, context, default=None):
     return _float(value, f"{context}: {key!r}")
 
 
-def _numbers(mapping, key, context, length=None) -> list:
-    """A list field of JSON numbers as floats, of a fixed length if one is given."""
+def _point(mapping, key, context) -> list:
+    """A list field of 3 JSON numbers as floats."""
     values = _typed(mapping, key, context, list)
-    if length is not None and len(values) != length:
-        raise ValidationError(
-            f"{context}: {key!r} must hold {length} numbers, got {values!r}")
+    if len(values) != 3:
+        raise ValidationError(f"{context}: {key!r} must hold 3 numbers, got {values!r}")
     return [_float(v, f"{context}: {key!r} item {i}") for i, v in enumerate(values, 1)]
 
 
@@ -235,9 +234,9 @@ def write_polyline(points: np.ndarray, path) -> None:
 def read_scene(path) -> ObstacleScene:
     """Spheres and boxes of a scene JSON; every coordinate list holds 3 numbers."""
     data = _top(load_json(path), path, "scene")
-    spheres = [(_numbers(entry, "center_mm", where, 3), _number(entry, "radius_mm", where))
+    spheres = [(_point(entry, "center_mm", where), _number(entry, "radius_mm", where))
                for where, entry in _objects(data, "spheres", path, "sphere", [])]
-    boxes = [(_numbers(entry, "min_mm", where, 3), _numbers(entry, "max_mm", where, 3))
+    boxes = [(_point(entry, "min_mm", where), _point(entry, "max_mm", where))
              for where, entry in _objects(data, "boxes", path, "box", [])]
     with _context(path):
         return ObstacleScene(spheres=spheres, boxes=boxes)
@@ -264,53 +263,6 @@ def plan_to_dict(plan: FabricationPlan) -> dict:
         "arc_offsets_mm": plan.arc_offsets.tolist(),
         "total_tube_length_mm": plan.total_tube_length,
     }
-
-
-def plan_from_dict(data: dict, context: str = "plan") -> FabricationPlan:
-    """A plan from its independent fields; the layout fields must agree with them.
-
-    ``index`` must be the joint's position; ``axial_start_mm``,
-    ``circumferential_mm`` (modulo the circumference) and
-    ``total_tube_length_mm`` must lie within 1e-6 mm of the layout the plan
-    derives, plus 1e-8 of the lengths summed into it: every value in the file
-    carries 9 significant digits.
-    """
-    radius = _number(_top(data, context, "plan"), "radius_mm", context)
-    cylinders = _numbers(data, "cylinders_mm", context)
-    joints = _objects(data, "joints", context, "joint")
-    s_tilde = [_number(entry, "s_tilde_mm", where) for where, entry in joints]
-    d_g = [_number(entry, "d_g_mm", where) for where, entry in joints]
-    arcs = _numbers(data, "arc_offsets_mm", context)
-    with _context(context):
-        plan = FabricationPlan(radius, cylinders, s_tilde, d_g, arcs)
-
-    circumference = plan.circumference
-    tol = 1e-6 + 1e-8 * (plan.total_tube_length + circumference
-                         + float(np.abs(plan.arc_offsets).sum()))
-
-    def check(mapping, key, where, derived, period=None):
-        value = _number(mapping, key, where)
-        off = abs(value - derived)
-        if period is not None:
-            off = min(off % period, period - off % period)
-        if not off <= tol:  # NaN too, where the difference overflows
-            raise ValidationError(
-                f"{where}: {key!r} is {value!r} mm, but the plan's cylinders, folds "
-                f"and arc offsets place it at {derived!r} mm")
-
-    for i, ((where, entry), z, c) in enumerate(zip(joints, plan.axial_start.tolist(),
-                                                  plan.circumferential.tolist()), start=1):
-        index = _require(entry, "index", where)
-        if type(index) is not int or index != i:
-            raise ValidationError(f"{where}: 'index' must be {i}, got {index!r}")
-        check(entry, "axial_start_mm", where, z)
-        check(entry, "circumferential_mm", where, c, circumference)
-    check(data, "total_tube_length_mm", context, plan.total_tube_length)
-    return plan
-
-
-def read_plan(path) -> FabricationPlan:
-    return plan_from_dict(load_json(path), context=str(path))
 
 
 def write_plan(plan: FabricationPlan, path) -> None:

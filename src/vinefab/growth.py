@@ -99,19 +99,25 @@ class ObstacleScene(ReadOnly):
         return best
 
 
-def _everted(chain: DHChain, everted_length) -> float:
-    """The everted length as a float, checked to lie on the chain.
+def _on_chain(chain: DHChain, lengths, error: str):
+    """Lengths from the base (a float or float array) clamped to the total.
 
+    Each must lie in [0, total], else ValidationError(error); NaN never does.
     A length up to n ulps over the total is the total: summing the n link
     lengths in another order (``a.sum()``), or scaling the total, can land
     that far above ``total_length``.
     """
-    everted_length = float(everted_length)
     total = chain.total_length
-    if not 0.0 <= everted_length <= total + chain.n * math.ulp(total):
-        raise ValidationError(
-            f"everted_length must lie in [0, {total!r}] mm, got {everted_length!r}")
-    return min(everted_length, total)
+    if not np.all((lengths >= 0.0) & (lengths <= total + chain.n * math.ulp(total))):
+        raise ValidationError(error)
+    return np.minimum(lengths, total)
+
+
+def _everted(chain: DHChain, everted_length) -> float:
+    """The everted length as a float, checked and clamped by _on_chain."""
+    everted_length = float(everted_length)
+    return float(_on_chain(chain, everted_length, "everted_length must lie in "
+                           f"[0, {chain.total_length!r}] mm, got {everted_length!r}"))
 
 
 def _step(step) -> float:
@@ -139,11 +145,13 @@ def centerline_points(chain: DHChain, arc_lengths: np.ndarray) -> np.ndarray:
     """Centerline positions (m, 3) at the given arc lengths from the base.
 
     A joint's bend applies the instant the joint everts, so a point at a link
-    boundary lies at that joint. Builds the chain's frames once.
+    boundary lies at that joint. Builds the chain's frames once. The arc
+    lengths are a 1-D sequence checked and clamped by _on_chain.
     """
-    s = np.asarray(arc_lengths, float)
-    if np.any(s < -1e-12) or np.any(s > chain.total_length + 1e-12):
-        raise ValidationError("arc lengths must lie within the everted body")
+    s = float_array(arc_lengths, "arc lengths")
+    if s.ndim != 1:
+        raise ValidationError(f"arc lengths must be a 1-D sequence, got shape {s.shape}")
+    s = _on_chain(chain, s, "arc lengths must lie within the everted body")
     rots, verts = chain_frames(chain)
     dirs = rots[1:, :, 0]  # frame i's x-axis runs along link i
     cum = np.concatenate([[0.0], np.cumsum(chain.a)])

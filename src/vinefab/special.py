@@ -98,8 +98,8 @@ def _gamma_prefactor(a: float, x: float) -> float:
 def t_sf_two_sided(t: float, df: float) -> float:
     """P(|T| >= t) for Student's t with df degrees of freedom."""
     t, df = float(t), float(df)
-    if not df > 0.0:  # NaN too
-        raise ValidationError(f"df must be > 0, got {df}")
+    if not 0.0 < df < math.inf:  # NaN too
+        raise ValidationError(f"df must be finite and > 0, got {df}")
     if math.isnan(t):
         raise ValidationError(f"t must not be NaN, got {t}")
     if math.isinf(t):
@@ -110,8 +110,8 @@ def t_sf_two_sided(t: float, df: float) -> float:
 def f_sf(f: float, df1: float, df2: float) -> float:
     """P(F >= f) for the F distribution."""
     f, df1, df2 = float(f), float(df1), float(df2)
-    if not (df1 > 0.0 and df2 > 0.0):  # NaN too
-        raise ValidationError(f"df must be > 0, got df1={df1}, df2={df2}")
+    if not (0.0 < df1 < math.inf and 0.0 < df2 < math.inf):  # NaN too
+        raise ValidationError(f"df must be finite and > 0, got df1={df1}, df2={df2}")
     if math.isnan(f):
         raise ValidationError(f"f must not be NaN, got {f}")
     if f <= 0.0:
@@ -160,8 +160,8 @@ def chi2_sf(x: float, df: float) -> float:
 def t_quantile(p: float, df: float) -> float:
     """Inverse CDF of Student's t, by bisection on the monotone CDF."""
     p, df = float(p), float(df)
-    if not df > 0.0:  # NaN too
-        raise ValidationError(f"df must be > 0, got {df}")
+    if not 0.0 < df < math.inf:  # NaN too
+        raise ValidationError(f"df must be finite and > 0, got {df}")
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p must lie in (0, 1), got {p}")
     if p == 0.5:

@@ -413,6 +413,8 @@ def test_analyze_runs_welch_on_huge_unequal_variances(tmp_path, capsys):
     ([{"a_mm": 100}], "a chain must be a JSON object"),
     ({"radius_mm": 16.5, "links": [{"a_mm": 1e308}, {"a_mm": 1e308}]},
      "link 2: chain length overflows"),
+    ({"radius_mm": 16.5, "links": [{"a_mm": 100}, {"theta_deg": 45}]},
+     "link 2: missing required field 'a_mm'"),
 ])
 @pytest.mark.parametrize("command", ["plan", "pattern", "fk", "grow"])
 def test_chain_json_takes_only_json_numbers(tmp_path, capsys, chain, message, command):

@@ -397,9 +397,21 @@ def test_recover_rejects_a_gap_the_plan_was_not_compiled_with(three_bend_chain):
         recover_chain(plan, TAPE)
     with pytest.raises(ValidationError, match="joint 2: "):
         recover_chain(plan, GapModel("loop", 9.3 * (1.0 + 2e-8)))
-    # within the 9 significant digits of a plan file the plan's own d_g is used
+    # within a relative 1e-8 the plan's own d_g is used
     back = recover_chain(plan, GapModel("loop", 9.3 * (1.0 + 5e-9)))
     assert back.theta.tobytes() == recover_chain(plan, LOOP).theta.tobytes()
+
+
+def test_recover_accepts_a_gap_rounded_to_nine_digits(three_bend_chain):
+    # d_g = 0.333333333 lies within the relative 1e-8 of a gap of 1/3
+    gap = GapModel("loop", 1.0 / 3.0)
+    plan = compile_plan(three_bend_chain, gap)
+    rounded = FabricationPlan(plan.radius, plan.cylinders, plan.s_tilde,
+                              [0.333333333 if s > 0.0 else 0.0 for s in plan.s_tilde.tolist()],
+                              plan.arc_offsets)
+    assert rounded.d_g[1] == 0.333333333
+    np.testing.assert_allclose(recover_chain(rounded, gap).theta, three_bend_chain.theta,
+                               rtol=0, atol=1e-9)
 
 
 def test_twist_carried_across_foldless_joints():

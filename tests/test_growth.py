@@ -81,6 +81,8 @@ def test_a_summed_chain_length_reads_as_the_total():
             assert clearances == clamped[1]
         np.testing.assert_array_equal(sweep_samples(chain, summed)[0],
                                       sweep_samples(chain, min(summed, total))[0])
+        np.testing.assert_array_equal(centerline_points(chain, [summed]),
+                                      centerline_points(chain, [min(summed, total)]))
         for grow in (lambda L: sweep_samples(chain, L), lambda L: growth_trace(chain, [L], None)):
             with pytest.raises(ValidationError, match="everted_length must lie in"):
                 grow(total * (1.0 + 1e-9))
@@ -123,9 +125,13 @@ def test_centerline_points_domain(three_bend_chain):
     pts = centerline_points(three_bend_chain, np.array([0.0, 100.0, 150.0]))
     np.testing.assert_allclose(pts[0], [0.0, 0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(pts[1], [100.0, 0.0, 0.0], atol=1e-12)
-    for bad in (-1.0, 300.1):
-        with pytest.raises(ValidationError, match="within the everted body"):
+    for bad in (-1.0, -1e-13, 300.1, math.nan):
+        with pytest.raises(ValidationError, match="^arc lengths must lie within the everted body$"):
             centerline_points(three_bend_chain, np.array([bad]))
+    for bad, message in (([[0.0, 100.0]], "must be a 1-D sequence, got shape (1, 2)"),
+                         (["x"], "must be numbers in a regular array")):
+        with pytest.raises(ValidationError, match=re.escape(f"arc lengths {message}")):
+            centerline_points(three_bend_chain, bad)
 
 
 def test_clearance_point_to_sphere_hand_geometry():

@@ -91,18 +91,22 @@ def test_chi2_sf_domain():
 
 
 def test_tails_and_t_quantile_name_the_bad_argument():
-    # a NaN statistic or df is rejected at entry, not as the incomplete beta's x, a or b
-    nan = math.nan
+    # a NaN statistic or a df that is NaN, infinite or not > 0 is rejected at
+    # entry, not as the incomplete beta's x, a or b
+    nan, inf = math.nan, math.inf
     for function, args, message in [
             (t_sf_two_sided, (nan, 5.0), "t must not be NaN, got nan"),
             (f_sf, (nan, 2.0, 10.0), "f must not be NaN, got nan"),
-            (t_sf_two_sided, (1.0, nan), "df must be > 0, got nan"),
-            (t_sf_two_sided, (1.0, 0.0), "df must be > 0, got 0.0"),
-            (t_quantile, (0.9, nan), "df must be > 0, got nan"),
-            (t_quantile, (0.9, -1.0), "df must be > 0, got -1.0"),
-            (f_sf, (1.0, nan, 10.0), "df must be > 0, got df1=nan, df2=10.0"),
-            (f_sf, (1.0, 2.0, nan), "df must be > 0, got df1=2.0, df2=nan"),
-            (f_sf, (1.0, 2.0, 0.0), "df must be > 0, got df1=2.0, df2=0.0")]:
+            (t_sf_two_sided, (1.0, nan), "df must be finite and > 0, got nan"),
+            (t_sf_two_sided, (1.0, 0.0), "df must be finite and > 0, got 0.0"),
+            (t_sf_two_sided, (1.0, inf), "df must be finite and > 0, got inf"),
+            (t_quantile, (0.9, nan), "df must be finite and > 0, got nan"),
+            (t_quantile, (0.9, -1.0), "df must be finite and > 0, got -1.0"),
+            (t_quantile, (0.9, inf), "df must be finite and > 0, got inf"),
+            (f_sf, (1.0, nan, 10.0), "df must be finite and > 0, got df1=nan, df2=10.0"),
+            (f_sf, (1.0, 2.0, nan), "df must be finite and > 0, got df1=2.0, df2=nan"),
+            (f_sf, (1.0, 2.0, 0.0), "df must be finite and > 0, got df1=2.0, df2=0.0"),
+            (f_sf, (1.0, 2.0, inf), "df must be finite and > 0, got df1=2.0, df2=inf")]:
         with pytest.raises(ValidationError) as info:
             function(*args)
         assert str(info.value) == message
