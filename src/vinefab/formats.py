@@ -3,6 +3,12 @@
 All numeric output goes through one formatter (9 significant digits) and all
 JSON is emitted by a fixed-order serializer, so identical inputs produce
 byte-identical files.
+
+Every CSV read is UTF-8 text with its header row first and comma-separated
+fields. Columns are found by their header name, in any order, and each row
+has as many fields as the header. Blank lines are skipped but counted in the
+line numbers that errors name. Quoted fields (which may hold commas, quotes
+and line ends) and CR or CRLF line ends are accepted.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ import csv
 import json
 import math
 from contextlib import contextmanager
+from itertools import chain
 
 import numpy as np
 
@@ -285,11 +292,15 @@ def read_markers(path) -> list:
     # checked once, on the whole file, so that an error names its line
     t, p, q = check_samples(str(path), values[:, 0], values[:, 1:4], values[:, 4:],
                             lines)
-    rows = {}
-    for i, marker_id in enumerate(columns["marker_id"]):
-        rows.setdefault(marker_id, []).append(i)
-    return [MarkerRecord._from_checked(marker_id, t[idx], p[idx], q[idx])
-            for marker_id, idx in rows.items()]
+    # one stable sort of first-appearance codes groups the rows; records slice it
+    ids = columns["marker_id"]
+    code = {marker_id: k for k, marker_id in enumerate(dict.fromkeys(ids))}
+    codes = np.fromiter(map(code.__getitem__, ids), np.intp, len(ids))
+    order = np.argsort(codes, kind="stable")
+    ends = np.cumsum(np.bincount(codes)).tolist()
+    t, p, q = t[order], p[order], q[order]
+    return [MarkerRecord._from_checked(marker_id, t[start:end], p[start:end], q[start:end])
+            for marker_id, start, end in zip(code, [0, *ends], ends)]
 
 
 def write_markers(records, path) -> None:
@@ -378,37 +389,84 @@ def write_growth_trace(trace, path) -> None:
 def _read_csv(path, header):
     """Read the named columns of a CSV file: (line numbers, {column: values}).
 
-    Blank lines are skipped; line numbers count them. A row whose field
-    count differs from the header's is rejected.
+    The whole text is split at once: rows at line ends, fields at commas.
+    Text that plain splitting cannot parse goes to ``csv.reader`` instead:
+    text holding a quote, a CR or a NUL, a line longer than csv's field-size
+    limit, or bytes that are not UTF-8. Both paths accept the same files and
+    raise the same errors.
     """
     with _reading(path), open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        fieldnames = next(reader, None)
-        if fieldnames is None:
-            raise ValidationError(f"{path}: empty file")
-        missing = [c for c in header if c not in fieldnames]
-        if missing:
-            raise ValidationError(
-                f"{path}: missing columns {missing}; header is {fieldnames}")
-        lines, rows = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(fieldnames):
-                raise ValidationError(
-                    f"{path}: line {reader.line_num}: expected "
-                    f"{len(fieldnames)} fields, got {len(row)}")
-            lines.append(reader.line_num)
-            rows.append(row)
-    index = {c: fieldnames.index(c) for c in header}
+        rows = _plain_lines(fh)
+        if rows is None or max(map(len, rows)) > csv.field_size_limit():
+            fh.seek(0)
+            return _read_csv_rows(path, header, fh)
+    first, rows = rows[0], rows[1:]
+    # as csv.reader: no header row in an empty file, and an empty one on a blank line
+    fieldnames = first.split(",") if first else [] if rows else None
+    index = _header_index(path, header, fieldnames)
+    width = len(fieldnames)
+    if "" in rows:  # blank lines are skipped, but counted in line numbers
+        lines = [line for line, row in enumerate(rows, 2) if row]
+        rows = list(filter(None, rows))
+    else:
+        lines = list(range(2, len(rows) + 2))
+    commas = [row.count(",") for row in rows]
+    if commas.count(width - 1) != len(rows):
+        i = next(i for i, n in enumerate(commas) if n != width - 1)
+        raise _width_error(path, lines[i], width, commas[i] + 1)
+    joined = ",".join(rows)
+    del rows  # before the split builds the fields, so that less text is held at once
+    fields = joined.split(",") if lines else []
+    return lines, {c: fields[i::width] for c, i in index.items()}
+
+
+def _plain_lines(fh):
+    """The lines of a file that plain splitting parses, else None."""
+    try:
+        text = fh.read()
+    except UnicodeDecodeError:  # csv.reader re-reads the file and reports it as before
+        return None
+    # only csv.reader parses quotes and CRs (and, before Python 3.11, rejects a NUL)
+    return None if any(c in text for c in '"\r\0') else text.split("\n")
+
+
+def _read_csv_rows(path, header, fh):
+    """``_read_csv`` by ``csv.reader``, one row at a time: a quoted field may hold
+    commas, quotes and line ends, and a row's line number is that of its last line."""
+    reader = csv.reader(fh)
+    fieldnames = next(reader, None)
+    index = _header_index(path, header, fieldnames)
+    lines, rows = [], []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(fieldnames):
+            raise _width_error(path, reader.line_num, len(fieldnames), len(row))
+        lines.append(reader.line_num)
+        rows.append(row)
     return lines, {c: [row[i] for row in rows] for c, i in index.items()}
+
+
+def _header_index(path, header, fieldnames):
+    """Each named column's place in the header row (None for an empty file)."""
+    if fieldnames is None:
+        raise ValidationError(f"{path}: empty file")
+    missing = [c for c in header if c not in fieldnames]
+    if missing:
+        raise ValidationError(f"{path}: missing columns {missing}; header is {fieldnames}")
+    return {c: fieldnames.index(c) for c in header}
+
+
+def _width_error(path, line, width, got):
+    return ValidationError(f"{path}: line {line}: expected {width} fields, got {got}")
 
 
 def _floats(path, lines, columns, names) -> np.ndarray:
     """The named columns as an (m, len(names)) float array, in one conversion."""
     cols = [columns[c] for c in names]
     try:
-        return np.array([list(map(float, col)) for col in cols]).T.copy()
+        values = np.fromiter(map(float, chain.from_iterable(cols)), float)
+        return values.reshape(len(cols), -1).T.copy()
     except ValueError:
         for line, row in zip(lines, zip(*cols)):
             try:

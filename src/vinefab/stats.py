@@ -60,6 +60,9 @@ def significance_stars(p: float) -> str:
 
 
 def _as_groups(groups, min_groups=2, min_size=2, context="test"):
+    """The groups as checked float arrays. Each public test checks its own groups;
+    the private twins (_anova, _levene, ...) take groups already checked, which is
+    how analyze_table checks each group list once."""
     arrays = [float_array(g, f"{context}: group {i}").ravel()
               for i, g in enumerate(groups, start=1)]
     if len(arrays) < min_groups:
@@ -95,7 +98,10 @@ def _anova_f(arrays):
 
 def one_way_anova(groups) -> TestResult:
     """One-way fixed-effects ANOVA across two or more groups."""
-    arrays = _as_groups(groups, context="one-way ANOVA")
+    return _anova(_as_groups(groups, context="one-way ANOVA"))
+
+
+def _anova(arrays) -> TestResult:
     f, df1, df2, _ = _anova_f(arrays)
     return TestResult("one-way ANOVA", f, f_sf(f, df1, df2), (df1, df2))
 
@@ -113,7 +119,10 @@ def _median(values: np.ndarray) -> float:
 
 def levene_test(groups) -> TestResult:
     """Homogeneity of variance, median-centered (Brown-Forsythe) variant."""
-    arrays = _as_groups(groups, context="Levene test")
+    return _levene(_as_groups(groups, context="Levene test"))
+
+
+def _levene(arrays) -> TestResult:
     z = [np.abs(g - _median(g)) for g in arrays]
     try:
         f, df1, df2, _ = _anova_f(z)
@@ -136,7 +145,10 @@ def _ranks_with_ties(pooled):
 
 def kruskal_wallis(groups) -> TestResult:
     """Kruskal-Wallis rank test with tie correction."""
-    arrays = _as_groups(groups, min_size=1, context="Kruskal-Wallis test")
+    return _kruskal(_as_groups(groups, min_size=1, context="Kruskal-Wallis test"))
+
+
+def _kruskal(arrays) -> TestResult:
     pooled = np.concatenate(arrays)
     total = pooled.size
     ranks, tie_sizes = _ranks_with_ties(pooled)
@@ -164,6 +176,10 @@ def tukey_hsd(groups, labels=None, alpha: float = ALPHA_DEFAULT) -> TukeyResult:
         labels = [str(i + 1) for i in range(len(arrays))]
     if len(labels) != len(arrays):
         raise ValidationError("labels must match the number of groups")
+    return _tukey(arrays, labels, alpha)
+
+
+def _tukey(arrays, labels, alpha) -> TukeyResult:
     k = len(arrays)
     _, _, df2, ms_within = _anova_f(arrays)
     index, diffs, qs = [], [], []
@@ -189,7 +205,10 @@ def _t_result(name, t, df) -> TestResult:
 
 def t_test_independent(a, b) -> TestResult:
     """Two-sample t-test with pooled variance, two-sided."""
-    ga, gb = _as_groups([a, b], context="independent t-test")
+    return _t_pooled(*_as_groups([a, b], context="independent t-test"))
+
+
+def _t_pooled(ga, gb) -> TestResult:
     na, nb = ga.size, gb.size
     df = na + nb - 2
     diff = float(ga.mean() - gb.mean())
@@ -205,7 +224,10 @@ def t_test_independent(a, b) -> TestResult:
 
 def t_test_welch(a, b) -> TestResult:
     """Welch two-sample t-test (unequal variances), two-sided."""
-    ga, gb = _as_groups([a, b], context="Welch t-test")
+    return _welch(*_as_groups([a, b], context="Welch t-test"))
+
+
+def _welch(ga, gb) -> TestResult:
     va, vb = ga.var(ddof=1) / ga.size, gb.var(ddof=1) / gb.size
     diff = float(ga.mean() - gb.mean())
     if va + vb <= 0.0:
@@ -404,7 +426,6 @@ def analyze_table(table: SampleTable, alpha: float = ALPHA_DEFAULT) -> dict:
                     "tests skipped")
                 continue
 
-            arrays = [groups[l] for l in labels]
             try:
                 if factor == "phase":
                     pre, post = sub.paired_phases()
@@ -412,14 +433,16 @@ def analyze_table(table: SampleTable, alpha: float = ALPHA_DEFAULT) -> dict:
                     block["omnibus"]["mean_diff"] = float(np.mean(post - pre))
                     continue
 
-                homogeneity = levene_test(arrays)
+                # checked once for the tests below, under the name of the first of them
+                arrays = _as_groups([groups[l] for l in labels], context="Levene test")
+                homogeneity = _levene(arrays)
                 block["homogeneity"] = _test_dict(homogeneity)
                 equal_var = homogeneity.p_value >= alpha
 
                 if factor == "method":
-                    omnibus = (one_way_anova if equal_var else kruskal_wallis)(arrays)
+                    omnibus = (_anova if equal_var else _kruskal)(arrays)
                 else:
-                    omnibus = (t_test_independent if equal_var else t_test_welch)(*arrays)
+                    omnibus = (_t_pooled if equal_var else _welch)(*arrays)
                 if not equal_var:
                     fallback = "Kruskal-Wallis" if factor == "method" else "Welch"
                     notices.append(
@@ -427,7 +450,7 @@ def analyze_table(table: SampleTable, alpha: float = ALPHA_DEFAULT) -> dict:
                         f"(p = {homogeneity.p_value:.4g}), using {fallback}")
                 block["omnibus"] = _test_dict(omnibus)
                 if factor == "method":
-                    hsd = tukey_hsd(arrays, labels=labels, alpha=alpha)
+                    hsd = _tukey(arrays, labels, alpha)
                     block["pairwise"] = [pair._asdict() for pair in hsd.pairs]
             except (DegenerateDataError, ValidationError) as exc:
                 notices.append(f"{param}/{factor}: {exc}")

@@ -18,9 +18,13 @@ straight-joint rule. `plan_arcs_loop`, the arc loop of compile_plan before
 `carried_twists`, also takes `gauge_twist` from the library.
 `polyline_to_dh_loop` is the per-link `rot_z`/`rot_x` frame loop the
 polyline fit used before `geometry.bend_planes`; away from collinear
-vertices its plans must match the fit's byte for byte.
+vertices its plans must match the fit's byte for byte. `read_csv_loop` is
+the `csv.reader` row loop the CSV readers used before the text was split
+whole, and `read_markers_loop` groups its rows by marker one at a time into
+checked `MarkerRecord`s; the readers must match both exactly, errors included.
 """
 
+import csv
 import math
 from collections import namedtuple
 
@@ -30,6 +34,7 @@ import numpy as np
 from vinefab.errors import DegenerateGeometryError, MissingMarkerError, ValidationError
 from vinefab.geometry import DHChain, gauge_twist, wrap_angle
 from vinefab.growth import sweep_samples
+from vinefab.measurement import MarkerRecord
 from vinefab.stats import FACTORS, PARAMETER_LEVELS
 
 
@@ -551,3 +556,52 @@ def dh_error_rows(pairs, phase, chain):
         t = lengths[i - 1]
         rows.append(ErrorRow("length", i, t, a, a - t, phase))
     return rows
+
+
+def read_csv_loop(path, header):
+    """(line numbers, {column: values}) of a CSV file, by csv.reader one row at a time.
+
+    Blank lines are skipped; line numbers count them. A row whose field count
+    differs from the header's is rejected.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            fieldnames = next(reader, None)
+            if fieldnames is None:
+                raise ValidationError(f"{path}: empty file")
+            missing = [c for c in header if c not in fieldnames]
+            if missing:
+                raise ValidationError(
+                    f"{path}: missing columns {missing}; header is {fieldnames}")
+            lines, rows = [], []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(fieldnames):
+                    raise ValidationError(
+                        f"{path}: line {reader.line_num}: expected "
+                        f"{len(fieldnames)} fields, got {len(row)}")
+                lines.append(reader.line_num)
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: malformed CSV ({exc})") from exc
+    index = {c: fieldnames.index(c) for c in header}
+    return lines, {c: [row[i] for row in rows] for c, i in index.items()}
+
+
+MARKER_HEADER = ["marker_id", "t_s", "x_mm", "y_mm", "z_mm", "qw", "qx", "qy", "qz"]
+
+
+def read_markers_loop(path):
+    """One checked MarkerRecord per marker id, in order of first appearance, with
+    its rows gathered one at a time in file order."""
+    _, columns = read_csv_loop(path, MARKER_HEADER)
+    rows = {}
+    for i, marker_id in enumerate(columns["marker_id"]):
+        rows.setdefault(marker_id, []).append([float(columns[c][i]) for c in MARKER_HEADER[1:]])
+    return [MarkerRecord(marker_id, *(np.array([row[k] for row in values])
+                                      for k in (0, slice(1, 4), slice(4, 8))))
+            for marker_id, values in rows.items()]

@@ -1,10 +1,14 @@
 import csv
+import io
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vinefab import formats
 from vinefab.errors import ValidationError
@@ -13,7 +17,7 @@ from vinefab.growth import Box, ObstacleScene, Sphere
 from vinefab.measurement import recover_dh, synthetic_markers
 from vinefab.stats import group_summary
 
-from oracles import measured_pairs
+from oracles import measured_pairs, read_csv_loop, read_markers_loop
 
 
 def test_fmt9():
@@ -260,3 +264,136 @@ def test_growth_table_ingestion(data_dir):
     summaries = group_summary(by_combo)
     for s in summaries.values():
         assert 5.0 < s.mean < 30.0  # tens of kPa
+
+
+_PLAIN = st.text(st.sampled_from("1a .-\u00e9\t"), max_size=4)
+_ANY = st.text(st.sampled_from('1a ,"\n\r\0\u00e9'), max_size=5)
+
+
+def _quoted(fields):
+    text = io.StringIO()
+    csv.writer(text, lineterminator="").writerow(fields)
+    return text.getvalue()
+
+
+def _one_in(n):
+    return st.sampled_from([False] * (n - 1) + [True])
+
+
+@st.composite
+def _csv_bytes(draw):
+    """CSV files of every shape the readers meet, as bytes: plain ones most often."""
+    plain = draw(st.booleans())
+    header = draw(st.lists(st.sampled_from(["a", "b", "c", "b c"]), max_size=4)
+                  if draw(_one_in(8)) else
+                  st.lists(st.sampled_from(["a", "c", "b c"]), max_size=2)
+                  .flatmap(lambda extra: st.permutations(["a", "b", *extra])))
+    width = len(header)
+    rows = [",".join(header)]
+    if draw(_one_in(10)):
+        rows.insert(0, "")  # a blank first line stands where the header should
+    kinds = {"row": st.lists(_PLAIN, min_size=width, max_size=width).map(",".join),
+             "blank": st.sampled_from(["", "", "", " ", "\t"])}  # whitespace is a field
+    if draw(_one_in(4)):  # rows one field short or long
+        kinds["ragged"] = st.sampled_from([-1, 1]).flatmap(
+            lambda d: st.lists(_PLAIN, min_size=max(width + d, 0), max_size=max(width + d, 0))
+        ).map(",".join)
+    if not plain:  # quoted fields holding commas, quotes and line ends; raw quotes, CRs and NULs
+        kinds["quoted"] = st.lists(_ANY, min_size=width, max_size=width).map(_quoted)
+        kinds["any"] = _ANY
+    rows += [draw(kinds[kind]) for kind in draw(st.lists(
+        st.sampled_from(["row", "row", "row", *kinds]), min_size=1, max_size=10))]
+    newlines = ["\n"] if plain or draw(st.booleans()) else ["\n", "\r\n", "\r"]
+    ends = draw(st.lists(st.sampled_from(newlines), min_size=len(rows), max_size=len(rows)))
+    if draw(st.booleans()):
+        ends[-1] = ""  # no line end after the last line
+    text = "" if draw(_one_in(20)) else "".join(row + end for row, end in zip(rows, ends))
+    data = text.encode("utf-8")
+    if draw(_one_in(8)):  # not UTF-8, maybe past the first 8 KiB decoded
+        pad = draw(st.sampled_from([0, 1200])) * ("1," * max(width - 1, 0) + "1\n")
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + pad.encode() + draw(st.sampled_from([b"\xff", b"\xe2"])) + data[at:]
+    return data
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=_csv_bytes(), limit=st.sampled_from([None, None, None, 3]))
+def test_read_csv_matches_the_row_loop(data, limit):
+    # the same lines and columns as csv.reader row by row, or the same error text,
+    # under csv's default field-size limit or a small one set for the example
+    default = csv.field_size_limit()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            csv.field_size_limit(limit or default)
+            outcomes = []
+            for read in (formats._read_csv, read_csv_loop):
+                try:
+                    outcomes.append(read(path, ["a", "b"]))
+                except ValidationError as exc:
+                    outcomes.append(str(exc))
+        finally:
+            csv.field_size_limit(default)
+    assert outcomes[0] == outcomes[1]
+
+
+def test_read_csv_keeps_the_csv_field_size_limit(tmp_path):
+    # a field of exactly the limit is read; one character more is rejected as csv
+    # rejects it, and a line past the limit made of short fields is still read
+    limit = csv.field_size_limit()
+    path = tmp_path / "wide.csv"
+    too_long = f"{path}: malformed CSV (field larger than field limit ({limit}))"
+    for body, error in [("x" * limit + ",1\n", None),
+                        ("x" * (limit + 1) + ",1\n", too_long),
+                        ("x" * (limit + 1) + "\n", too_long),  # before its field count
+                        ("x" * (limit // 2) + "," + "y" * (limit // 2 + 2) + "\n", None)]:
+        path.write_text("a,b\n" + body)
+        if error is None:
+            lines, columns = formats._read_csv(path, ["a", "b"])
+            assert (lines, columns) == read_csv_loop(path, ["a", "b"])
+            assert lines == [2] and columns["a"] == [body.split(",")[0]]
+        else:
+            with pytest.raises(ValidationError) as err:
+                formats._read_csv(path, ["a", "b"])
+            assert str(err.value) == error
+
+
+def test_read_markers_groups_interleaved_ids_like_the_row_loop(tmp_path):
+    # records in first-appearance order, samples in file order, bit for bit as the
+    # row-by-row grouping builds them, and read-only
+    rng = np.random.default_rng(35)
+    ids = ["base", "j2_on", "j2_prox", "j3_dist", "tip"]
+    path = tmp_path / "markers.csv"
+    for _ in range(20):
+        picks = rng.integers(0, len(ids), int(rng.integers(1, 60)))
+        q = rng.normal(size=(picks.size, 4))
+        q /= np.linalg.norm(q, axis=1)[:, None] * (1.0 + rng.uniform(-9e-7, 9e-7, (picks.size, 1)))
+        values = np.hstack([np.cumsum(rng.uniform(0, 0.1, (picks.size, 1)), axis=0),
+                            rng.normal(scale=100.0, size=(picks.size, 3)), q])
+        rows = [",".join([ids[k], *map(repr, v.tolist())]) for k, v in zip(picks, values)]
+        for at in rng.integers(0, len(rows) + 1, 3):
+            rows.insert(at, "")
+        path.write_text(",".join(formats.MARKER_HEADER) + "\n" + "\n".join(rows) + "\n")
+        got, want = formats.read_markers(path), read_markers_loop(path)
+        assert [r.marker_id for r in got] == [r.marker_id for r in want] == \
+            [ids[k] for k in dict.fromkeys(picks.tolist())]
+        for rec, twin in zip(got, want):
+            for name in ("times", "positions", "quaternions"):
+                a, b = getattr(rec, name), getattr(twin, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable and a.flags.c_contiguous
+
+    # a bad value is named by its file line, blank lines counted
+    lines = path.read_text().split("\n")
+    last = max(i for i, line in enumerate(lines) if line)
+    assert "" in lines[1:last]
+    for bad, message in [("abc", "could not convert string to float: 'abc'"),
+                         ("inf", "non-finite number in")]:
+        fields = lines[last].split(",")
+        path.write_text("\n".join(lines[:last] + [",".join([*fields[:3], bad, *fields[4:]])]
+                                  + lines[last + 1:]))
+        with pytest.raises(ValidationError) as err:
+            formats.read_markers(path)
+        assert str(err.value).startswith(f"{path}: line {last + 1}: {message}")

@@ -6,7 +6,8 @@ import pytest
 
 from vinefab.errors import DegenerateDataError, ValidationError
 from vinefab.special import studentized_range_cdf
-from vinefab.stats import (SampleTable, _median, _ranks_with_ties, analyze_table,
+from vinefab import stats
+from vinefab.stats import (SampleTable, _median, _ranks_with_ties, _test_dict, analyze_table,
                            group_summary, kruskal_wallis, levene_test,
                            one_way_anova, significance_stars,
                            t_test_independent, t_test_paired, t_test_welch,
@@ -389,6 +390,47 @@ def test_grouping_matches_the_row_loop_oracle():
             else:
                 assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert analyze_table(table) == analyze_table(oracle)
+
+
+def test_analyze_checks_each_group_list_once_and_reports_the_public_tests(monkeypatch):
+    # one check per (parameter, factor) group list, where each public test checks
+    # its own; the report holds what the public tests return on the same groups
+    contexts = []
+    real = stats._as_groups
+
+    def counted(groups, *args, **kwargs):
+        contexts.append(kwargs["context"])
+        return real(groups, *args, **kwargs)
+
+    monkeypatch.setattr(stats, "_as_groups", counted)
+    rng = np.random.default_rng(35)
+    for _ in range(40):
+        table = _table(_random_rows(rng))
+        contexts.clear()
+        report = analyze_table(table)
+        checks, tested = list(contexts), 0
+        for param in table.parameters():
+            for factor in ("method", "material"):
+                groups = table.subset(parameter=param).values_by(factor)
+                block = report["parameters"][param][factor]
+                if block["homogeneity"] is None:
+                    continue
+                tested += 1
+                arrays = list(groups.values())
+                levene = levene_test(arrays)
+                equal_var = levene.p_value >= 0.05
+                if factor == "method":
+                    omnibus = (one_way_anova if equal_var else kruskal_wallis)(arrays)
+                    assert block["pairwise"] == [pair._asdict() for pair in tukey_hsd(
+                        arrays, labels=list(groups)).pairs]
+                else:
+                    omnibus = (t_test_independent if equal_var else t_test_welch)(*arrays)
+                assert block["homogeneity"] == _test_dict(levene)
+                assert block["omnibus"] == _test_dict(omnibus)
+        # the paired t-test runs on the matched pairs, at most once per parameter
+        assert checks.count("Levene test") == tested
+        assert checks.count("paired t-test") <= len(table.parameters())
+        assert len(checks) == tested + checks.count("paired t-test")
 
 
 def test_analyze_single_group_notices():
