@@ -8,7 +8,7 @@ realistic sensor noise, taken before and after repeated growth.
 
 import os
 
-from vinefab import average_samples, dh_errors, recover_dh
+from vinefab import dh_errors, recover_dh
 from vinefab.formats import (read_chain, read_markers, write_errors,
                              write_measured)
 
@@ -21,11 +21,10 @@ target = read_chain(os.path.join(HERE, "data", "chain_threebend.json"))
 for phase in ("pre", "post"):
     records = read_markers(os.path.join(HERE, "data", f"markers_{phase}.csv"))
     first = records[0]
-    avg = average_samples(first)
+    mean = first.positions.mean(axis=0)
     print(f"[{phase}] {len(records)} markers, {len(first.times)} samples "
           f"each; e.g. '{first.marker_id}' averages to "
-          f"({avg.translation[0]:.3f}, {avg.translation[1]:.3f}, "
-          f"{avg.translation[2]:.3f}) mm")
+          f"({mean[0]:.3f}, {mean[1]:.3f}, {mean[2]:.3f}) mm")
 
     measured = recover_dh(records, phase=phase)
     errors = dh_errors(measured, target)

@@ -10,8 +10,8 @@ from .geometry import (DHChain, DHLink, Pose, canonicalize_polyline,
                        dh_to_polyline, fk_chain, polyline_to_dh)
 from .growth import (Box, ObstacleScene, Sphere, centerline_points, growth_trace,
                      sweep_samples)
-from .measurement import (DHErrors, MarkerRecord, MeasuredDH, average_samples,
-                          dh_errors, recover_dh, synthetic_markers)
+from .measurement import (DHErrors, MarkerRecord, MeasuredDH, dh_errors, recover_dh,
+                          synthetic_markers)
 from .pattern import flat_pattern, write_pattern
 from .stats import (SampleTable, TestResult, analyze_table, group_summary,
                     kruskal_wallis, levene_test, one_way_anova,

@@ -195,7 +195,7 @@ def recover_chain(plan: FabricationPlan, gap: GapModel) -> DHChain:
     joint. Returns the nonnegative gauge: every recovered joint angle lies in
     [0, pi) and each twist is its arc offset over r, so the recovered chain
     folds the designed shape. A chain with negative bends comes back with
-    |theta| and the twists of ``gauge_twist``; when theta_1 < 0 its base frame
+    |theta| and the twists of ``carried_twists``; when theta_1 < 0 its base frame
     is also turned by pi about x. The last link's twist leaves no trace in the
     plan and is 0.
     """

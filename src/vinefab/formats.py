@@ -14,6 +14,7 @@ and line ends) and CR or CRLF line ends are accepted.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from contextlib import contextmanager
@@ -389,17 +390,20 @@ def write_growth_trace(trace, path) -> None:
 def _read_csv(path, header):
     """Read the named columns of a CSV file: (line numbers, {column: values}).
 
-    The whole text is split at once: rows at line ends, fields at commas.
-    Text that plain splitting cannot parse goes to ``csv.reader`` instead:
-    text holding a quote, a CR or a NUL, a line longer than csv's field-size
-    limit, or bytes that are not UTF-8. Both paths accept the same files and
-    raise the same errors.
+    The bytes are decoded at once, so a byte that is not UTF-8 is named at
+    its offset in the file, before any row is checked. The text is then split
+    at once: rows at line ends, fields at commas. Text that plain splitting
+    cannot parse goes to ``csv.reader`` instead: text holding a quote, a CR or
+    a NUL, or a line longer than csv's field-size limit. Both paths accept the
+    same files and raise the same errors.
     """
-    with _reading(path), open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = _plain_lines(fh)
-        if rows is None or max(map(len, rows)) > csv.field_size_limit():
-            fh.seek(0)
-            return _read_csv_rows(path, header, fh)
+    with _reading(path):
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        rows = text.split("\n")
+        # only csv.reader parses quotes and CRs (and, before Python 3.11, rejects a NUL)
+        if any(c in text for c in '"\r\0') or max(map(len, rows)) > csv.field_size_limit():
+            return _read_csv_rows(path, header, text)
     first, rows = rows[0], rows[1:]
     # as csv.reader: no header row in an empty file, and an empty one on a blank line
     fieldnames = first.split(",") if first else [] if rows else None
@@ -420,20 +424,10 @@ def _read_csv(path, header):
     return lines, {c: fields[i::width] for c, i in index.items()}
 
 
-def _plain_lines(fh):
-    """The lines of a file that plain splitting parses, else None."""
-    try:
-        text = fh.read()
-    except UnicodeDecodeError:  # csv.reader re-reads the file and reports it as before
-        return None
-    # only csv.reader parses quotes and CRs (and, before Python 3.11, rejects a NUL)
-    return None if any(c in text for c in '"\r\0') else text.split("\n")
-
-
-def _read_csv_rows(path, header, fh):
+def _read_csv_rows(path, header, text):
     """``_read_csv`` by ``csv.reader``, one row at a time: a quoted field may hold
     commas, quotes and line ends, and a row's line number is that of its last line."""
-    reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(text, newline=""))
     fieldnames = next(reader, None)
     index = _header_index(path, header, fieldnames)
     lines, rows = [], []

@@ -38,17 +38,6 @@ def wrap_angle(x: float) -> float:
     return y - math.pi
 
 
-def gauge_twist(alpha: float, theta_i: float, theta_next: float) -> float:
-    """Twist between joints i and i+1 once both bends are made nonnegative.
-
-    A bend of -theta at meridian c is the +theta fold at c + pi*r, so each
-    negative bend shifts the twist by pi. The result is not wrapped; with no
-    negative bend it is bit-for-bit alpha.
-    """
-    # float(): numpy bools refuse `-`
-    return alpha - math.pi * (float(theta_next < 0.0) - float(theta_i < 0.0))
-
-
 def carried_twists(theta: np.ndarray, alpha: np.ndarray, bent: np.ndarray) -> np.ndarray:
     """The twist (m-1,) that places each bend, for joints of bends theta (m,),
     twists alpha (m,) and mask `bent` (m,) of the joints that bend.
@@ -56,8 +45,10 @@ def carried_twists(theta: np.ndarray, alpha: np.ndarray, bent: np.ndarray) -> np
     Since Rx(a1) Tx(l) Rx(a2) = Tx(l) Rx(a1 + a2), a straight joint passes the
     twist before it on to the next bend: the running twist restarts at
     alpha[j] on a bent joint j and adds alpha[j] across a straight one,
-    negated across a reversal (cos theta <= 0). Entry j is its
-    ``gauge_twist`` where joint j+1 bends after some bent joint, else 0.
+    negated across a reversal (cos theta <= 0). Entry j is that twist where
+    joint j+1 bends after some bent joint, else 0, shifted by pi for each
+    negative bend of the pair (a bend of -theta at meridian c is the +theta
+    fold at c + pi*r) and not wrapped.
     """
     theta, alpha, bent = theta.tolist(), alpha.tolist(), bent.tolist()
     out, last, pending = [], None, 0.0  # last: the bend of the last bent joint
@@ -67,7 +58,7 @@ def carried_twists(theta: np.ndarray, alpha: np.ndarray, bent: np.ndarray) -> np
         else:
             pending = alpha[j] + (pending if math.cos(theta[j]) > 0.0 else -pending)
         out.append(0.0 if last is None or not bent[j + 1]
-                   else gauge_twist(pending, last, theta[j + 1]))
+                   else pending - math.pi * ((theta[j + 1] < 0.0) - (last < 0.0)))
     return np.array(out, float)
 
 
@@ -130,16 +121,6 @@ def twist_angles(n0: np.ndarray, n1: np.ndarray, axis: np.ndarray) -> np.ndarray
     """Signed angles (m,) that turn unit normals n0 into n1 about unit axes, all (m, 3)."""
     return np.array(list(map(math.atan2, dot_rows(np.cross(n0, n1), axis).tolist(),
                              dot_rows(n0, n1).tolist())), float)
-
-
-def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) to rotation matrix."""
-    w, x, y, z = np.asarray(q, float) / np.linalg.norm(q)
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
 
 
 # a rigid transform x -> rotation @ x + translation: a plain record, unchecked

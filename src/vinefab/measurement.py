@@ -1,4 +1,4 @@
-"""Optical-marker ingestion, sample averaging, and DH parameter recovery.
+"""Optical-marker ingestion and DH parameter recovery.
 
 Marker protocol: each bend joint j (joints 2..n of the chain; the base joint
 does not bend) carries a marker on the joint plus one a fixed offset toward
@@ -6,7 +6,7 @@ each neighbor joint. The first bend joint uses a marker at the chain base in
 place of its proximal neighbor and the last uses one at the tip, so the
 marker set also bounds the first and last links. A marker's samples are
 arrays (``MarkerRecord``). Only their positions enter the recovery; the
-orientations are kept for ``average_samples`` and the marker CSV.
+orientations are kept for the marker CSV.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ import numpy as np
 
 from .errors import (DegenerateGeometryError, MissingMarkerError,
                      ValidationError)
-from .geometry import (STRAIGHT_SINE, DHChain, Pose, ReadOnly, _check_poses, _trusted,
-                       bend_planes, carried_twists, chain_frames, check_items, dot_rows,
-                       float_array, quaternion_to_rotation, rotations_to_quaternions,
-                       twist_angles, wrap_angle)
+from .geometry import (STRAIGHT_SINE, DHChain, ReadOnly, _trusted, bend_planes,
+                       carried_twists, chain_frames, check_items, dot_rows, float_array,
+                       rotations_to_quaternions, twist_angles, wrap_angle)
 
 # offset of the neighbor-facing markers from their joint, per the measurement jig
 DEFAULT_MARKER_OFFSET_MM = 76.5
@@ -116,23 +115,6 @@ class MarkerRecord(ReadOnly):
     @property
     def role(self):
         return parse_marker_id(self.marker_id)[1]
-
-
-def average_samples(record: MarkerRecord) -> Pose:
-    """Average a marker's samples: mean position, chordal-mean rotation.
-
-    The rotation is the top eigenvector of sum(q q^T) (Markley et al.,
-    "Averaging Quaternions", 2007). It minimizes the same Frobenius cost as
-    projecting the mean rotation matrix onto SO(3), and each quaternion's
-    sign drops out. A mean past float range is rejected.
-    """
-    q = record.quaternions
-    _, vectors = np.linalg.eigh(q.T @ q)
-    rotation = quaternion_to_rotation(vectors[:, -1])
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        translation = record.positions.mean(axis=0)
-    _check_poses(rotation[None], translation[None])
-    return Pose(rotation, translation)
 
 
 _MEASURED = ("thetas", "alphas", "lengths")

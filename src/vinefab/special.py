@@ -232,29 +232,15 @@ def _chebyshev_sum(coefs, y: np.ndarray) -> np.ndarray:
 
 def _erfc(x: np.ndarray) -> np.ndarray:
     """erfc of every entry of x, within 10 ulp of math.erfc where erfc > 1e-300."""
-    z = np.abs(x)
-    np.minimum(z, _ERFC_Z_MAX, out=z)
-    t = np.add(z, 2.0)
-    np.divide(2.0, t, out=t)
-    y = np.multiply(t, 2.0)
-    y -= 1.0
-    log_ratio = _chebyshev_sum(_ERFC_CHEB, y)
+    z = np.minimum(np.abs(x), _ERFC_Z_MAX)
+    t = 2.0 / (z + 2.0)
     # exp(-z^2) as exp(-zh^2) * exp(-(z - zh)(z + zh)): zh^2 is exact for
     # zh = round(16 z)/16, so the rounding of z^2 (up to 1600 here) never
     # reaches the exponent
-    zh = np.multiply(z, 16.0, out=y)
-    np.round(zh, out=zh)
-    zh /= 16.0
-    z_minus_zh = np.subtract(z, zh)
-    z += zh
-    z_minus_zh *= z
-    log_ratio -= z_minus_zh
-    zh *= zh
-    np.negative(zh, out=zh)
-    upper = np.exp(zh, out=zh)
-    upper *= t
-    upper *= np.exp(log_ratio, out=log_ratio)
-    return np.subtract(2.0, upper, out=upper, where=x < 0.0)
+    zh = np.round(z * 16.0) / 16.0
+    log_ratio = _chebyshev_sum(_ERFC_CHEB, t * 2.0 - 1.0) - (z - zh) * (z + zh)
+    upper = np.exp(-(zh * zh)) * t * np.exp(log_ratio)
+    return np.where(x < 0.0, 2.0 - upper, upper)
 
 
 # Inner rule for the known-sigma range probability R(w): 112 Gauss-Legendre
@@ -293,15 +279,9 @@ def _range_cdf(w: np.ndarray, k: int) -> np.ndarray:
     """P(range of k standard normals <= w) for every entry of w."""
     x, pdf_w, cdf, _, _ = _rules()
     # integrate over the maximum x: the k-1 others must lie in [x - w, x],
-    # with probability cdf(x) - cdf(x - w); in place, as in _erfc
-    shifted = np.subtract.outer(w, x)
-    shifted /= _SQRT2
-    between = _erfc(shifted)
-    between *= -0.5
-    between += cdf
-    np.maximum(between, 0.0, out=between)
-    between **= k - 1
-    return k * (between @ pdf_w)
+    # with probability cdf(x) - cdf(x - w)
+    between = np.maximum(cdf - 0.5 * _erfc(np.subtract.outer(w, x) / _SQRT2), 0.0)
+    return k * (between ** (k - 1) @ pdf_w)
 
 
 # R(w) depends on k alone, so each k gets one Chebyshev table of it, and a

@@ -12,10 +12,10 @@ per-obstacle loops that the library replaced with array code, kept as the
 reference that code must match bit for bit; so are `rotation_to_quaternion`,
 `RigidPose`, `recover_dh_loop` and `dh_error_rows`, the per-frame, per-joint
 and per-row code that poses, measured DH and error tables were computed with
-before they became arrays (`dh_error_rows` takes its twist targets from the
-library's scalar `gauge_twist` and `wrap_angle`); both follow the library's
-straight-joint rule. `plan_arcs_loop`, the arc loop of compile_plan before
-`carried_twists`, also takes `gauge_twist` from the library.
+before they became arrays (`dh_error_rows` takes `wrap_angle` from the
+library); both follow the library's straight-joint rule. `plan_arcs_loop`
+is the arc loop of compile_plan before `carried_twists`; it and
+`dh_error_rows` shift a twist for negative bends with `gauge_twist` here.
 `polyline_to_dh_loop` is the per-link `rot_z`/`rot_x` frame loop the
 polyline fit used before `geometry.bend_planes`; away from collinear
 vertices its plans must match the fit's byte for byte. `read_csv_loop` is
@@ -25,6 +25,7 @@ checked `MarkerRecord`s; the readers must match both exactly, errors included.
 """
 
 import csv
+import io
 import math
 from collections import namedtuple
 
@@ -32,7 +33,7 @@ import mpmath
 import numpy as np
 
 from vinefab.errors import DegenerateGeometryError, MissingMarkerError, ValidationError
-from vinefab.geometry import DHChain, gauge_twist, wrap_angle
+from vinefab.geometry import DHChain, wrap_angle
 from vinefab.growth import sweep_samples
 from vinefab.measurement import MarkerRecord
 from vinefab.stats import FACTORS, PARAMETER_LEVELS
@@ -165,6 +166,12 @@ def fold_distance(theta, r, d_g):
     return 2.0 * d_g / math.sqrt(2.0 + 2.0 * math.cos(theta)) + 2.0 * r * theta
 
 
+def gauge_twist(alpha, theta_i, theta_next):
+    """Twist alpha between bends theta_i and theta_next once both are made
+    nonnegative: each negative bend shifts it by pi (not wrapped)."""
+    return alpha - math.pi * (float(theta_next < 0.0) - float(theta_i < 0.0))
+
+
 def plan_arcs_loop(thetas, alphas, r):
     """Arc offsets of a plan, joint by joint, in Python floats.
 
@@ -232,25 +239,6 @@ def frames_loop(a, alpha, theta):
         origins[i + 1] = origins[i] + rots[i] @ (rz @ np.array([a[i], 0.0, 0.0]))
         rots[i + 1] = rots[i] @ (rz @ rot_x(alpha[i]))
     return rots, origins
-
-
-def chordal_mean_rotation(quaternions):
-    """Rotation closest in Frobenius norm to the mean of the samples' matrices.
-
-    Builds each (w, x, y, z) quaternion's matrix and projects their mean onto
-    SO(3) by SVD: the per-marker average the library used before it took the
-    top eigenvector of sum(q q^T).
-    """
-    mats = []
-    for w, x, y, z in np.asarray(quaternions, float):
-        n2 = w * w + x * x + y * y + z * z
-        mats.append(np.array([
-            [n2 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), n2 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), n2 - 2 * (x * x + y * y)],
-        ]) / n2)
-    u, _, vt = np.linalg.svd(np.mean(mats, axis=0))
-    return u @ np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ vt))]) @ vt
 
 
 def kabsch_residual(p, q):
@@ -559,31 +547,33 @@ def dh_error_rows(pairs, phase, chain):
 
 
 def read_csv_loop(path, header):
-    """(line numbers, {column: values}) of a CSV file, by csv.reader one row at a time.
+    """(line numbers, {column: values}) of a CSV file, decoded whole and then read
+    by csv.reader one row at a time.
 
     Blank lines are skipped; line numbers count them. A row whose field count
     differs from the header's is rejected.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            fieldnames = next(reader, None)
-            if fieldnames is None:
-                raise ValidationError(f"{path}: empty file")
-            missing = [c for c in header if c not in fieldnames]
-            if missing:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        reader = csv.reader(io.StringIO(text, newline=""))
+        fieldnames = next(reader, None)
+        if fieldnames is None:
+            raise ValidationError(f"{path}: empty file")
+        missing = [c for c in header if c not in fieldnames]
+        if missing:
+            raise ValidationError(
+                f"{path}: missing columns {missing}; header is {fieldnames}")
+        lines, rows = [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(fieldnames):
                 raise ValidationError(
-                    f"{path}: missing columns {missing}; header is {fieldnames}")
-            lines, rows = [], []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(fieldnames):
-                    raise ValidationError(
-                        f"{path}: line {reader.line_num}: expected "
-                        f"{len(fieldnames)} fields, got {len(row)}")
-                lines.append(reader.line_num)
-                rows.append(row)
+                    f"{path}: line {reader.line_num}: expected "
+                    f"{len(fieldnames)} fields, got {len(row)}")
+            lines.append(reader.line_num)
+            rows.append(row)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
     except csv.Error as exc:

@@ -339,6 +339,24 @@ def test_read_csv_matches_the_row_loop(data, limit):
     assert outcomes[0] == outcomes[1]
 
 
+@pytest.mark.parametrize("quote", [b"", b'"'], ids=["split", "csv-reader"])
+def test_read_csv_names_a_bad_byte_at_its_file_offset_before_any_row_error(tmp_path, quote):
+    # the whole file is decoded before any row is read, on the split path and on
+    # csv.reader's (a quote): the error names the byte's offset in the file, not
+    # in the 8 KiB chunk a text reader decodes, and comes before the short row
+    # on line 3
+    data = b"a,b\n1,2\n3\n" + b"4,5\n" * 2998 + b"\n\n"
+    assert len(data) == 12004
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data + b"\xff,6\n" + b"7,8\n" * 10 + quote + b'x",9\n')
+    want = (f"{path}: not UTF-8 text ('utf-8' codec can't decode byte 0xff "
+            "in position 12004: invalid start byte)")
+    for read in (formats._read_csv, read_csv_loop):
+        with pytest.raises(ValidationError) as err:
+            read(path, ["a", "b"])
+        assert str(err.value) == want
+
+
 def test_read_csv_keeps_the_csv_field_size_limit(tmp_path):
     # a field of exactly the limit is read; one character more is rejected as csv
     # rejects it, and a line past the limit made of short fields is still read

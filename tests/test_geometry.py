@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from vinefab import formats, geometry, stats
 from vinefab.errors import InfeasibleLinkError, SingularityError, ValidationError
 from vinefab.fabrication import FabricationPlan, GapModel, compile_plan
 from vinefab.geometry import (DHChain, DHLink, Pose, _check_poses, canonicalize_polyline,
                               chain_frames, dh_to_polyline, fk_chain,
-                              polyline_to_dh, quaternion_to_rotation,
-                              rotations_to_quaternions, wrap_angle)
+                              polyline_to_dh, rotations_to_quaternions, wrap_angle)
 from vinefab.growth import Box, ObstacleScene, Sphere, centerline_points
 from vinefab.measurement import MarkerRecord, MeasuredDH, check_samples
 
@@ -22,6 +22,11 @@ from vinefab.pattern import flat_pattern
 from conftest import random_feasible_chain
 from oracles import (RigidPose, fk_homogeneous, frames_loop, polyline_to_dh_loop,
                      rotation_to_quaternion)
+
+
+def _rotation(q):
+    """The rotation matrix of each (w, x, y, z) quaternion, normalized first."""
+    return Rotation.from_quat(np.roll(q, -1, axis=-1)).as_matrix()
 
 
 def test_straight_chain_tip():
@@ -232,7 +237,7 @@ def test_rigid_pose_validation_and_algebra():
     rng = np.random.default_rng(8)
     for _ in range(20):
         q = rng.normal(size=4)
-        pose = RigidPose(quaternion_to_rotation(q), rng.normal(size=3) * 50)
+        pose = RigidPose(_rotation(q), rng.normal(size=3) * 50)
         inv = pose.inverse()
         np.testing.assert_allclose(pose.rotation @ inv.rotation, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(pose.translation + pose.rotation @ inv.translation,
@@ -246,7 +251,7 @@ def test_quaternion_round_trip():
     rng = np.random.default_rng(13)
     q = rng.normal(size=(100, 4))
     q /= np.linalg.norm(q, axis=1)[:, None]
-    q2 = rotations_to_quaternions(np.array([quaternion_to_rotation(x) for x in q]))
+    q2 = rotations_to_quaternions(_rotation(q))
     for a, b in zip(q, q2):
         # q and -q encode the same rotation
         assert min(np.linalg.norm(b - a), np.linalg.norm(b + a)) < 1e-12
@@ -254,11 +259,11 @@ def test_quaternion_round_trip():
 
 def _rotations_on_every_branch(rng, m):
     """Random rotations plus half-turns, near-half-turns and ties of the diagonal."""
-    rots = [quaternion_to_rotation(q) for q in rng.normal(size=(m, 4))]
+    rots = list(_rotation(rng.normal(size=(m, 4))))
     for axis in np.eye(3).tolist() + rng.normal(size=(m // 10, 3)).tolist():
         for angle in (math.pi, math.pi - 1e-9, 2.0, 3.0 * math.pi / 2.0):
             half = math.sin(angle / 2.0) * np.asarray(axis) / np.linalg.norm(axis)
-            rots.append(quaternion_to_rotation([math.cos(angle / 2.0), *half]))
+            rots.append(_rotation([math.cos(angle / 2.0), *half]))
     rots += [np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]),
              np.diag([-1.0, -1.0, 1.0])]
     return np.array(rots)

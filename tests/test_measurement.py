@@ -6,13 +6,11 @@ import pytest
 
 from vinefab.errors import (DegenerateGeometryError, MissingMarkerError,
                             ValidationError)
-from vinefab.geometry import DHChain, Pose, quaternion_to_rotation, rotations_to_quaternions
-from vinefab.measurement import (DHErrors, MarkerRecord, MeasuredDH,
-                                 average_samples, dh_errors, parse_marker_id,
-                                 recover_dh, synthetic_markers)
+from vinefab.geometry import DHChain
+from vinefab.measurement import (DHErrors, MarkerRecord, MeasuredDH, dh_errors,
+                                 parse_marker_id, recover_dh, synthetic_markers)
 
-from oracles import (chordal_mean_rotation, dh_error_rows, error_rows, measured_pairs,
-                     recover_dh_loop, rot_x, rot_z)
+from oracles import dh_error_rows, error_rows, measured_pairs, recover_dh_loop
 
 
 
@@ -36,71 +34,6 @@ def test_parse_marker_id():
     assert parse_marker_id("TIP") == (None, "tip")
     with pytest.raises(ValidationError):
         parse_marker_id("marker7")
-
-
-def _record(marker_id, samples):
-    """MarkerRecord from (t, Pose) samples."""
-    times, poses = zip(*samples)
-    return MarkerRecord(marker_id, times, [p.translation for p in poses],
-                        rotations_to_quaternions(np.array([p.rotation for p in poses])))
-
-
-def test_average_samples_trivial():
-    pose = Pose(rot_z(0.3), np.array([1.0, 2.0, 3.0]))
-    rec = _record("j2_on", ((0.0, pose), (0.05, pose)))
-    avg = average_samples(rec)
-    np.testing.assert_allclose(avg.translation, pose.translation)
-    np.testing.assert_allclose(avg.rotation, pose.rotation, atol=1e-12)
-
-    a = Pose(np.eye(3), np.zeros(3))
-    b = Pose(np.eye(3), np.array([2.0, 0.0, 0.0]))
-    avg = average_samples(_record("j2_on", ((0.0, a), (0.05, b))))
-    np.testing.assert_allclose(avg.translation, [1.0, 0.0, 0.0])
-
-
-def test_average_samples_order_invariant():
-    rng = np.random.default_rng(41)
-    poses = [(k * 0.05, Pose(rot_z(rng.normal(0, 0.01)) @ rot_x(rng.normal(0, 0.01)),
-                                  rng.normal(0, 1, 3)))
-             for k in range(50)]
-    fwd = average_samples(_record("tip", tuple(poses)))
-    rev = average_samples(_record("tip", tuple(reversed(poses))))
-    np.testing.assert_allclose(fwd.translation, rev.translation, atol=1e-12)
-    np.testing.assert_allclose(fwd.rotation, rev.rotation, atol=1e-12)
-
-
-def test_average_samples_recovers_noisy_rotation():
-    rng = np.random.default_rng(43)
-    truth = rot_z(0.7) @ rot_x(-0.2)
-    chain = DHChain([100], [math.radians(-11.5)], [0.7], 16.5)
-    _ = chain  # truth rotation equals this link's orientation; kept explicit
-    samples = []
-    for k in range(100):
-        # noise rotations: uniform axis, angle ~ N(0, 0.5 deg)
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        angle = abs(rng.normal(0.0, math.radians(0.5)))
-        kx = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]],
-                       [-axis[1], axis[0], 0]])
-        noise = np.eye(3) + math.sin(angle) * kx + (1 - math.cos(angle)) * (kx @ kx)
-        samples.append((k * 0.05, Pose(truth @ noise, np.zeros(3))))
-    avg = average_samples(_record("j2_on", tuple(samples)))
-    residual = avg.rotation.T @ truth
-    angle_err = math.acos(min(1.0, (np.trace(residual) - 1.0) / 2.0))
-    assert math.degrees(angle_err) < 0.1
-
-
-def test_average_samples_matches_matrix_mean():
-    rng = np.random.default_rng(59)
-    for spread in (0.01, 0.3, 1.0):
-        truth = rng.normal(size=4)
-        q = truth / np.linalg.norm(truth) + rng.normal(0.0, spread, (40, 4))
-        q /= np.linalg.norm(q, axis=1)[:, None]
-        q[rng.random(40) < 0.5] *= -1.0  # q and -q are the same rotation
-        avg = average_samples(MarkerRecord("tip", np.arange(40) * 0.05,
-                                           np.zeros((40, 3)), q))
-        np.testing.assert_allclose(avg.rotation, chordal_mean_rotation(q),
-                                   rtol=0.0, atol=1e-12)
 
 
 def test_marker_record_arrays_are_checked():
@@ -283,12 +216,6 @@ def test_dh_errors_are_plain_columns(three_bend_chain):
     assert all(c.shape == (6,) for c in (errors.target, errors.measured, errors.error))
 
 
-def test_average_samples_rejects_an_overflowing_mean():
-    rec = MarkerRecord("tip", [0.0, 0.05], [[1e308, 0.0, 0.0]] * 2, [[1.0, 0.0, 0.0, 0.0]] * 2)
-    with pytest.raises(ValidationError, match="translation must be finite"):
-        average_samples(rec)
-
-
 def _signed_chain(rng):
     """A chain for the marker protocol whose bends have both signs, 15% of them 0."""
     n = int(rng.integers(3, 8))
@@ -343,8 +270,9 @@ def test_synthetic_marker_noise_is_drawn_sample_by_sample(three_bend_chain):
         for p, q, p0, q0 in zip(rec.positions, rec.quaternions, ref.positions, ref.quaternions):
             assert p.tobytes() == (p0 + rng.normal(0.0, 0.05, 3)).tobytes()
             turn = Rotation.from_rotvec(rng.normal(0.0, math.radians(0.2), 3)).as_matrix()
-            np.testing.assert_allclose(quaternion_to_rotation(q),
-                                       quaternion_to_rotation(q0) @ turn, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(Rotation.from_quat(np.roll(q, -1)).as_matrix(),
+                                       Rotation.from_quat(np.roll(q0, -1)).as_matrix() @ turn,
+                                       rtol=0, atol=1e-14)
 
 
 def test_noise_free_markers_of_straight_joints_give_zero_errors():
