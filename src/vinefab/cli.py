@@ -37,18 +37,6 @@ MAX_PLAN_THETA_DEG = 175.0
 Project = namedtuple("Project", "chain gap scene out_dir degrees")  # chain, scene may be None
 
 
-def _load_config(path):
-    data = formats.load_json(path)
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
-    base = os.path.dirname(os.path.abspath(path))
-
-    def resolve(p):
-        return p if os.path.isabs(p) else os.path.join(base, p)
-
-    return data, resolve
-
-
 def _load_chain(source, flag_radius, config_radius):
     """Chain from a polyline CSV path, a chain JSON path or an inline chain."""
     if isinstance(source, str) and source.lower().endswith(".csv"):
@@ -72,10 +60,12 @@ def _load_chain(source, flag_radius, config_radius):
 
 
 def _build_project(args, need_chain=True) -> Project:
-    config, where = {}, args.config
-    resolve = lambda p: p  # noqa: E731
+    config, where, base = {}, args.config, ""  # config paths are relative to its directory
     if args.config:
-        config, resolve = _load_config(args.config)
+        config = formats.load_json(where)
+        if not isinstance(config, dict):
+            raise ValidationError(f"{where}: config must be a JSON object")
+        base = os.path.dirname(os.path.abspath(where))
     config_radius = (formats._number(config, "radius_mm", where)
                      if "radius_mm" in config else None)
 
@@ -88,7 +78,7 @@ def _build_project(args, need_chain=True) -> Project:
                 f"config 'chain' field); got {n_sources}")
         source = args.chain or config["chain"]
         if not args.chain and isinstance(source, str):
-            source = resolve(source)
+            source = os.path.join(base, source)
         chain = _load_chain(source, args.radius, config_radius)
 
     gap_cfg = formats._typed(config, "gap", where, dict, {})
@@ -98,7 +88,7 @@ def _build_project(args, need_chain=True) -> Project:
         d_g = formats._number(gap_cfg, "d_g_mm", f"{where} gap")
     gap = GapModel.for_method(method, d_g=d_g)
 
-    scene_path = args.scene or (resolve(formats._typed(config, "scene", where, str))
+    scene_path = args.scene or (os.path.join(base, formats._typed(config, "scene", where, str))
                                 if "scene" in config else None)
     scene = formats.read_scene(scene_path) if scene_path and args.command == "grow" else None
 

@@ -21,8 +21,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-ORTHONORMALITY_TOL = 1e-9
-
 # polyline_to_dh accepts inputs whose first vertex / first segment sit in the
 # chain base frame within these tolerances
 ORIGIN_TOL = 1e-6
@@ -169,22 +167,6 @@ def check_items(where, ok, messages) -> None:
         raise ValidationError(f"{name}: {messages(i)[int(np.argmin(ok[:, i]))]}")
 
 
-def _check_poses(rots: np.ndarray, origins: np.ndarray) -> None:
-    """The pose invariants on stacks (m, 3, 3) and (m, 3), in one pass."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        err = np.abs(np.swapaxes(rots, 1, 2) @ rots - np.eye(3)).max(axis=(1, 2))
-        det_err = np.abs(np.linalg.det(rots) - 1.0)
-    # written as `not (err < tol)` so that a NaN error is rejected too
-    if not (err < ORTHONORMALITY_TOL).all():
-        raise ValidationError("rotation is not orthonormal within 1e-9")
-    if not (det_err < ORTHONORMALITY_TOL).all():
-        raise ValidationError("rotation determinant is not 1 within 1e-9")
-    finite = np.isfinite(origins).all(axis=1)
-    if not finite.all():
-        raise ValidationError(
-            f"translation must be finite, got {origins[np.argmin(finite)]}")
-
-
 class ReadOnly:
     """Base of the checked array holders: ``__init__`` checks the fields and
     stores them once through ``__dict__``; after that no field is assigned or
@@ -285,12 +267,9 @@ def chain_frames(chain: DHChain) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fk_chain(chain: DHChain) -> list:
-    """Cumulative frames of a chain as n+1 poses, base first; see chain_frames.
-
-    The frames are checked once, as a stack; the poses hold read-only views.
-    """
+    """Cumulative frames of a chain as n+1 poses, base first, holding read-only
+    views of chain_frames' stacks."""
     rots, origins = chain_frames(chain)
-    _check_poses(rots, origins)
     rots.flags.writeable = origins.flags.writeable = False
     return list(map(Pose, rots, origins))
 
@@ -309,16 +288,12 @@ def canonicalize_polyline(points: np.ndarray):
     does not bend, and its first bending plane (if any bend exists) in the
     x-y plane.
     """
-    p = _polyline(points)
-    u = p[1] - p[0]
-    nu = np.linalg.norm(u)
-    if nu == 0.0:
-        raise ValidationError("polyline segment 1 is degenerate (coincident points)")
-    xhat = u / nu
+    p, seg, _ = _polyline(points)
+    nu = np.linalg.norm(seg[0])
+    xhat = seg[0] / nu
     # pick z normal to the first non-collinear bend plane, else any normal to xhat
     zhat = None
-    for k in range(1, p.shape[0] - 1):
-        v = p[k + 1] - p[k]
+    for v in seg[1:]:
         cr = np.cross(xhat, v)
         if np.linalg.norm(cr) > 1e-9 * max(np.linalg.norm(v), 1.0):
             zhat = cr / np.linalg.norm(cr)
@@ -331,7 +306,6 @@ def canonicalize_polyline(points: np.ndarray):
         zhat /= np.linalg.norm(zhat)
     yhat = np.cross(zhat, xhat)
     rot = np.column_stack([xhat, yhat, zhat])
-    _check_poses(rot[None], p[:1])
     canonical = p @ rot + -(rot.T @ p[0])
     # the first segment lies on +x by construction; left ~1e-16 rad off by
     # rounding, it would read as a bend (and a fold) at joint 1
@@ -353,13 +327,7 @@ def polyline_to_dh(points: np.ndarray, radius: float) -> DHChain:
     for arbitrary polylines); ``fk_chain`` of the result then reproduces the
     vertices exactly.
     """
-    p = _polyline(points)
-    seg = np.diff(p, axis=0)
-    lengths = np.linalg.norm(seg, axis=1)
-    short = lengths < 1e-12
-    if short.any():
-        raise ValidationError(f"segment {int(np.argmax(short)) + 1} is "
-                              "degenerate (coincident consecutive points)")
+    p, seg, lengths = _polyline(points)
     if np.linalg.norm(p[0]) > ORIGIN_TOL:
         raise ValidationError("polyline must start at the origin (canonicalize_polyline first)")
     if abs(seg[0, 2] / lengths[0]) > PLANE_TOL:
@@ -375,11 +343,22 @@ def polyline_to_dh(points: np.ndarray, radius: float) -> DHChain:
                    np.append(math.atan2(units[0, 1], units[0, 0]), thetas), radius)
 
 
-def _polyline(points) -> np.ndarray:
-    """Polyline vertices as a new (m, 3) finite float array, m >= 2, else ValidationError."""
+def _polyline(points):
+    """The one check of a polyline: vertices (m, 3) as a new float array, m >= 2,
+    segments (m-1, 3) and lengths (m-1,). Every vertex is finite and every
+    length in [1e-12, inf), else ValidationError."""
     p = float_array(points, "polyline")
     if p.ndim != 2 or p.shape[1] != 3 or p.shape[0] < 2:
         raise ValidationError(f"polyline needs at least 2 points of 3 coordinates, got {p.shape}")
     check_items("polyline vertex", [np.isfinite(p).all(axis=1)],
                 lambda i: [f"non-finite coordinate in {p[i].tolist()}"])
-    return p
+    with np.errstate(over="ignore"):  # an overflowed length is reported below
+        seg = np.diff(p, axis=0)
+        lengths = np.linalg.norm(seg, axis=1)
+    short = lengths < 1e-12
+    if short.any():
+        raise ValidationError(f"segment {int(np.argmax(short)) + 1} is "
+                              "degenerate (coincident consecutive points)")
+    check_items("polyline segment", [lengths < math.inf],
+                lambda i: [f"length overflows, got {lengths[i]}"])
+    return p, seg, lengths

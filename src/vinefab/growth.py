@@ -80,22 +80,31 @@ class ObstacleScene(ReadOnly):
     def surface_distance(self, points: np.ndarray) -> np.ndarray:
         """Signed distance to the nearest obstacle surface per point (negative inside).
 
-        A running minimum over the obstacles, each taken on the points' x, y
-        and z columns; inf for an empty scene or past float range.
+        inf for an empty scene or where a coordinate difference passes float
+        range. Where every squared distance overflows, hypot takes them again.
         """
         x, y, z = np.array(np.atleast_2d(points).T, float, order="C")
+        best = self._nearest(x, y, z, lambda dx, dy, dz: np.sqrt(dx * dx + dy * dy + dz * dz))
+        far = best == math.inf
+        if far.any():
+            best[far] = self._nearest(x[far], y[far], z[far],
+                                      lambda dx, dy, dz: np.hypot(np.hypot(dx, dy), dz))
+        return best
+
+    def _nearest(self, x, y, z, length) -> np.ndarray:
+        """A running minimum over the obstacles, each taken on the points' x, y
+        and z columns, with length(dx, dy, dz) as the norm."""
         best = np.full(x.shape, math.inf)
         with np.errstate(over="ignore", invalid="ignore"):
             for (cx, cy, cz), r in zip(self.centers.tolist(), self.radii.tolist()):
-                dx, dy, dz = x - cx, y - cy, z - cz
-                np.minimum(best, np.sqrt(dx * dx + dy * dy + dz * dz) - r, out=best)
+                np.minimum(best, length(x - cx, y - cy, z - cz) - r, out=best)
             # halves first: 0.5 * (lows + highs) overflows for two corners past 9e307
             for (cx, cy, cz), (hx, hy, hz) in zip((0.5 * self.lows + 0.5 * self.highs).tolist(),
                                                   (0.5 * (self.highs - self.lows)).tolist()):
                 qx, qy, qz = np.abs(x - cx) - hx, np.abs(y - cy) - hy, np.abs(z - cz) - hz
-                mx, my, mz = np.maximum(qx, 0.0), np.maximum(qy, 0.0), np.maximum(qz, 0.0)
                 inside = np.minimum(np.maximum(np.maximum(qx, qy), qz), 0.0)
-                np.minimum(best, np.sqrt(mx * mx + my * my + mz * mz) + inside, out=best)
+                np.minimum(best, length(np.maximum(qx, 0.0), np.maximum(qy, 0.0),
+                                        np.maximum(qz, 0.0)) + inside, out=best)
         return best
 
 

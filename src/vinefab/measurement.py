@@ -89,32 +89,24 @@ class MarkerRecord(ReadOnly):
 
     ``times`` (m,) in seconds, ``positions`` (m, 3) in millimeters and
     ``quaternions`` (m, 4) as unit (w, x, y, z); all read-only and checked by
-    ``check_samples``.
+    ``check_samples``. ``joint`` and ``role`` are ``parse_marker_id(marker_id)``.
     """
 
     def __init__(self, marker_id, times, positions, quaternions):
-        parse_marker_id(marker_id)
+        joint, role = parse_marker_id(marker_id)
         times, positions, quaternions = check_samples(f"marker {marker_id!r}", times,
                                                       positions, quaternions)
         self.__dict__.update(marker_id=marker_id, times=times, positions=positions,
-                             quaternions=quaternions)
+                             quaternions=quaternions, joint=joint, role=role)
 
     @classmethod
     def _from_checked(cls, marker_id, times, positions, quaternions):
         """A record of samples that ``check_samples`` has passed, unchecked and uncopied."""
-        parse_marker_id(marker_id)
+        joint, role = parse_marker_id(marker_id)
         for a in (times, positions, quaternions):
             a.flags.writeable = False
-        return _trusted(cls, marker_id=marker_id, times=times,
-                        positions=positions, quaternions=quaternions)
-
-    @property
-    def joint(self):
-        return parse_marker_id(self.marker_id)[0]
-
-    @property
-    def role(self):
-        return parse_marker_id(self.marker_id)[1]
+        return _trusted(cls, marker_id=marker_id, times=times, positions=positions,
+                        quaternions=quaternions, joint=joint, role=role)
 
 
 _MEASURED = ("thetas", "alphas", "lengths")

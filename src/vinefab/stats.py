@@ -61,8 +61,8 @@ def significance_stars(p: float) -> str:
 
 def _as_groups(groups, min_groups=2, min_size=2, context="test"):
     """The groups as checked float arrays. Each public test checks its own groups;
-    the private twins (_anova, _levene, ...) take groups already checked, which is
-    how analyze_table checks each group list once."""
+    the private twins (_anova, _levene, ...) take groups already checked, as
+    analyze_table's are by group_summary."""
     arrays = [float_array(g, f"{context}: group {i}").ravel()
               for i, g in enumerate(groups, start=1)]
     if len(arrays) < min_groups:
@@ -433,8 +433,7 @@ def analyze_table(table: SampleTable, alpha: float = ALPHA_DEFAULT) -> dict:
                     block["omnibus"]["mean_diff"] = float(np.mean(post - pre))
                     continue
 
-                # checked once for the tests below, under the name of the first of them
-                arrays = _as_groups([groups[l] for l in labels], context="Levene test")
+                arrays = [groups[l] for l in labels]  # checked by group_summary above
                 homogeneity = _levene(arrays)
                 block["homogeneity"] = _test_dict(homogeneity)
                 equal_var = homogeneity.p_value >= alpha

@@ -453,11 +453,9 @@ def test_scene_json_fields_are_typed(tmp_path, capsys, project_config, scene, me
 
 
 @pytest.mark.parametrize("scene, message", [
-    ({"spheres": [{"center_mm": [1e308, 1e308, 0], "radius_mm": 5}]},
-     "error: clearance is not finite: the body and the obstacles are too far apart"),
     ({"boxes": [{"min_mm": [-1e308] * 3, "max_mm": [1e308] * 3}]},
      "box 1: box extent max - min overflows, got [inf inf inf]"),
-], ids=["far-sphere", "huge-box"])
+], ids=["huge-box"])
 def test_grow_rejects_scenes_past_float_range(tmp_path, capsys, project_config, scene,
                                               message):
     path = tmp_path / "scene.json"
@@ -466,6 +464,18 @@ def test_grow_rejects_scenes_past_float_range(tmp_path, capsys, project_config, 
                                           "--scene", str(path), "--out", str(tmp_path)])
     assert code == 1 and message in err
     assert not (tmp_path / "grow_trace.csv").exists()
+
+
+def test_grow_measures_a_sphere_whose_squared_distance_overflows(tmp_path, capsys,
+                                                                  project_config):
+    # every squared distance to this sphere passes float range; the distance does not
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"spheres": [{"center_mm": [1e308, 1e308, 0], "radius_mm": 5}]}))
+    code, err = _main_in_process(capsys, ["grow", "--config", project_config,
+                                          "--scene", str(path), "--out", str(tmp_path)])
+    assert code == 0 and err == ""
+    rows = (tmp_path / "grow_trace.csv").read_text().splitlines()[1:]
+    assert rows and all(row.endswith(",1.41421356e+308") for row in rows)
 
 
 def test_grow_far_body_keeps_its_clearance(tmp_path, capsys, data_dir):

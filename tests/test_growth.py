@@ -6,7 +6,7 @@ import pytest
 
 from vinefab import growth
 from vinefab.errors import ValidationError
-from vinefab.geometry import DHChain, _check_poses, chain_frames, dh_to_polyline, fk_chain
+from vinefab.geometry import DHChain, chain_frames, dh_to_polyline, fk_chain
 from vinefab.growth import (MAX_SWEEP_SAMPLES, Box, ObstacleScene, Sphere,
                             centerline_points, growth_trace, sweep_samples)
 from vinefab.measurement import MeasuredDH
@@ -248,6 +248,23 @@ def test_surface_distance_matches_the_per_obstacle_loop(seed):
     assert got.shape == (len(points),)
 
 
+def test_surface_distance_past_the_squared_range():
+    # every squared distance to these obstacles overflows; each distance is
+    # representable and is taken again without squaring
+    rng = np.random.default_rng(40)
+    scene = ObstacleScene(spheres=(Sphere([1e308, -1e308, 5e307], 5.0),),
+                          boxes=(Box([2e307, 8e307, -1e308], [3e307, 9e307, -9e307]),))
+    points = rng.uniform(-1e3, 1e3, (200, 3))
+    want = [min(math.dist(p, [1e308, -1e308, 5e307]) - 5.0,
+                math.dist(p, [2e307, 8e307, -9e307])) for p in points.tolist()]
+    np.testing.assert_allclose(scene.surface_distance(points), want, rtol=1e-15)
+    # a point with a near obstacle keeps its squared arithmetic, bit for bit
+    unit = Sphere([0.0, 0.0, 0.0], 1.0)
+    near = ObstacleScene(spheres=(*scene.spheres, unit), boxes=scene.boxes)
+    assert np.array_equal(near.surface_distance(points),
+                          ObstacleScene(spheres=(unit,)).surface_distance(points))
+
+
 def _random_scene(rng, chain):
     """Spheres and boxes scattered around the chain's own vertices."""
     verts = dh_to_polyline(chain)
@@ -318,8 +335,6 @@ def test_growth_trace_checks_step_without_a_scene(three_bend_chain, scene):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("build", [
-    lambda v: _check_poses(np.full((1, 3, 3), v), np.zeros((1, 3))),
-    lambda v: _check_poses(np.eye(3)[None], np.array([[0.0, v, 0.0]])),
     lambda v: ObstacleScene(spheres=(Sphere(center=[0.0, 0.0, v], radius=10.0),)),
     lambda v: ObstacleScene(spheres=(Sphere(center=[0.0, 0.0, 0.0], radius=v),)),
     lambda v: ObstacleScene(boxes=(Box(min_corner=[v, 0.0, 0.0],
@@ -328,8 +343,7 @@ def test_growth_trace_checks_step_without_a_scene(three_bend_chain, scene):
                                        max_corner=[10.0, 10.0, v]),)),
     lambda v: MeasuredDH("pre", 2, [0.1, v], [0.0], [1.0, 1.0, 1.0]),
     lambda v: MeasuredDH("pre", 2, [0.1], [], [1.0, v]),
-], ids=["pose-rotation", "pose-translation", "sphere-center",
-        "sphere-radius", "box-min", "box-max", "measured-theta", "measured-length"])
+], ids=["sphere-center", "sphere-radius", "box-min", "box-max", "measured-theta", "measured-length"])
 def test_constructors_reject_non_finite(build, bad):
     with pytest.raises(ValidationError):
         build(bad)

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -60,6 +61,22 @@ def test_marker_record_arrays_are_checked():
         MarkerRecord("j2_on", t, p, [[1.0, 0.0, 0.0]] * 2)
     with pytest.raises(ValidationError, match="unrecognized marker id"):
         MarkerRecord("marker7", t, p, q)
+
+
+def test_marker_record_joint_and_role_are_read_only_fields(data_dir):
+    from vinefab.formats import read_markers
+
+    spellings = ["j2_on", "J3_proximal", "j10:distal", "j4_on-joint", "base", "TIP"]
+    built = [MarkerRecord(m, [0.0], [[1.0, 2.0, 3.0]], [[1.0, 0.0, 0.0, 0.0]]) for m in spellings]
+    read = read_markers(os.path.join(data_dir, "markers_pre.csv"))
+    assert len(read) == 6
+    for rec in built + read:
+        assert (rec.joint, rec.role) == parse_marker_id(rec.marker_id)
+        assert {"joint", "role"} <= set(vars(rec))  # stored once, not parsed per access
+        for field in ("joint", "role"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+                setattr(rec, field, 1)
+    assert repr(built[0]).endswith(", joint=2, role='on')")
 
 
 def test_recover_exact_on_reference_robot(three_bend_chain):
