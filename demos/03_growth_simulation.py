@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from vinefab import growth_trace, sweep_samples
+from vinefab import growth_trace
 from vinefab.formats import read_chain, read_scene, write_growth_trace
 
 HERE = os.path.dirname(__file__)
@@ -21,7 +21,7 @@ chain = read_chain(os.path.join(HERE, "data", "chain_threebend.json"))
 scene = read_scene(os.path.join(HERE, "data", "scene.json"))
 total = chain.total_length
 print(f"chain: {chain.n} links, {total:.0f} mm, radius {chain.radius} mm")
-print(f"scene: {len(scene.spheres)} spheres, {len(scene.boxes)} boxes\n")
+print(f"scene: {scene.radii.size} spheres, {scene.lows.shape[0]} boxes\n")
 
 everted = np.linspace(0.0, total, 31).tolist()
 tips, clearances = growth_trace(chain, everted, scene, step=1.0)
@@ -41,8 +41,4 @@ if worst[2] < 0.0:
 else:
     print("the body clears every obstacle along the whole growth")
 
-# the swept body itself: centerline samples carrying the tube radius
-_, centers = sweep_samples(chain, total, step=25.0)
-print(f"swept body at full eversion: {centers.shape[0]} samples, "
-      f"radius {chain.radius} mm")
 print(f"wrote {os.path.join(OUT, 'growth_trace.csv')}")

@@ -1,15 +1,19 @@
 """Regenerate the bundled synthetic datasets (fixed seed, deterministic).
 
+The library reads these inputs but does not write them: the CSV files are
+written here with `csv` and every number goes through `formats.fmt9`, the
+scene and project JSON through `formats.write_json`.
+
 Run from the repository root:  python demos/data/generate.py
 """
 
+import csv
 import math
 import os
 
 import numpy as np
 
-from vinefab import (DHChain, GapModel, ObstacleScene, SampleTable,
-                     Sphere, Box, compile_plan, synthetic_markers)
+from vinefab import DHChain, GapModel, compile_plan, synthetic_markers
 from vinefab import formats
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -37,6 +41,23 @@ POST_JOINT_SHIFT = 0.7
 POST_LENGTH_SHIFT = 0.02
 
 
+def write_csv(name, header, rows):
+    """A CSV file of a header and rows; numbers are written by fmt9, strings as they are."""
+    with open(os.path.join(HERE, name), "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([v if isinstance(v, str) else formats.fmt9(v) for v in row]
+                         for row in rows)
+
+
+def write_markers(records, name):
+    """One row per sample, the records one after the other."""
+    write_csv(name, ["marker_id", "t_s", "x_mm", "y_mm", "z_mm", "qw", "qx", "qy", "qz"],
+              [[rec.marker_id, t, *p, *q] for rec in records
+               for t, p, q in zip(rec.times.tolist(), rec.positions.tolist(),
+                                  rec.quaternions.tolist())])
+
+
 def three_bend_chain():
     return DHChain(
         [TARGET_A_MM] * 3,
@@ -48,11 +69,11 @@ def three_bend_chain():
 def write_chain_and_scene():
     chain = three_bend_chain()
     formats.write_chain(chain, os.path.join(HERE, "chain_threebend.json"))
-    scene = ObstacleScene(
-        spheres=(Sphere(center=[150.0, -70.0, 0.0], radius=35.0),
-                 Sphere(center=[230.0, 150.0, -60.0], radius=25.0)),
-        boxes=(Box(min_corner=[60.0, 60.0, -40.0], max_corner=[130.0, 120.0, 40.0]),))
-    formats.write_scene(scene, os.path.join(HERE, "scene.json"))
+    formats.write_json({
+        "spheres": [{"center_mm": [150.0, -70.0, 0.0], "radius_mm": 35.0},
+                    {"center_mm": [230.0, 150.0, -60.0], "radius_mm": 25.0}],
+        "boxes": [{"min_mm": [60.0, 60.0, -40.0], "max_mm": [130.0, 120.0, 40.0]}],
+    }, os.path.join(HERE, "scene.json"))
     formats.write_json({
         "chain": "chain_threebend.json",
         "gap": {"method": "tape"},
@@ -60,9 +81,9 @@ def write_chain_and_scene():
         "units": "deg",
     }, os.path.join(HERE, "project.json"))
     # a waypoint path for the polyline design demo
-    pts = np.array([[0.0, 0.0, 0.0], [120.0, 0.0, 0.0], [200.0, 90.0, 0.0],
-                    [220.0, 170.0, 60.0], [190.0, 240.0, 130.0]])
-    formats.write_polyline(pts, os.path.join(HERE, "path_waypoints.csv"))
+    write_csv("path_waypoints.csv", ["x_mm", "y_mm", "z_mm"],
+              [[0.0, 0.0, 0.0], [120.0, 0.0, 0.0], [200.0, 90.0, 0.0],
+               [220.0, 170.0, 60.0], [190.0, 240.0, 130.0]])
     return chain
 
 
@@ -70,7 +91,7 @@ def write_marker_logs(chain, rng):
     pre = synthetic_markers(chain, n_samples=100, rate_hz=20.0,
                             position_noise_mm=0.05, rotation_noise_deg=0.2,
                             rng=rng)
-    formats.write_markers(pre, os.path.join(HERE, "markers_pre.csv"))
+    write_markers(pre, "markers_pre.csv")
     # after repeated growth the bends settle slightly away from the target
     post_chain = DHChain(
         [100.31, 99.74, 100.22],
@@ -81,7 +102,7 @@ def write_marker_logs(chain, rng):
     post = synthetic_markers(post_chain, n_samples=100, rate_hz=20.0,
                              position_noise_mm=0.05, rotation_noise_deg=0.2,
                              rng=rng)
-    formats.write_markers(post, os.path.join(HERE, "markers_post.csv"))
+    write_markers(post, "markers_post.csv")
 
 
 def write_sample_table(rng):
@@ -117,8 +138,8 @@ def write_sample_table(rng):
             if phase == "post":
                 value += shift[param]
             rows.append((value, method, material, phase, param, robot))
-    formats.write_samples(SampleTable(*zip(*rows)),
-                          os.path.join(HERE, "dh_samples.csv"))
+    write_csv("dh_samples.csv", ["value", "method", "material", "phase", "parameter",
+                                 "robot_id"], rows)
 
 
 def write_growth_pressures(rng):
@@ -126,14 +147,10 @@ def write_growth_pressures(rng):
     base_pressure = {("tape", "ldpe"): 11.5, ("tape", "fabric"): 16.5,
                      ("weld", "fabric"): 17.0, ("loop", "ldpe"): 17.5,
                      ("loop", "fabric"): 22.5}
-    with open(os.path.join(HERE, "growth_pressures.csv"), "w",
-              encoding="utf-8", newline="") as fh:
-        fh.write("method,material,robot_id,min_pressure_kpa\n")
-        for (method, material), base in base_pressure.items():
-            for k in range(1, ROBOTS_PER_COMBO + 1):
-                p = base + rng.normal(0.0, 0.7)
-                fh.write(f"{method},{material},{method}-{material}-{k},"
-                         f"{formats.fmt9(p)}\n")
+    write_csv("growth_pressures.csv", ["method", "material", "robot_id", "min_pressure_kpa"],
+              [[method, material, f"{method}-{material}-{k}", base + rng.normal(0.0, 0.7)]
+               for (method, material), base in base_pressure.items()
+               for k in range(1, ROBOTS_PER_COMBO + 1)])
 
 
 def main():

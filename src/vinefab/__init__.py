@@ -8,8 +8,7 @@ from .fabrication import (DEFAULT_LOOP_GAP_MM, FabricationPlan, GapModel,
                           JointSpec, compile_plan, recover_chain)
 from .geometry import (DHChain, DHLink, Pose, canonicalize_polyline,
                        dh_to_polyline, fk_chain, polyline_to_dh)
-from .growth import (Box, ObstacleScene, Sphere, centerline_points, growth_trace,
-                     sweep_samples)
+from .growth import Box, ObstacleScene, Sphere, centerline_points, growth_trace
 from .measurement import (DHErrors, MarkerRecord, MeasuredDH, dh_errors, recover_dh,
                           synthetic_markers)
 from .pattern import flat_pattern, write_pattern

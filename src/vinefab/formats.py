@@ -1,4 +1,5 @@
-"""File formats: chain/scene JSON and polyline/marker/sample CSV are read; the rest only written.
+"""File formats: scene JSON and polyline/marker/sample CSV are only read, chain
+JSON is read and written, and the rest is only written.
 
 All numeric output goes through one formatter (9 significant digits) and all
 JSON is emitted by a fixed-order serializer, so identical inputs produce
@@ -27,7 +28,7 @@ from .fabrication import FabricationPlan
 from .geometry import DHChain, check_items, rotations_to_quaternions
 from .growth import ObstacleScene
 from .measurement import MarkerRecord, MeasuredDH, check_samples
-from .stats import COLUMNS, SampleTable
+from .stats import SampleTable
 
 
 def fmt9(value) -> str:
@@ -232,11 +233,6 @@ def read_polyline(path) -> np.ndarray:
     return pts
 
 
-def write_polyline(points: np.ndarray, path) -> None:
-    pts = np.asarray(points, float).reshape(-1, 3).tolist()
-    _write_csv(path, POLYLINE_HEADER, [list(map(fmt9, p)) for p in pts])
-
-
 # ---------------------------------------------------------------- scene JSON
 
 def read_scene(path) -> ObstacleScene:
@@ -248,12 +244,6 @@ def read_scene(path) -> ObstacleScene:
              for where, entry in _objects(data, "boxes", path, "box", [])]
     with _context(path):
         return ObstacleScene(spheres=spheres, boxes=boxes)
-
-
-def write_scene(scene: ObstacleScene, path) -> None:
-    write_json({"spheres": [{"center_mm": c.tolist(), "radius_mm": r} for c, r in scene.spheres],
-                "boxes": [{"min_mm": lo.tolist(), "max_mm": hi.tolist()}
-                          for lo, hi in scene.boxes]}, path)
 
 
 # ----------------------------------------------------------------- plan JSON
@@ -304,15 +294,6 @@ def read_markers(path) -> list:
             for marker_id, start, end in zip(code, [0, *ends], ends)]
 
 
-def write_markers(records, path) -> None:
-    rows = []
-    for rec in records:
-        for t, p, q in zip(rec.times.tolist(), rec.positions.tolist(),
-                           rec.quaternions.tolist()):
-            rows.append([rec.marker_id, fmt9(t), *map(fmt9, p), *map(fmt9, q)])
-    _write_csv(path, MARKER_HEADER, rows)
-
-
 # ------------------------------------------------------------ measured DH IO
 
 def measured_to_dict(measured: MeasuredDH) -> dict:
@@ -356,13 +337,6 @@ def read_samples(path) -> SampleTable:
     value = _floats(path, lines, columns, SAMPLE_HEADER[:1])[:, 0]
     with _context(path):
         return SampleTable(value, *(columns[c] for c in SAMPLE_HEADER[1:]), lines=lines)
-
-
-def write_samples(table: SampleTable, path) -> None:
-    names = [np.array(levels)[getattr(table, c)].tolist() for c, levels in COLUMNS.items()]
-    _write_csv(path, SAMPLE_HEADER,
-               [[fmt9(v), *row] for v, *row in zip(table.value.tolist(), *names,
-                                                   table.robot_id.tolist())])
 
 
 # ------------------------------------------------------------- trace outputs

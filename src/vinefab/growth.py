@@ -66,14 +66,6 @@ class ObstacleScene(ReadOnly):
         self.__dict__.update(centers=centers, radii=radii, lows=lows, highs=highs)
 
     @property
-    def spheres(self) -> tuple:
-        return tuple(map(Sphere, self.centers, self.radii.tolist()))
-
-    @property
-    def boxes(self) -> tuple:
-        return tuple(map(Box, self.lows, self.highs))
-
-    @property
     def empty(self) -> bool:
         return not (self.radii.size or self.lows.size)
 
@@ -168,29 +160,17 @@ def centerline_points(chain: DHChain, arc_lengths: np.ndarray) -> np.ndarray:
     return verts[idx] + dirs[idx] * (s - cum[idx])[:, None]
 
 
-def sweep_samples(chain: DHChain, everted_length: float,
-                  step: float = DEFAULT_SWEEP_STEP_MM) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the centerline of the body everted to `everted_length` every `step` mm.
-
-    Returns (arc_lengths, centers): floor(everted/step) + 1 grid samples and
-    one tip sample, so both endpoints are always present.
-    """
-    everted_length, step = _everted(chain, everted_length), _step(step)
-    s = np.append(_sweep_grid(everted_length, step), everted_length)
-    return s, centerline_points(chain, s)
-
-
 def growth_trace(chain: DHChain, everted_lengths, scene: ObstacleScene | None,
                  step: float = DEFAULT_SWEEP_STEP_MM
                  ) -> tuple[np.ndarray, list[float | None]]:
     """Tip positions and worst clearance at each everted length, in one sweep.
 
     Returns (tips, clearances): tips is (m, 3); clearances[k] is the least
-    (surface distance - body radius) over `sweep_samples(chain, L_k, step)`,
+    (surface distance - body radius) over the body everted to L_k, sampled at
+    arc lengths 0, step, ..., floor(L_k/step) * step and at its tip L_k;
     negative where the body penetrates, or None when the scene is absent or
     empty. The tips and the grid of the longest body are evaluated in one
-    centerline_points call; the body at L_k is its first floor(L_k/step) + 1
-    grid points plus its own tip.
+    centerline_points call.
     """
     lengths = float_array(everted_lengths, "everted_lengths")
     if lengths.ndim != 1 or lengths.size == 0:

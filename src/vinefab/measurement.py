@@ -6,7 +6,7 @@ each neighbor joint. The first bend joint uses a marker at the chain base in
 place of its proximal neighbor and the last uses one at the tip, so the
 marker set also bounds the first and last links. A marker's samples are
 arrays (``MarkerRecord``). Only their positions enter the recovery; the
-orientations are kept for the marker CSV.
+orientations are read and checked as unit quaternions, and not used.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import (DegenerateGeometryError, MissingMarkerError,
                      ValidationError)
 from .geometry import (STRAIGHT_SINE, DHChain, ReadOnly, _trusted, bend_planes,
                        carried_twists, chain_frames, check_items, dot_rows, float_array,
-                       rotations_to_quaternions, twist_angles, wrap_angle)
+                       float_scalar, rotations_to_quaternions, twist_angles, wrap_angle)
 
 # offset of the neighbor-facing markers from their joint, per the measurement jig
 DEFAULT_MARKER_OFFSET_MM = 76.5
@@ -42,6 +42,8 @@ def parse_marker_id(marker_id: str):
     Accepts 'base', 'tip', and 'j<k>_<role>' with role spelled 'on'/'joint'/
     'on-joint', 'prox'/'proximal', or 'dist'/'distal'.
     """
+    if not isinstance(marker_id, str):
+        raise ValidationError(f"marker id must be a string, got {marker_id!r}")
     s = marker_id.strip().lower()
     if s in ("base", "tip"):
         return None, s
@@ -252,6 +254,9 @@ def synthetic_markers(chain: DHChain, offset: float = DEFAULT_MARKER_OFFSET_MM,
     """
     if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
         raise ValidationError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    offset, rate_hz = float_scalar(offset, "offset"), float_scalar(rate_hz, "rate_hz")
+    position_noise_mm = float_scalar(position_noise_mm, "position_noise_mm", positive=False)
+    rotation_noise_deg = float_scalar(rotation_noise_deg, "rotation_noise_deg", positive=False)
     if chain.n < 2:
         raise ValidationError("marker protocol needs at least 2 links")
     if rng is None:

@@ -31,33 +31,19 @@ _MAX_ITER = 500
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
     qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
+    c, d = 1.0, 1.0 - qab * x / qap
+    h = d = 1.0 / (_FPMIN if abs(d) < _FPMIN else d)
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even and the odd term of step m, each one update of d, c and h
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            d = 1.0 / (_FPMIN if abs(d) < _FPMIN else d)
+            c = 1.0 + aa / c
+            c = _FPMIN if abs(c) < _FPMIN else c
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
     raise ValidationError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")

@@ -4,12 +4,13 @@ These deliberately avoid the library's own code paths: forward kinematics is
 done with literal 4x4 homogeneous matrices, a fabrication plan is checked by
 folding the tube it describes, ANOVA with textbook loops, and distribution
 values by Monte Carlo sampling. There are two exceptions. `clearance`
-samples each everted body on its own with the library's sweep_samples, so
-that growth_trace's shared sweep must match it bit for bit; it measures
-distances with `scene_distance_loop`, not the library's kernel. And `RowTable`,
-`ranks_with_ties_loop` and `scene_distance_loop` are the row, rank and
-per-obstacle loops that the library replaced with array code, kept as the
-reference that code must match bit for bit; so are `rotation_to_quaternion`,
+samples each everted body on its own grid and tip through the library's
+centerline_points, so that growth_trace's shared sweep must match it bit for
+bit; it measures distances with `scene_distance_loop`, not the library's
+kernel. And `RowTable`, `ranks_with_ties_loop` and `scene_distance_loop` are
+the row, rank and per-obstacle loops that the library replaced with array
+code, kept as the reference that code must match bit for bit; so are
+`rotation_to_quaternion`,
 `RigidPose`, `recover_dh_loop` and `dh_error_rows`, the per-frame, per-joint
 and per-row code that poses, measured DH and error tables were computed with
 before they became arrays (`dh_error_rows` takes `wrap_angle` from the
@@ -34,7 +35,7 @@ import numpy as np
 
 from vinefab.errors import DegenerateGeometryError, MissingMarkerError, ValidationError
 from vinefab.geometry import DHChain, wrap_angle
-from vinefab.growth import sweep_samples
+from vinefab.growth import centerline_points
 from vinefab.measurement import MarkerRecord
 from vinefab.stats import FACTORS, PARAMETER_LEVELS
 
@@ -111,21 +112,23 @@ def clearance(chain, everted_length, scene, step):
     """Worst (surface distance - body radius) of one everted body, sampled on its own.
 
     The per-state definition growth_trace must reproduce: the body everted
-    to `everted_length` sampled by sweep_samples; None for an empty scene.
+    to `everted_length` sampled at arc lengths 0, step, ..., floor(L/step) *
+    step and at its tip L; None for an empty scene.
     """
     if scene.empty:
         return None
-    _, centers = sweep_samples(chain, everted_length, step)
+    s = np.append(np.arange(math.floor(everted_length / step) + 1) * step, everted_length)
+    centers = centerline_points(chain, s)
     return float(np.min(scene_distance_loop(scene, centers) - chain.radius))
 
 
-def _sphere_distance(sphere, p):
-    return np.linalg.norm(p - sphere.center, axis=1) - sphere.radius
+def _sphere_distance(center, radius, p):
+    return np.linalg.norm(p - center, axis=1) - radius
 
 
-def _box_distance(box, p):
-    center = 0.5 * (box.min_corner + box.max_corner)
-    half = 0.5 * (box.max_corner - box.min_corner)
+def _box_distance(low, high, p):
+    center = 0.5 * (low + high)
+    half = 0.5 * (high - low)
     q = np.abs(p - center) - half
     outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
     inside = np.minimum(np.max(q, axis=1), 0.0)
@@ -133,13 +136,13 @@ def _box_distance(box, p):
 
 
 def scene_distance_loop(scene, points):
-    """Signed distance to the nearest obstacle surface, per point: one method
-    call per Sphere and Box record, stacked and reduced."""
+    """Signed distance to the nearest obstacle surface, per point: one call
+    per sphere and per box of the scene's arrays, stacked and reduced."""
     p = np.atleast_2d(np.asarray(points, float))
     if scene.empty:
         return np.full(p.shape[0], math.inf)
-    dists = [_sphere_distance(s, p) for s in scene.spheres]
-    dists += [_box_distance(b, p) for b in scene.boxes]
+    dists = [_sphere_distance(c, r, p) for c, r in zip(scene.centers, scene.radii)]
+    dists += [_box_distance(lo, hi, p) for lo, hi in zip(scene.lows, scene.highs)]
     return np.min(np.vstack(dists), axis=0)
 
 

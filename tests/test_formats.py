@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from vinefab import formats
 from vinefab.errors import ValidationError
 from vinefab.fabrication import FabricationPlan, GapModel, compile_plan
-from vinefab.growth import Box, ObstacleScene, Sphere
 from vinefab.measurement import recover_dh, synthetic_markers
-from vinefab.stats import group_summary
+from vinefab.stats import COLUMNS, group_summary
 
 from oracles import measured_pairs, read_csv_loop, read_markers_loop
 
@@ -63,26 +62,29 @@ def test_chain_json_errors(tmp_path):
         formats.read_chain(tmp_path / "nope.json")
 
 
+def _csv_text(header, rows):
+    """CSV text as the library writes it: numbers by fmt9, strings as they are."""
+    return "".join(",".join(v if isinstance(v, str) else formats.fmt9(v) for v in row) + "\n"
+                   for row in [header, *rows])
+
+
 def test_polyline_round_trip(tmp_path):
     pts = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0], [100.0, 55.5, 10.0]])
     path = tmp_path / "poly.csv"
-    formats.write_polyline(pts, path)
-    np.testing.assert_allclose(formats.read_polyline(path), pts, atol=1e-6)
+    path.write_text(_csv_text(formats.POLYLINE_HEADER, pts.tolist()))
+    np.testing.assert_array_equal(formats.read_polyline(path), pts)
     path.write_text("x_mm,y_mm\n0,0\n")
     with pytest.raises(ValidationError, match="missing columns"):
         formats.read_polyline(path)
 
 
 def test_scene_round_trip(tmp_path):
-    scene = ObstacleScene(
-        spheres=(Sphere(center=[1.0, 2.0, 3.0], radius=4.0),),
-        boxes=(Box(min_corner=[0, 0, 0], max_corner=[5, 5, 5]),))
     path = tmp_path / "scene.json"
-    formats.write_scene(scene, path)
+    formats.write_json({"spheres": [{"center_mm": [1.0, 2.0, 3.0], "radius_mm": 4.0}],
+                        "boxes": [{"min_mm": [0, 0, 0], "max_mm": [5, 5, 5]}]}, path)
     back = formats.read_scene(path)
-    np.testing.assert_allclose(back.spheres[0].center, [1.0, 2.0, 3.0])
-    assert back.spheres[0].radius == 4.0
-    np.testing.assert_allclose(back.boxes[0].max_corner, [5.0, 5.0, 5.0])
+    assert back.centers.tolist() == [[1.0, 2.0, 3.0]] and back.radii.tolist() == [4.0]
+    assert back.lows.tolist() == [[0.0, 0.0, 0.0]] and back.highs.tolist() == [[5.0, 5.0, 5.0]]
 
 
 @pytest.mark.parametrize("text", [
@@ -120,9 +122,14 @@ def test_plan_json_writes_the_plan(tmp_path, three_bend_chain):
 def test_markers_round_trip(tmp_path, three_bend_chain):
     records = synthetic_markers(three_bend_chain, n_samples=3)
     path = tmp_path / "markers.csv"
-    formats.write_markers(records, path)
+    path.write_text(_csv_text(formats.MARKER_HEADER, [
+        [r.marker_id, t, *p, *q] for r in records
+        for t, p, q in zip(r.times.tolist(), r.positions.tolist(), r.quaternions.tolist())]))
     back = formats.read_markers(path)
     assert [r.marker_id for r in back] == [r.marker_id for r in records]
+    for r, b in zip(records, back):
+        for name in ("times", "positions", "quaternions"):
+            np.testing.assert_allclose(getattr(b, name), getattr(r, name), rtol=1e-8, atol=1e-12)
     joint_thetas, _, _ = measured_pairs(recover_dh(back))
     for (j, th) in joint_thetas:
         assert th == pytest.approx(math.pi / 4, abs=1e-6)
@@ -195,16 +202,15 @@ def test_fmt9_fast_path_matches_general_path():
 
 
 def test_samples_round_trip_and_validation(tmp_path, data_dir):
-    table = formats.read_samples(os.path.join(data_dir, "dh_samples.csv"))
+    bundled = os.path.join(data_dir, "dh_samples.csv")
+    table = formats.read_samples(bundled)
     assert len(table) == 180
     assert table.parameters() == ("twist", "joint", "length")
-    path = tmp_path / "samples.csv"
-    formats.write_samples(table, path)
-    again = formats.read_samples(path)
-    assert len(again) == len(table)
-    np.testing.assert_allclose(again.value, table.value, atol=1e-6)
-    for column in ("method", "material", "phase", "parameter", "robot_id"):
-        np.testing.assert_array_equal(getattr(again, column), getattr(table, column))
+    # the table written back by level name is the file it was read from
+    names = [np.array(levels)[getattr(table, c)].tolist() for c, levels in COLUMNS.items()]
+    rows = [[v, *row] for v, *row in zip(table.value.tolist(), *names, table.robot_id.tolist())]
+    with open(bundled, encoding="utf-8") as fh:
+        assert _csv_text(formats.SAMPLE_HEADER, rows) == fh.read()
 
     header = "value,method,material,phase,parameter,robot_id\n"
     good = "1.0,tape,ldpe,pre,joint,r1\n"

@@ -8,7 +8,7 @@ from vinefab import growth
 from vinefab.errors import ValidationError
 from vinefab.geometry import DHChain, chain_frames, dh_to_polyline, fk_chain
 from vinefab.growth import (MAX_SWEEP_SAMPLES, Box, ObstacleScene, Sphere,
-                            centerline_points, growth_trace, sweep_samples)
+                            centerline_points, growth_trace)
 from vinefab.measurement import MeasuredDH
 
 from conftest import random_feasible_chain
@@ -21,9 +21,10 @@ def test_range_error_shows_both_numbers_exactly():
     # the first length past the n ulps over the total that read as the total
     total = chain.total_length
     past = math.nextafter(total + chain.n * math.ulp(total), math.inf)
-    for grow in (lambda L: sweep_samples(chain, L), lambda L: growth_trace(chain, [L], None)):
+    far = ObstacleScene(spheres=(Sphere(center=[0.0, 0.0, 1e4], radius=1.0),))
+    for scene in (None, far):
         with pytest.raises(ValidationError) as info:
-            grow(past)
+            growth_trace(chain, [0.0, past], scene)
         bound, got = re.search(r"\[0, (\S+)\] mm, got (\S+)$", str(info.value)).groups()
         assert bound != got
         assert float(bound) == total
@@ -57,8 +58,6 @@ def test_tip_mid_link_matches_matrix_oracle(three_bend_chain):
 def test_everted_length_out_of_range(three_bend_chain):
     for bad in (-1.0, 300.1):
         with pytest.raises(ValidationError, match="everted_length must lie in"):
-            sweep_samples(three_bend_chain, bad)
-        with pytest.raises(ValidationError):
             growth_trace(three_bend_chain, [bad], None)
 
 
@@ -79,13 +78,11 @@ def test_a_summed_chain_length_reads_as_the_total():
             clamped = growth_trace(chain, [0.0, min(summed, total)], scene, step)
             np.testing.assert_array_equal(tips, clamped[0])
             assert clearances == clamped[1]
-        np.testing.assert_array_equal(sweep_samples(chain, summed)[0],
-                                      sweep_samples(chain, min(summed, total))[0])
         np.testing.assert_array_equal(centerline_points(chain, [summed]),
                                       centerline_points(chain, [min(summed, total)]))
-        for grow in (lambda L: sweep_samples(chain, L), lambda L: growth_trace(chain, [L], None)):
+        for no_scene in (None, scene):
             with pytest.raises(ValidationError, match="everted_length must lie in"):
-                grow(total * (1.0 + 1e-9))
+                growth_trace(chain, [total * (1.0 + 1e-9)], no_scene)
     assert over > 20
 
 
@@ -95,25 +92,37 @@ def test_tip_translation_is_continuous(three_bend_chain):
     assert np.linalg.norm(np.diff(tips, axis=0), axis=1).max() <= step * 1.01
 
 
-def test_sweep_sample_counts():
+def test_sweep_sample_counts(monkeypatch):
+    # the body at L is sampled at its tip and at 0, step, ... up to L
     chain = DHChain([100, 100], [0, 0], [0, 0], 16.5)
-    arc_lengths, centers = sweep_samples(chain, 200.0, step=200.0)
-    assert centers.shape[0] >= 2
-    assert arc_lengths[0] == 0.0 and arc_lengths[-1] == 200.0
-    for L, step in ((200.0, 7.0), (155.5, 10.0), (0.0, 5.0)):
-        _, centers = sweep_samples(chain, L, step=step)
-        assert centers.shape[0] == math.floor(L / step) + 2
+    scene = ObstacleScene(spheres=(Sphere(center=[0.0, 0.0, 1e4], radius=1.0),))
+    swept = []
+
+    def spy(chain, arc_lengths):
+        swept.append(np.asarray(arc_lengths))
+        return centerline_points(chain, arc_lengths)
+
+    monkeypatch.setattr(growth, "centerline_points", spy)
+    for L, step in ((200.0, 200.0), (200.0, 7.0), (155.5, 10.0), (0.0, 5.0)):
+        growth_trace(chain, [L], scene, step=step)
+        (s,) = swept
+        swept.clear()
+        assert s.size == math.floor(L / step) + 2 and s[0] == L and s[1] == 0.0
+        np.testing.assert_array_equal(np.diff(s[1:]), step)
     for bad in (0.0, math.inf, math.nan):
-        with pytest.raises(ValidationError):
-            sweep_samples(chain, 100.0, step=bad)
+        with pytest.raises(ValidationError, match="step must be finite and > 0"):
+            growth_trace(chain, [100.0], scene, step=bad)
     # one sample past the cap, and steps whose count overflows a float
     for bad in (100.0 / (MAX_SWEEP_SAMPLES - 1), 1e-9, 5e-324):
         with pytest.raises(ValidationError, match=f"more than {MAX_SWEEP_SAMPLES}"):
-            sweep_samples(chain, 100.0, step=bad)
+            growth_trace(chain, [100.0], scene, step=bad)
+    assert not swept
 
 
 def test_sweep_samples_lie_on_centerline(three_bend_chain):
-    _, centers = sweep_samples(three_bend_chain, 300.0, step=3.7)
+    step = 3.7
+    centers = centerline_points(three_bend_chain,
+                                np.append(np.arange(math.floor(300.0 / step) + 1) * step, 300.0))
     verts = dh_to_polyline(three_bend_chain)
     for p in centers:
         d = min(point_segment_distance(p, verts[i], verts[i + 1])
@@ -140,7 +149,7 @@ def test_clearance_point_to_sphere_hand_geometry():
     _, (clr,) = growth_trace(chain, [300.0], scene, step=1.0)
     assert clr == pytest.approx(100.0 - 30.0 - 16.5, abs=1e-9)
     # the worst sample of the body is the one nearest the sphere
-    _, centers = sweep_samples(chain, 300.0, step=1.0)
+    centers = centerline_points(chain, np.arange(301.0))
     worst = centers[np.argmin(scene.surface_distance(centers))]
     np.testing.assert_allclose(worst, [150.0, 0.0, 0.0], atol=1e-9)
 
@@ -205,16 +214,12 @@ def test_scene_validation():
         assert str(info.value) == message
 
 
-def test_scene_is_read_only_arrays_with_derived_records():
+def test_scene_is_read_only_arrays():
     scene = ObstacleScene(spheres=[([1, 2, 3], 4)], boxes=[Box([0, 0, 0], [5, 6, 7])])
-    assert scene.centers.shape == (1, 3) and scene.radii.shape == (1,)
-    assert scene.lows.shape == scene.highs.shape == (1, 3)
+    assert scene.centers.tolist() == [[1.0, 2.0, 3.0]] and scene.radii.tolist() == [4.0]
+    assert scene.lows.tolist() == [[0.0, 0.0, 0.0]] and scene.highs.tolist() == [[5.0, 6.0, 7.0]]
     for x in (scene.centers, scene.radii, scene.lows, scene.highs):
-        assert not x.flags.writeable
-    (sphere,), (box,) = scene.spheres, scene.boxes
-    assert sphere.center.tolist() == [1.0, 2.0, 3.0] and sphere.radius == 4.0
-    assert type(sphere.radius) is float
-    assert box.max_corner.tolist() == [5.0, 6.0, 7.0]
+        assert not x.flags.writeable and x.dtype == float
     bare = ObstacleScene()
     assert bare.empty and bare.centers.shape == bare.lows.shape == (0, 3)
 
@@ -252,15 +257,16 @@ def test_surface_distance_past_the_squared_range():
     # every squared distance to these obstacles overflows; each distance is
     # representable and is taken again without squaring
     rng = np.random.default_rng(40)
-    scene = ObstacleScene(spheres=(Sphere([1e308, -1e308, 5e307], 5.0),),
-                          boxes=(Box([2e307, 8e307, -1e308], [3e307, 9e307, -9e307]),))
+    spheres = (Sphere([1e308, -1e308, 5e307], 5.0),)
+    boxes = (Box([2e307, 8e307, -1e308], [3e307, 9e307, -9e307]),)
+    scene = ObstacleScene(spheres=spheres, boxes=boxes)
     points = rng.uniform(-1e3, 1e3, (200, 3))
     want = [min(math.dist(p, [1e308, -1e308, 5e307]) - 5.0,
                 math.dist(p, [2e307, 8e307, -9e307])) for p in points.tolist()]
     np.testing.assert_allclose(scene.surface_distance(points), want, rtol=1e-15)
     # a point with a near obstacle keeps its squared arithmetic, bit for bit
     unit = Sphere([0.0, 0.0, 0.0], 1.0)
-    near = ObstacleScene(spheres=(*scene.spheres, unit), boxes=scene.boxes)
+    near = ObstacleScene(spheres=(*spheres, unit), boxes=boxes)
     assert np.array_equal(near.surface_distance(points),
                           ObstacleScene(spheres=(unit,)).surface_distance(points))
 

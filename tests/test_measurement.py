@@ -63,6 +63,16 @@ def test_marker_record_arrays_are_checked():
         MarkerRecord("marker7", t, p, q)
 
 
+@pytest.mark.parametrize("marker_id", [5, None, b"base"])
+def test_marker_id_must_be_a_string(marker_id):
+    # a non-string id used to end in a raw AttributeError from .strip()
+    t, p, q = [0.0], [[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0, 0.0]]
+    message = rf"^marker id must be a string, got {re.escape(repr(marker_id))}$"
+    for build in (parse_marker_id, lambda m: MarkerRecord(m, t, p, q)):
+        with pytest.raises(ValidationError, match=message):
+            build(marker_id)
+
+
 def test_marker_record_joint_and_role_are_read_only_fields(data_dir):
     from vinefab.formats import read_markers
 
@@ -272,6 +282,17 @@ def test_synthetic_markers_check_the_sample_count(three_bend_chain):
                            match=rf"^n_samples must be an integer >= 1, got {n_samples!r}$"):
             synthetic_markers(three_bend_chain, n_samples=n_samples)
     assert len(synthetic_markers(three_bend_chain, n_samples=np.int64(2))[0].positions) == 2
+
+
+@pytest.mark.parametrize("name, bad, bound", [
+    ("offset", 0.0, ">"), ("offset", math.inf, ">"), ("rate_hz", 0.0, ">"),
+    ("rate_hz", -20.0, ">"), ("rate_hz", math.nan, ">"), ("position_noise_mm", -1.0, ">="),
+    ("rotation_noise_deg", -0.5, ">="), ("rotation_noise_deg", math.inf, ">="),
+])
+def test_synthetic_markers_check_their_scalars(three_bend_chain, name, bad, bound):
+    # rate_hz 0 used to leak a divide warning, and a negative noise read as none
+    with pytest.raises(ValidationError, match=rf"^{name} must be {bound} 0, got {bad}$"):
+        synthetic_markers(three_bend_chain, n_samples=2, **{name: bad})
 
 
 def test_synthetic_marker_noise_is_drawn_sample_by_sample(three_bend_chain):
